@@ -15,11 +15,15 @@
 // races the calendar queue against std::priority_queue on a 10^6-event
 // hold workload. An async-parallel section measures the threads-vs-1
 // scaling of the sharded calendar-queue engine on SK(10,10,3) under
-// constant skew. Exit status checks the acceptance bars: phased >= 6x
-// event-queue slots/sec on SK(4,3,2), calendar >= 3x priority-queue
-// event rate at 10^6 pending events, async-sharded >= 2.5x its own
-// 1-thread run at 8 threads (judged only on hosts with >= 8 cores;
-// recorded as a null verdict with a skip reason otherwise), and the
+// constant skew; a route-compile section measures the pool-vs-serial
+// speedup of SK(10,10,3)'s compressed compile and records absolute
+// serial compile times (ms and ns per evaluated pair) for it and for
+// SK(8,8,2)'s dense compile. Exit status checks the acceptance bars:
+// phased >= 6x event-queue slots/sec on SK(4,3,2), calendar >= 3x
+// priority-queue event rate at 10^6 pending events, async-sharded
+// >= 2.5x its own 1-thread run at 8 threads (judged only on hosts with
+// >= 8 cores; recorded as a null verdict with a skip reason otherwise),
+// and the
 // attached-but-disabled obs layers -- deterministic telemetry on the
 // serial phased loop, the runtime-stats channel on the sharded loop --
 // each within 2% of their no-obs baselines. Bars are
@@ -88,10 +92,10 @@ namespace {
 
 constexpr int kReps = 3;
 
-/// Best-of-kReps wall time of `fn()` in seconds.
-double time_best(const std::function<void()>& fn) {
+/// Best-of-`reps` wall time of `fn()` in seconds.
+double time_best(const std::function<void()>& fn, int reps = kReps) {
   double best = 1e300;
-  for (int rep = 0; rep < kReps; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
     fn();
     const auto stop = std::chrono::steady_clock::now();
@@ -529,12 +533,30 @@ struct AsyncParallelResult {
 constexpr double kRouteCompileRequiredSpeedup = 2.5;
 constexpr int kRouteCompileBarThreads = 8;
 
+/// Repetitions behind each absolute serial compile time (best of).
+constexpr int kSerialCompileReps = 5;
+
+/// One absolute serial route compile: the cost the pool speedup divides,
+/// and the number compare_bench.py tracks across runs.
+struct SerialCompileRow {
+  std::string topology;
+  std::string routes;      ///< "compressed" or "dense"
+  std::int64_t pairs = 0;  ///< router evaluations: G^2 group pairs
+                           ///< (compressed) or N(N-1) node pairs (dense)
+  double seconds = 0.0;    ///< best of kSerialCompileReps
+
+  [[nodiscard]] double ns_per_pair() const {
+    return pairs > 0 ? seconds * 1e9 / static_cast<double>(pairs) : 0.0;
+  }
+};
+
 /// The parallel route-compile datapoint written to BENCH_sim.json.
 struct RouteCompileResult {
   int threads = 0;           ///< pool worker count actually used
   int hardware_threads = 0;  ///< std::thread::hardware_concurrency()
   PairedSpeedup speedup;     ///< pool-vs-serial paired ratio
   bool skipped = false;      ///< bar not judged (host below 8 threads)
+  std::vector<SerialCompileRow> serial;  ///< absolute serial compiles
 };
 
 // ------------------------------------------ per-cell memory budget
@@ -768,7 +790,17 @@ void write_bench_json(const std::string& path,
       << otis::core::format_double(route_compile.speedup.best, 2)
       << ", \"speedup_median\": "
       << otis::core::format_double(route_compile.speedup.median, 2)
-      << "},\n"
+      << ", \"serial\": [";
+  for (std::size_t i = 0; i < route_compile.serial.size(); ++i) {
+    const SerialCompileRow& r = route_compile.serial[i];
+    out << (i > 0 ? ", " : "") << "{\"topology\": \"" << r.topology
+        << "\", \"routes\": \"" << r.routes << "\", \"pairs\": " << r.pairs
+        << ", \"compile_ms\": "
+        << otis::core::format_double(r.seconds * 1e3, 2)
+        << ", \"ns_per_pair\": "
+        << otis::core::format_double(r.ns_per_pair(), 1) << "}";
+  }
+  out << "]},\n"
       << "  \"memory\": {\"topology\": \"SK(10,10,3)\", \"engine\": "
          "\"phased\", \"latency_stats\": \"sketch\", \"routes\": "
          "\"compressed\", \"slots\": "
@@ -1364,6 +1396,43 @@ int main(int argc, char** argv) {
     route_compile.speedup = paired_speedup(
         kAcceptanceRounds, [&] { return compile_seconds_once(&compile_pool); },
         [&] { return compile_seconds_once(nullptr); });
+
+    // Absolute serial compiles (best of kSerialCompileReps): the
+    // group-granular compile of the same topology, and a dense compile
+    // that evaluates the router on every node pair.
+    const std::int64_t groups = big.group_count();
+    route_compile.serial.push_back(
+        {"SK(10,10,3)", "compressed", groups * groups,
+         time_best(
+             [&] {
+               volatile std::size_t bytes =
+                   otis::routing::compress_stack_kautz_routes(big)
+                       .memory_bytes();
+               (void)bytes;
+             },
+             kSerialCompileReps)});
+    const otis::hypergraph::StackKautz dense_sk(8, 8, 2);
+    const std::int64_t nodes = dense_sk.processor_count();
+    route_compile.serial.push_back(
+        {"SK(8,8,2)", "dense", nodes * (nodes - 1),
+         time_best(
+             [&] {
+               volatile std::size_t bytes =
+                   otis::routing::compile_stack_kautz_routes(dense_sk)
+                       .memory_bytes();
+               (void)bytes;
+             },
+             kSerialCompileReps)});
+    otis::core::Table serial_table(
+        {"topology", "routes", "pairs", "serial ms", "ns/pair"});
+    for (const SerialCompileRow& r : route_compile.serial) {
+      serial_table.add(r.topology, r.routes, r.pairs,
+                       otis::core::format_double(r.seconds * 1e3, 2),
+                       otis::core::format_double(r.ns_per_pair(), 1));
+    }
+    std::cout << "\nserial compiles, best of " << kSerialCompileReps
+              << "\n\n";
+    serial_table.print(std::cout);
   }
   const bool async_parallel_pass =
       async_parallel.speedup.best >= kAsyncParallelRequiredSpeedup;

@@ -6,8 +6,9 @@ Usage: compare_bench.py PREVIOUS.json CURRENT.json [--threshold 0.20]
 Matches results on (topology, arbitration, engine) and reports the
 slots/sec ratio current/previous. Rows slower than the threshold emit a
 GitHub Actions ::warning:: annotation, as do route-table byte growth,
-event-queue hold-rate slowdowns, collective-makespan growth, and
-per-phase ns/slot growth from the phase_breakdown section. Cross-run
+event-queue hold-rate slowdowns, collective-makespan growth, per-phase
+ns/slot growth from the phase_breakdown section, and serial
+route-compile ns/pair growth from the route_compile section. Cross-run
 wall-clock comparisons stay warnings (shared CI runners are noisy; the
 trajectory is informative).
 
@@ -361,10 +362,34 @@ def main():
               f"at {ratio:.2f}x the previous run's ns/slot "
               f"(threshold {1.0 + args.threshold:.2f}x)")
 
+    # Route-compile dimension: absolute serial compile cost per evaluated
+    # router pair, keyed by (topology, routes). Wall-clock like the phase
+    # rows, so growth beyond the threshold warns. Absent in baselines
+    # that predate the serial rows.
+    compile_regressions = []
+    cur_compile = {(r["topology"], r["routes"]): r for r in
+                   current_doc.get("route_compile", {}).get("serial", [])}
+    prev_compile = {(r["topology"], r["routes"]): r for r in
+                    previous_doc.get("route_compile", {}).get("serial", [])}
+    for key in sorted(cur_compile):
+        cur_ns = cur_compile[key].get("ns_per_pair")
+        prev_ns = prev_compile.get(key, {}).get("ns_per_pair")
+        if not cur_ns or not prev_ns:
+            continue
+        ratio = cur_ns / prev_ns
+        print(f"route compile {key[0]:<12} {key[1]:<10} {prev_ns:>9.1f} "
+              f"{cur_ns:>9.1f} ns/pair {ratio:>7.2f}")
+        if ratio > 1.0 + args.threshold:
+            compile_regressions.append((key, ratio))
+    for (topology, routes), ratio in compile_regressions:
+        print(f"::warning title=Route-compile regression::{topology} "
+              f"{routes} serial compile at {ratio:.2f}x the previous run's "
+              f"ns/pair (threshold {1.0 + args.threshold:.2f}x)")
+
     if not regressions and not memory_regressions and not queue_regressions \
             and not makespan_regressions and not telemetry_regressions \
             and not runtime_regressions and not async_regressions \
-            and not phase_regressions:
+            and not phase_regressions and not compile_regressions:
         print(f"\nno regression beyond {args.threshold:.0%} threshold")
 
     # The enforced bars: micro_benchmarks already measured these on

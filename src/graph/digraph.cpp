@@ -34,25 +34,11 @@ Digraph Digraph::from_arcs(Vertex order, const std::vector<Arc>& arcs) {
   return g;
 }
 
-void Digraph::check_vertex(Vertex v) const {
-  OTIS_REQUIRE(v >= 0 && v < order(), "Digraph: vertex out of range");
-}
-
 std::vector<Vertex> Digraph::out_neighbors(Vertex v) const {
   check_vertex(v);
   return std::vector<Vertex>(
       heads_.begin() + static_cast<std::ptrdiff_t>(out_begin(v)),
       heads_.begin() + static_cast<std::ptrdiff_t>(out_end(v)));
-}
-
-ArcId Digraph::out_begin(Vertex v) const {
-  check_vertex(v);
-  return offsets_[static_cast<std::size_t>(v)];
-}
-
-ArcId Digraph::out_end(Vertex v) const {
-  check_vertex(v);
-  return offsets_[static_cast<std::size_t>(v) + 1];
 }
 
 std::int64_t Digraph::out_degree(Vertex v) const {
@@ -62,11 +48,6 @@ std::int64_t Digraph::out_degree(Vertex v) const {
 std::int64_t Digraph::in_degree(Vertex v) const {
   check_vertex(v);
   return indeg_[static_cast<std::size_t>(v)];
-}
-
-Vertex Digraph::head(ArcId a) const {
-  OTIS_REQUIRE(a >= 0 && a < size(), "Digraph: arc id out of range");
-  return heads_[static_cast<std::size_t>(a)];
 }
 
 Vertex Digraph::tail(ArcId a) const {

@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/error.hpp"
+
 namespace otis::graph {
 
 /// Vertex id; vertices are always 0..order()-1.
@@ -53,8 +55,16 @@ class Digraph {
   [[nodiscard]] std::vector<Vertex> out_neighbors(Vertex v) const;
 
   /// First arc id out of `v`; arcs out of v are [out_begin(v), out_end(v)).
-  [[nodiscard]] ArcId out_begin(Vertex v) const;
-  [[nodiscard]] ArcId out_end(Vertex v) const;
+  /// Inline (with the range check): graph searches and route compiles
+  /// call these once per visited vertex.
+  [[nodiscard]] ArcId out_begin(Vertex v) const {
+    check_vertex(v);
+    return offsets_[static_cast<std::size_t>(v)];
+  }
+  [[nodiscard]] ArcId out_end(Vertex v) const {
+    check_vertex(v);
+    return offsets_[static_cast<std::size_t>(v) + 1];
+  }
 
   /// Out-degree of `v`.
   [[nodiscard]] std::int64_t out_degree(Vertex v) const;
@@ -63,7 +73,10 @@ class Digraph {
   [[nodiscard]] std::int64_t in_degree(Vertex v) const;
 
   /// Head of arc `a`.
-  [[nodiscard]] Vertex head(ArcId a) const;
+  [[nodiscard]] Vertex head(ArcId a) const {
+    OTIS_REQUIRE(a >= 0 && a < size(), "Digraph: arc id out of range");
+    return heads_[static_cast<std::size_t>(a)];
+  }
 
   /// Tail of arc `a` (binary search over the offset array).
   [[nodiscard]] Vertex tail(ArcId a) const;
@@ -90,7 +103,9 @@ class Digraph {
   [[nodiscard]] bool same_arcs(const Digraph& other) const;
 
  private:
-  void check_vertex(Vertex v) const;
+  void check_vertex(Vertex v) const {
+    OTIS_REQUIRE(v >= 0 && v < order(), "Digraph: vertex out of range");
+  }
 
   std::vector<ArcId> offsets_;        // size order()+1
   std::vector<Vertex> heads_;         // size size()

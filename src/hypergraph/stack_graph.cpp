@@ -25,46 +25,4 @@ StackGraph::StackGraph(std::int64_t stacking_factor, graph::Digraph base)
   hypergraph_ = DirectedHypergraph(base_.order() * s_, std::move(hyperarcs));
 }
 
-graph::Vertex StackGraph::project(Node node) const {
-  OTIS_REQUIRE(node >= 0 && node < node_count(),
-               "StackGraph::project: node out of range");
-  return node / s_;
-}
-
-std::int64_t StackGraph::copy_index(Node node) const {
-  OTIS_REQUIRE(node >= 0 && node < node_count(),
-               "StackGraph::copy_index: node out of range");
-  return node % s_;
-}
-
-Node StackGraph::node_of(graph::Vertex x, std::int64_t y) const {
-  OTIS_REQUIRE(x >= 0 && x < base_.order(),
-               "StackGraph::node_of: base vertex out of range");
-  OTIS_REQUIRE(y >= 0 && y < s_, "StackGraph::node_of: copy index out of range");
-  return x * s_ + y;
-}
-
-std::int64_t StackGraph::out_slot_of(Node node, HyperarcId h) const {
-  OTIS_REQUIRE(h >= 0 && h < hypergraph_.hyperarc_count(),
-               "StackGraph::out_slot_of: coupler out of range");
-  const graph::Vertex x = project(node);  // range-checks node
-  const graph::ArcId begin = base_.out_begin(x);
-  if (h < begin || h >= base_.out_end(x)) {
-    return -1;
-  }
-  return h - begin;
-}
-
-HyperarcId StackGraph::coupler_of_arc(graph::ArcId a) const {
-  OTIS_REQUIRE(a >= 0 && a < base_.size(),
-               "StackGraph::coupler_of_arc: arc out of range");
-  return a;
-}
-
-graph::ArcId StackGraph::arc_of_coupler(HyperarcId h) const {
-  OTIS_REQUIRE(h >= 0 && h < hypergraph_.hyperarc_count(),
-               "StackGraph::arc_of_coupler: coupler out of range");
-  return h;
-}
-
 }  // namespace otis::hypergraph

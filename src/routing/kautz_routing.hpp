@@ -11,6 +11,16 @@
 /// length m from x to y forces suffix_{k-m}(x) = prefix_{k-m}(y), the
 /// label route of length k - l is provably a *shortest* path, which the
 /// tests also cross-check against BFS.
+///
+/// Since every next hop is a pure function of two words, the router
+/// decodes each vertex's word once, at construction, into two label
+/// tables: a flat N x k letter table and an N x (d+1) successor table
+/// mapping (vertex, letter z) to the vertex of shift(word, z). next_hop()
+/// and distance() then read the tables -- no allocation, no re-encoding,
+/// no per-call word validation -- which is what makes compiling the
+/// stack-Kautz route tables cheap. The word-level next_hop_word(),
+/// route_words() and Kautz::vertex_of() stay as the reference the tables
+/// are tested against.
 
 #include <cstdint>
 #include <vector>
@@ -20,7 +30,8 @@
 namespace otis::routing {
 
 /// Shortest-path router over Kautz word labels. Owns a copy of the Kautz
-/// description (cheap relative to the graphs involved).
+/// description and its label tables, O(N (k + d)) int entries (cheap
+/// relative to the graphs involved).
 class KautzRouter {
  public:
   explicit KautzRouter(topology::Kautz kautz);
@@ -50,12 +61,24 @@ class KautzRouter {
   [[nodiscard]] topology::Word next_hop_word(
       const topology::Word& current, const topology::Word& target) const;
 
-  /// Vertex-number form of next_hop_word.
+  /// Vertex-number form of next_hop_word, read from the label tables.
   [[nodiscard]] std::int64_t next_hop(std::int64_t current,
                                       std::int64_t target) const;
 
  private:
+  /// Throws core::Error with `message` unless 0 <= v < N.
+  void require_vertex(std::int64_t v, const char* message) const;
+
+  /// First letter of vertex v's word in the letter table.
+  [[nodiscard]] const int* letters_of(std::int64_t v) const noexcept {
+    return letters_.data() + static_cast<std::size_t>(v) *
+                                 static_cast<std::size_t>(kautz_.diameter());
+  }
+
   topology::Kautz kautz_;
+  std::vector<int> letters_;             ///< [vertex * k + i]: letter i
+  std::vector<std::int64_t> successor_;  ///< [vertex * (d+1) + z]; -1 if
+                                         ///< z is the word's last letter
 };
 
 }  // namespace otis::routing

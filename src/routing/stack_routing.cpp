@@ -65,9 +65,9 @@ hypergraph::HyperarcId StackKautzRouter::next_coupler(
 
 hypergraph::Node StackKautzRouter::relay_on(hypergraph::HyperarcId coupler,
                                             hypergraph::Node target) const {
-  const auto& arc = network_.stack().hypergraph().hyperarc(coupler);
-  OTIS_ASSERT(!arc.targets.empty(), "relay_on: coupler has no targets");
-  const graph::Vertex group = network_.group_of(arc.targets.front());
+  // The coupler's targets are the s copies of its base arc's head.
+  const hypergraph::StackGraph& stack = network_.stack();
+  const graph::Vertex group = stack.base().head(stack.arc_of_coupler(coupler));
   if (group == network_.group_of(target)) {
     return target;
   }

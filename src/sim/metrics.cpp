@@ -18,7 +18,6 @@ void LatencyStats::use_sketch() {
   }
   samples_.clear();
   samples_.shrink_to_fit();
-  sorted_ = true;
 }
 
 void LatencyStats::merge(const LatencyStats& other) {
@@ -49,7 +48,6 @@ void LatencyStats::merge(const LatencyStats& other) {
   samples_.reserve(samples_.size() + other.samples_.size());
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
-  sorted_ = false;
 }
 
 double LatencyStats::mean() const {
@@ -112,19 +110,22 @@ std::int64_t LatencyStats::percentile(double q) const {
   if (samples_.empty()) {
     return 0;
   }
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
   if (q <= 0.0) {
-    return samples_.front();
+    return *std::min_element(samples_.begin(), samples_.end());
   }
   if (q >= 1.0) {
-    return samples_.back();
+    return max();
   }
-  const std::size_t rank = static_cast<std::size_t>(
-      q * static_cast<double>(samples_.size() - 1) + 0.5);
-  return samples_[std::min(rank, samples_.size() - 1)];
+  // The value a full sort would put at the nearest rank, selected in
+  // O(n): the campaign sinks call this for every cell, under the emit
+  // lock.
+  const std::size_t rank = std::min(
+      static_cast<std::size_t>(
+          q * static_cast<double>(samples_.size() - 1) + 0.5),
+      samples_.size() - 1);
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+  return *nth;
 }
 
 void LatencyStats::serialize(core::BlobWriter& out) const {
@@ -174,7 +175,6 @@ void LatencyStats::deserialize(core::BlobReader& in) {
     sketch_min_ = std::numeric_limits<std::int64_t>::max();
     sketch_max_ = std::numeric_limits<std::int64_t>::min();
     samples_ = in.get_i64_vec();
-    sorted_ = false;
   }
 }
 

@@ -56,7 +56,6 @@ class LatencyStats {
       return;
     }
     samples_.push_back(latency_slots);
-    sorted_ = false;
   }
 
   /// Switches to sketch mode (idempotent). Any samples recorded so far
@@ -77,7 +76,7 @@ class LatencyStats {
 
   /// Folds `other` into this (used to fold per-shard stats). Every
   /// statistic below depends only on the recorded multiset -- the mean
-  /// is an exact integer sum, full-mode percentiles sort, sketch-mode
+  /// is an exact integer sum, full-mode percentiles select, sketch-mode
   /// percentiles walk cumulative bucket counts -- so merged results are
   /// identical for any merge order. Mixed-mode merges promote this
   /// object to a sketch first.
@@ -86,10 +85,13 @@ class LatencyStats {
   [[nodiscard]] std::int64_t count() const noexcept { return count_impl(); }
   [[nodiscard]] double mean() const;
   [[nodiscard]] std::int64_t max() const;
-  /// q in [0, 1]; nearest-rank percentile. 0 samples -> 0. In sketch
-  /// mode the result is the containing bucket's lower bound clamped to
-  /// [min, max]: never above the exact value, and within
-  /// kSketchRelativeError of it relative.
+  /// q in [0, 1]; nearest-rank percentile. 0 samples -> 0. Full mode
+  /// answers in linear time (nth_element over the samples, which it may
+  /// reorder; min/max scans at q <= 0 and q >= 1), so emitting a cell
+  /// never sorts its whole delivery record. In sketch mode the result is
+  /// the containing bucket's lower bound clamped to [min, max]: never
+  /// above the exact value, and within kSketchRelativeError of it
+  /// relative.
   [[nodiscard]] std::int64_t percentile(double q) const;
 
   /// Checkpoint support: byte-stable state round-trip (mode included).
@@ -136,8 +138,7 @@ class LatencyStats {
                    : static_cast<std::int64_t>(samples_.size());
   }
 
-  mutable std::vector<std::int64_t> samples_;
-  mutable bool sorted_ = true;
+  mutable std::vector<std::int64_t> samples_;  ///< order is unspecified
   bool sketch_ = false;
   std::vector<std::int64_t> buckets_;  ///< kSketchBuckets when sketching
   std::int64_t sketch_count_ = 0;

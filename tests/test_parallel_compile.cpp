@@ -6,10 +6,14 @@
 //  - compressed tables: same, plus the group-level accessors and the
 //    memory footprint;
 //  - the diagonal stays -1 and table sizes are unchanged, so the
-//    parallel fill writes exactly the entries the serial fill does.
+//    parallel fill writes exactly the entries the serial fill does;
+//  - the stack-Kautz tables, serial and pooled, hash to fingerprints
+//    recorded from the word-level router, so a faster compile path
+//    cannot change a single entry.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "core/work_pool.hpp"
@@ -144,6 +148,92 @@ TEST(ParallelCompile, SingleNodeGroupsTolerateUnbakedDiagonal) {
       [](const auto& n, core::WorkStealingPool* pool) {
         return routing::compress_generic_stack_routes(n, pool);
       });
+}
+
+/// FNV-1a (64-bit) over the little-endian bytes of int32 table entries.
+class Fnv1a {
+ public:
+  void add(std::int64_t entry) {
+    const auto bits = static_cast<std::uint32_t>(
+        static_cast<std::int32_t>(entry));
+    for (int byte = 0; byte < 4; ++byte) {
+      hash_ ^= (bits >> (8 * byte)) & 0xffU;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+/// Every entry of a dense table: next_coupler and next_slot row-major
+/// (diagonal -1 included), then relay coupler-major (unbaked -1s
+/// included).
+std::uint64_t fingerprint(const routing::CompiledRoutes& routes) {
+  Fnv1a fnv;
+  const hypergraph::Node n = routes.node_count();
+  for (hypergraph::Node v = 0; v < n; ++v) {
+    for (hypergraph::Node d = 0; d < n; ++d) {
+      fnv.add(routes.next_coupler(v, d));
+    }
+  }
+  for (hypergraph::Node v = 0; v < n; ++v) {
+    for (hypergraph::Node d = 0; d < n; ++d) {
+      fnv.add(routes.next_slot(v, d));
+    }
+  }
+  for (hypergraph::HyperarcId h = 0; h < routes.coupler_count(); ++h) {
+    for (hypergraph::Node d = 0; d < n; ++d) {
+      fnv.add(routes.relay(h, d));
+    }
+  }
+  return fnv.value();
+}
+
+/// Every entry of a compressed table: the group next_coupler and
+/// next_slot tables read through copy-0 representatives, then each
+/// coupler's relay base (its relay for destination 0).
+std::uint64_t fingerprint(const routing::CompressedRoutes& routes) {
+  Fnv1a fnv;
+  const std::int64_t groups = routes.group_count();
+  const std::int64_t s = routes.stacking_factor();
+  for (std::int64_t gx = 0; gx < groups; ++gx) {
+    for (std::int64_t gy = 0; gy < groups; ++gy) {
+      fnv.add(routes.next_coupler(gx * s, gy * s));
+    }
+  }
+  for (std::int64_t gx = 0; gx < groups; ++gx) {
+    for (std::int64_t gy = 0; gy < groups; ++gy) {
+      fnv.add(routes.next_slot(gx * s, gy * s));
+    }
+  }
+  for (hypergraph::HyperarcId h = 0; h < routes.coupler_count(); ++h) {
+    fnv.add(routes.relay(h, 0));
+  }
+  return fnv.value();
+}
+
+TEST(ParallelCompile, StackKautzTablesMatchRecordedFingerprints) {
+  // Recorded from tables compiled by the word-level router (per-call
+  // word decode, shift and re-encode), before next_hop read label
+  // tables.
+  core::WorkStealingPool pool(4);
+  for (const auto& [sk, expected] :
+       {std::pair{hypergraph::StackKautz(4, 3, 2), 0x3ecbffc922a5cc65ULL},
+        std::pair{hypergraph::StackKautz(8, 8, 2), 0x31431e4c8764d865ULL}}) {
+    SCOPED_TRACE("dense SK(" + std::to_string(sk.stacking_factor()) + "," +
+                 std::to_string(sk.kautz_degree()) + "," +
+                 std::to_string(sk.diameter()) + ")");
+    EXPECT_EQ(fingerprint(routing::compile_stack_kautz_routes(sk)), expected);
+    EXPECT_EQ(fingerprint(routing::compile_stack_kautz_routes(sk, &pool)),
+              expected);
+  }
+  const hypergraph::StackKautz big(10, 10, 3);
+  EXPECT_EQ(fingerprint(routing::compress_stack_kautz_routes(big)),
+            0xa7ab433fa88c7b58ULL);
+  EXPECT_EQ(fingerprint(routing::compress_stack_kautz_routes(big, &pool)),
+            0xa7ab433fa88c7b58ULL);
 }
 
 }  // namespace

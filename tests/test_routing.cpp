@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
@@ -48,7 +49,10 @@ TEST(KautzRouter, RouteToSelfIsEmptyPath) {
 }
 
 /// The paper's Sec. 2.5 claim: label routing is shortest-path and every
-/// route has length <= k. Checked against BFS for all ordered pairs.
+/// route has length <= k. Checked against BFS for all ordered pairs. The
+/// label tables behind next_hop() and distance() must also answer
+/// exactly what the word-level reference does: next_hop ==
+/// vertex_of(next_hop_word), distance == k - overlap.
 class KautzRoutingOptimality
     : public ::testing::TestWithParam<std::pair<int, int>> {};
 
@@ -56,8 +60,10 @@ TEST_P(KautzRoutingOptimality, LabelRouteEqualsBfsDistance) {
   const auto [d, k] = GetParam();
   topology::Kautz kautz(d, k);
   KautzRouter router(kautz);
+  const std::vector<topology::Word> words = kautz.all_words();
   for (std::int64_t u = 0; u < kautz.order(); ++u) {
     auto bfs = graph::bfs_distances(kautz.graph(), u);
+    const topology::Word& x = words[static_cast<std::size_t>(u)];
     for (std::int64_t v = 0; v < kautz.order(); ++v) {
       const int label_distance = router.distance(u, v);
       EXPECT_EQ(label_distance,
@@ -67,17 +73,33 @@ TEST_P(KautzRoutingOptimality, LabelRouteEqualsBfsDistance) {
       auto path = router.route(u, v);
       EXPECT_EQ(static_cast<int>(path.size()) - 1, label_distance);
       EXPECT_TRUE(graph::is_walk(kautz.graph(), path) || path.size() == 1);
+      if (u == v) {
+        continue;
+      }
+      const topology::Word& y = words[static_cast<std::size_t>(v)];
+      ASSERT_EQ(router.next_hop(u, v),
+                kautz.vertex_of(router.next_hop_word(x, y)))
+          << "KG(" << d << "," << k << ") " << u << "->" << v;
+      ASSERT_EQ(label_distance, k - KautzRouter::overlap(x, y))
+          << "KG(" << d << "," << k << ") " << u << "->" << v;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, KautzRoutingOptimality,
-                         ::testing::Values(std::pair<int, int>{2, 2},
-                                           std::pair<int, int>{2, 3},
-                                           std::pair<int, int>{3, 2},
-                                           std::pair<int, int>{4, 2},
-                                           std::pair<int, int>{2, 4},
-                                           std::pair<int, int>{3, 3}));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, KautzRoutingOptimality,
+    ::testing::Values(
+        std::pair<int, int>{1, 1}, std::pair<int, int>{1, 2},
+        std::pair<int, int>{1, 3}, std::pair<int, int>{2, 1},
+        std::pair<int, int>{2, 2}, std::pair<int, int>{2, 3},
+        std::pair<int, int>{2, 4}, std::pair<int, int>{2, 6},
+        std::pair<int, int>{3, 1}, std::pair<int, int>{3, 2},
+        std::pair<int, int>{3, 3}, std::pair<int, int>{3, 5},
+        std::pair<int, int>{4, 2}, std::pair<int, int>{5, 1},
+        std::pair<int, int>{5, 2}, std::pair<int, int>{5, 3},
+        std::pair<int, int>{8, 1}, std::pair<int, int>{8, 2},
+        std::pair<int, int>{8, 3}, std::pair<int, int>{10, 1},
+        std::pair<int, int>{10, 2}, std::pair<int, int>{10, 3}));
 
 TEST(KautzRouter, NextHopConvergesToTarget) {
   topology::Kautz kautz(3, 3);
@@ -95,6 +117,16 @@ TEST(KautzRouter, NextHopConvergesToTarget) {
       ASSERT_LE(hops, kautz.diameter());
     }
   }
+}
+
+TEST(KautzRouter, TableLookupsKeepRangeAndArrivalChecks) {
+  topology::Kautz kautz(2, 3);
+  KautzRouter router(kautz);
+  EXPECT_THROW((void)router.next_hop(4, 4), core::Error);
+  EXPECT_THROW((void)router.next_hop(-1, 0), core::Error);
+  EXPECT_THROW((void)router.next_hop(0, kautz.order()), core::Error);
+  EXPECT_THROW((void)router.distance(kautz.order(), 0), core::Error);
+  EXPECT_THROW((void)router.distance(0, -1), core::Error);
 }
 
 TEST(ImaseItohRouter, DistanceMatchesBfsOnSweep) {

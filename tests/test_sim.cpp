@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "hypergraph/pops.hpp"
 #include "hypergraph/stack_kautz.hpp"
 #include "routing/compiled_routes.hpp"
@@ -124,6 +128,81 @@ TEST(LatencyStats, EmptyIsZero) {
   EXPECT_EQ(stats.count(), 0);
   EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
   EXPECT_EQ(stats.percentile(0.95), 0);
+}
+
+/// The nearest-rank reference: the sample a full sort puts at rank
+/// round(q * (n - 1)), the first/last sample at q <= 0 / q >= 1.
+std::int64_t sorted_nearest_rank(std::vector<std::int64_t> values, double q) {
+  std::sort(values.begin(), values.end());
+  if (q <= 0.0) {
+    return values.front();
+  }
+  if (q >= 1.0) {
+    return values.back();
+  }
+  const auto rank = static_cast<std::size_t>(
+      q * static_cast<double>(values.size() - 1) + 0.5);
+  return values[std::min(rank, values.size() - 1)];
+}
+
+/// Full-mode percentile() selects instead of sorting and reorders the
+/// samples as it goes; every answer must still be the sorted nearest
+/// rank, whatever was queried, recorded or merged before it.
+TEST(LatencyStats, FullModePercentileIsSortedNearestRank) {
+  const double quantiles[] = {0.0, 0.05, 0.5, 0.95, 1.0};
+  core::Rng rng(2026);
+  const auto draw = [&](std::size_t count, std::size_t distinct) {
+    std::vector<std::int64_t> values(count);
+    for (std::int64_t& v : values) {
+      v = static_cast<std::int64_t>(rng.uniform(distinct));
+    }
+    return values;
+  };
+  const auto expect_all = [&](const LatencyStats& stats,
+                              const std::vector<std::int64_t>& values) {
+    ASSERT_EQ(stats.count(), static_cast<std::int64_t>(values.size()));
+    EXPECT_EQ(stats.max(), *std::max_element(values.begin(), values.end()));
+    // Forward, then backward: each query starts from the order the
+    // previous selection left behind.
+    for (const double q : quantiles) {
+      EXPECT_EQ(stats.percentile(q), sorted_nearest_rank(values, q))
+          << "q=" << q;
+    }
+    for (auto q = std::rbegin(quantiles); q != std::rend(quantiles); ++q) {
+      EXPECT_EQ(stats.percentile(*q), sorted_nearest_rank(values, *q))
+          << "q=" << *q;
+    }
+  };
+  for (const std::size_t n : {1, 2, 1000, 50000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // Few distinct values per sample: many duplicates, like slot
+    // latencies.
+    const std::size_t distinct = n / 16 + 2;
+    std::vector<std::int64_t> values = draw(n, distinct);
+    LatencyStats stats;
+    for (const std::int64_t v : values) {
+      stats.record(v);
+    }
+    expect_all(stats, values);
+
+    // record -> percentile -> record -> percentile.
+    for (const std::int64_t v : draw(n / 2 + 1, distinct)) {
+      stats.record(v);
+      values.push_back(v);
+    }
+    expect_all(stats, values);
+
+    // A merge after a percentile, from a source that was queried too.
+    const std::vector<std::int64_t> more = draw(n, 2 * distinct);
+    LatencyStats other;
+    for (const std::int64_t v : more) {
+      other.record(v);
+    }
+    EXPECT_EQ(other.percentile(0.5), sorted_nearest_rank(more, 0.5));
+    stats.merge(other);
+    values.insert(values.end(), more.begin(), more.end());
+    expect_all(stats, values);
+  }
 }
 
 TEST(Traffic, UniformRespectsLoadRoughly) {
