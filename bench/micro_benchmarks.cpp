@@ -13,10 +13,11 @@
 // topology -- including a >= 10^4-processor stack-Kautz whose dense
 // table is only ever computed arithmetically. An event-queue section
 // races the calendar queue against std::priority_queue on a 10^6-event
-// hold workload. An async-parallel section measures the threads-vs-1
-// scaling of the sharded calendar-queue engine on SK(10,10,3) under
-// constant skew; a route-compile section measures the pool-vs-serial
-// speedup of SK(10,10,3)'s compressed compile and records absolute
+// hold workload and on the engines' same-tick floods. An async-parallel
+// section measures the threads-vs-1 scaling of the sharded
+// calendar-queue engine on SK(10,10,3) under constant skew; a
+// route-compile section measures the pool-vs-serial speedup of
+// SK(10,10,3)'s compressed compile and records absolute
 // serial compile times (ms and ns per evaluated pair) for it and for
 // SK(8,8,2)'s dense compile. Exit status checks the acceptance bars:
 // phased >= 6x event-queue slots/sec on SK(4,3,2), calendar >= 3x
@@ -333,12 +334,16 @@ CollectiveBenchRow run_collective_bench(
                             schedule.slot_count()};
 }
 
-/// One pending-event-set datapoint: events/sec on the classic hold
-/// workload (pop the minimum, push a replacement a random span ahead)
-/// with `pending` events resident -- Brown's benchmark for calendar
-/// queues, and exactly the async engine's steady state.
+/// One pending-event-set datapoint: events/sec of `queue` under a
+/// traffic `model`, with up to `pending` events resident.
+///  - "hold": Brown's benchmark for calendar queues -- pop the minimum,
+///    push a replacement a random span ahead. Its spans scatter events
+///    over ~10^4 slots, which no engine produces.
+///  - "flood": what the async engines produce -- the OPS model is
+///    slot-synchronous, so a slot's arrivals all land on one tick.
 struct QueueBenchResult {
   std::string queue;
+  std::string model;
   std::int64_t pending;
   double events_per_sec;
 };
@@ -361,8 +366,9 @@ struct RuntimeStatsBenchRow {
 constexpr std::int64_t kQueuePending = 1'000'000;
 constexpr std::int64_t kQueueHoldOps = 2'000'000;
 /// Replacement spans are uniform over ~10^4 slots, so events spread over
-/// many calendar days (the async engine's propagation horizon is a few
-/// slots; this is the harder, more scattered case).
+/// many calendar days (the async engines' propagation horizon is a few
+/// slots, and their arrivals come in same-tick floods: see the flood
+/// model below).
 constexpr std::int64_t kQueueSpanSlots = 10'000;
 
 /// One timed hold run: `prefill(queue)` runs untimed (building the
@@ -429,6 +435,98 @@ double priority_hold_seconds_once() {
         queue.heap.pop();
         queue.heap.push(Entry{entry.time + 1 + random_span(rng),
                               queue.seq++, entry.payload});
+      });
+}
+
+/// Flood model: per slot, pop every event due, then push
+/// `arrivals` events keyed in ascending order on the one tick
+/// `propagation` ticks later. Two sizes: scale_sharded's arrivals per
+/// shard per slot on SK(10,10,3) (2-slot propagation), and the
+/// collectives topologies' coupler count (128-tick propagation).
+struct FloodCase {
+  std::int64_t arrivals;
+  otis::sim::SimTime propagation;
+};
+constexpr FloodCase kFloodCases[] = {{4000, 2 * otis::sim::kTicksPerSlot},
+                                     {576, 128}};
+/// Events popped per timed flood run.
+constexpr std::int64_t kFloodEvents = 2'000'000;
+
+/// Peak resident events of a flood case: every slot still in flight.
+std::int64_t flood_pending(const FloodCase& flood) {
+  return flood.arrivals *
+         ((flood.propagation + otis::sim::kTicksPerSlot - 1) /
+          otis::sim::kTicksPerSlot);
+}
+
+/// One timed flood run over `queue`'s (push_keyed, due, pop) adapter.
+/// Returns wall seconds for kFloodEvents pops.
+template <class Queue, class Push, class Due, class Pop>
+double flood_seconds_once(const FloodCase& flood, Push push, Due due,
+                          Pop pop) {
+  Queue queue;
+  std::int64_t popped = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::int64_t slot = 0; popped < kFloodEvents; ++slot) {
+    const otis::sim::SimTime tick = slot * otis::sim::kTicksPerSlot;
+    while (due(queue, tick)) {
+      pop(queue);
+      ++popped;
+    }
+    const std::uint64_t base =
+        static_cast<std::uint64_t>(slot * flood.arrivals);
+    for (std::int64_t i = 0; i < flood.arrivals; ++i) {
+      push(queue, tick + flood.propagation,
+           base + static_cast<std::uint64_t>(i));
+    }
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(stop - start).count();
+}
+
+double calendar_flood_seconds_once(const FloodCase& flood) {
+  using Queue = otis::sim::CalendarQueue<std::int64_t>;
+  return flood_seconds_once<Queue>(
+      flood,
+      [](Queue& queue, otis::sim::SimTime at, std::uint64_t seq) {
+        queue.push_keyed(at, seq, static_cast<std::int64_t>(seq));
+      },
+      [](Queue& queue, otis::sim::SimTime tick) {
+        return !queue.empty() && queue.peek().time <= tick;
+      },
+      [](Queue& queue) {
+        volatile std::int64_t payload = queue.pop().payload;
+        (void)payload;
+      });
+}
+
+double priority_flood_seconds_once(const FloodCase& flood) {
+  struct Entry {
+    otis::sim::SimTime time;
+    std::uint64_t seq;
+    std::int64_t payload;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time != b.time) {
+        return a.time > b.time;
+      }
+      return a.seq > b.seq;
+    }
+  };
+  using Queue = std::priority_queue<Entry, std::vector<Entry>, Later>;
+  return flood_seconds_once<Queue>(
+      flood,
+      [](Queue& queue, otis::sim::SimTime at, std::uint64_t seq) {
+        queue.push(Entry{at, seq, static_cast<std::int64_t>(seq)});
+      },
+      [](Queue& queue, otis::sim::SimTime tick) {
+        return !queue.empty() && queue.top().time <= tick;
+      },
+      [](Queue& queue) {
+        volatile std::int64_t payload = queue.top().payload;
+        (void)payload;
+        queue.pop();
       });
 }
 
@@ -739,8 +837,8 @@ void write_bench_json(const std::string& path,
       << "  \"event_queues\": [\n";
   for (std::size_t i = 0; i < queues.size(); ++i) {
     const QueueBenchResult& q = queues[i];
-    out << "    {\"queue\": \"" << q.queue << "\", \"pending\": "
-        << q.pending << ", \"events_per_sec\": "
+    out << "    {\"queue\": \"" << q.queue << "\", \"model\": \"" << q.model
+        << "\", \"pending\": " << q.pending << ", \"events_per_sec\": "
         << static_cast<std::int64_t>(q.events_per_sec) << "}"
         << (i + 1 < queues.size() ? "," : "") << "\n";
   }
@@ -1185,9 +1283,11 @@ int main(int argc, char** argv) {
   // ---------------------------------------- pending-event-set showdown
   // Paired rounds double as the table's rate cells (best per side) and
   // the acceptance ratio (see paired_speedup).
-  std::cout << "\n[queues] calendar vs priority queue, hold model, "
-            << kQueuePending << " pending events ("
-            << kAcceptanceRounds << " paired rounds)\n\n";
+  std::cout << "\n[queues] calendar vs priority queue: hold model with "
+            << kQueuePending << " pending events, and same-tick floods of "
+            << kFloodCases[0].arrivals << " and " << kFloodCases[1].arrivals
+            << " arrivals per slot (" << kAcceptanceRounds
+            << " paired rounds)\n\n";
   double calendar_best = 1e300;
   double priority_best = 1e300;
   const PairedSpeedup queue_speedup = paired_speedup(
@@ -1202,14 +1302,29 @@ int main(int argc, char** argv) {
         priority_best = std::min(priority_best, t);
         return t;
       });
-  const std::vector<QueueBenchResult> queues = {
-      {"calendar", kQueuePending,
+  std::vector<QueueBenchResult> queues = {
+      {"calendar", "hold", kQueuePending,
        static_cast<double>(kQueueHoldOps) / calendar_best},
-      {"priority", kQueuePending,
+      {"priority", "hold", kQueuePending,
        static_cast<double>(kQueueHoldOps) / priority_best}};
-  otis::core::Table queue_table({"queue", "pending", "events/s"});
+  // The flood rows: best of paired rounds per side, like the hold rows.
+  for (const FloodCase& flood : kFloodCases) {
+    double calendar_flood = 1e300;
+    double priority_flood = 1e300;
+    for (int round = 0; round < kAcceptanceRounds; ++round) {
+      calendar_flood =
+          std::min(calendar_flood, calendar_flood_seconds_once(flood));
+      priority_flood =
+          std::min(priority_flood, priority_flood_seconds_once(flood));
+    }
+    queues.push_back({"calendar", "flood", flood_pending(flood),
+                      static_cast<double>(kFloodEvents) / calendar_flood});
+    queues.push_back({"priority", "flood", flood_pending(flood),
+                      static_cast<double>(kFloodEvents) / priority_flood});
+  }
+  otis::core::Table queue_table({"queue", "model", "pending", "events/s"});
   for (const QueueBenchResult& q : queues) {
-    queue_table.add(q.queue, q.pending,
+    queue_table.add(q.queue, q.model, q.pending,
                     static_cast<std::int64_t>(q.events_per_sec));
   }
   queue_table.print(std::cout);

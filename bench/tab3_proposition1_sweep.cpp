@@ -2,7 +2,8 @@
 // optical interconnections of II(d,n), for ALL d and n -- not just the
 // figures' sizes. Sweeps a grid of (d, n), reconstructing the node-level
 // digraph from the OTIS port permutation alone and comparing arc-for-arc
-// with the Imase-Itoh formula. Also times the check per instance.
+// with the Imase-Itoh formula. Also times the check per instance; the
+// timings go to stderr, so stdout is a pure function of the code.
 
 #include <chrono>
 #include <iostream>
@@ -13,7 +14,8 @@
 
 int main() {
   std::cout << "[Claim T3] Proposition 1 sweep: OTIS(d,n) == II(d,n)\n\n";
-  otis::core::Table table({"d", "n", "ports", "verified", "microseconds"});
+  otis::core::Table table({"d", "n", "ports", "verified"});
+  otis::core::Table timing({"d", "n", "microseconds"});
   bool ok = true;
   std::int64_t instances = 0;
   for (int d = 1; d <= 8; ++d) {
@@ -37,7 +39,8 @@ int main() {
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - start)
               .count();
-      table.add(d, n, d * n, verified, static_cast<std::int64_t>(micros));
+      table.add(d, n, d * n, verified);
+      timing.add(d, n, static_cast<std::int64_t>(micros));
       ok = ok && verified;
       ++instances;
       if (!verified) {
@@ -46,6 +49,7 @@ int main() {
     }
   }
   table.print(std::cout);
+  timing.print(std::cerr);
   std::cout << "\n" << instances << " (d,n) instances, all realized: "
             << (ok ? "yes" : "NO") << "\n";
   return ok ? 0 : 1;

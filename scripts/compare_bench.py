@@ -6,9 +6,9 @@ Usage: compare_bench.py PREVIOUS.json CURRENT.json [--threshold 0.20]
 Matches results on (topology, arbitration, engine) and reports the
 slots/sec ratio current/previous. Rows slower than the threshold emit a
 GitHub Actions ::warning:: annotation, as do route-table byte growth,
-event-queue hold-rate slowdowns, collective-makespan growth, per-phase
-ns/slot growth from the phase_breakdown section, and serial
-route-compile ns/pair growth from the route_compile section. Cross-run
+event-queue rate slowdowns (hold and flood models), collective-makespan
+growth, per-phase ns/slot growth from the phase_breakdown section, and
+serial route-compile ns/pair growth from the route_compile section. Cross-run
 wall-clock comparisons stay warnings (shared CI runners are noisy; the
 trajectory is informative).
 
@@ -218,27 +218,34 @@ def main():
               f"{arbitration}/{engine} route tables grew from {prev_bytes} "
               f"to {cur_bytes} bytes")
 
-    # Event-queue dimension: calendar vs priority hold rates (rows keyed
-    # by queue name; absent in pre-async-layer baselines). A malformed
-    # row (missing "queue") should surface, not silence the comparison.
+    # Event-queue dimension: calendar vs priority event rates per traffic
+    # model (rows keyed by queue, model and pending count; absent in
+    # pre-async-layer baselines, and rows from before the flood model
+    # carry no "model": they are hold rows). A malformed row (missing
+    # "queue") should surface, not silence the comparison.
+    def queue_key(row):
+        return (row["queue"], row.get("model", "hold"), row.get("pending"))
+
     queue_regressions = []
-    cur_queues = {q["queue"]: q
+    cur_queues = {queue_key(q): q
                   for q in current_doc.get("event_queues", [])}
-    prev_queues = {q["queue"]: q
+    prev_queues = {queue_key(q): q
                    for q in previous_doc.get("event_queues", [])}
-    for name in sorted(cur_queues):
-        cur_rate = cur_queues[name].get("events_per_sec")
-        prev_rate = prev_queues.get(name, {}).get("events_per_sec")
+    for key in sorted(cur_queues, key=str):
+        cur_rate = cur_queues[key].get("events_per_sec")
+        prev_rate = prev_queues.get(key, {}).get("events_per_sec")
         if not cur_rate or not prev_rate:
             continue
         ratio = cur_rate / prev_rate
-        print(f"event queue {name:<10} {prev_rate:>13} {cur_rate:>13} "
-              f"{ratio:>7.2f}")
+        name, model, pending = key
+        print(f"event queue {name:<10} {model:<6} {pending!s:>8} "
+              f"{prev_rate:>13} {cur_rate:>13} {ratio:>7.2f}")
         if ratio < 1.0 - args.threshold:
-            queue_regressions.append((name, ratio))
-    for name, ratio in queue_regressions:
+            queue_regressions.append((key, ratio))
+    for (name, model, pending), ratio in queue_regressions:
         print(f"::warning title=Event-rate regression::{name} queue "
-              f"events/sec at {ratio:.2f}x of previous run")
+              f"events/sec ({model} model, {pending} pending) at "
+              f"{ratio:.2f}x of previous run")
 
     # Collectives dimension: simulated makespans of the compiled schedule
     # workloads are deterministic per (topology, operation), so ANY growth

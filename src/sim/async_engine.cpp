@@ -1597,8 +1597,8 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
   std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
 
   // queue_capacity is 0 in workload mode (validated): never drops.
-  const auto enqueue = [&](Shard& shard, const VoqEntry& entry,
-                           hypergraph::Node at, SimTime tick) {
+  const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
+                           SimTime tick) {
     const std::int32_t slot = routes_.next_slot(at, entry.destination);
     const std::size_t qi = static_cast<std::size_t>(
         voq_base_[static_cast<std::size_t>(at)] + slot);
@@ -1624,7 +1624,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
       }
       --shard.inflight_delta;
     } else {
-      enqueue(shard, arrival.entry, relay, tick);
+      enqueue(arrival.entry, relay, tick);
     }
   };
 
@@ -1690,7 +1690,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
         }
         ++shard.offered;
         ++shard.inflight_delta;
-        enqueue(shard, VoqEntry{packet.id, packet.destination, slot_tick, 0},
+        enqueue(VoqEntry{packet.id, packet.destination, slot_tick, 0},
                 packet.source, slot_tick);
       }
       if (!load_done) {
@@ -1706,8 +1706,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
           if (config_.recorder != nullptr) {
             config_.recorder->record(now, d.source, d.destination);
           }
-          enqueue(shard,
-                  VoqEntry{background_base + now * nodes_ + d.source,
+          enqueue(VoqEntry{background_base + now * nodes_ + d.source,
                            d.destination, slot_tick, 0},
                   d.source, slot_tick);
         }

@@ -1,6 +1,7 @@
 // Async timing layer tests:
 //  - the calendar queue orders events exactly like the priority-queue
-//    EventQueue (time order, FIFO tie-break, past-scheduling rejection);
+//    EventQueue (time order, FIFO tie-break, past-scheduling rejection),
+//    same-tick floods and checkpoint re-pushes included;
 //  - TimingConfig/TimingModel compile the skew profiles correctly
 //    (constant, per-level, trace-derived);
 //  - THE parity suite: the AsyncEngine with a slot-aligned (all-zero)
@@ -16,7 +17,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/error.hpp"
@@ -124,6 +128,75 @@ TEST(CalendarQueueTest, MatchesEventQueueOrderOnRandomWorkload) {
     EXPECT_EQ(entry.payload, reference[best].id);
     reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(best));
   }
+  EXPECT_TRUE(reference.empty());
+}
+
+TEST(CalendarQueueTest, FloodsPopInReferenceOrder) {
+  // The engines' traffic: a slot's arrivals all land on one tick. 5,000
+  // auto-sequenced pushes on one tick and 500 on a second, interleaved,
+  // popped at each slot boundary against a sorted (time, seq) reference.
+  // Scattered pushes overflow a multi-tick day into the heap and outgrow
+  // the span, so the calendar rescales while both floods are pending;
+  // the drain of the big flood takes new pushes into its own day; and
+  // midway through that drain a checkpoint copy -- every for_each entry
+  // re-pushed with push_keyed into a fresh queue -- must pop the same
+  // sequence from then on.
+  using Queue = CalendarQueue<int>;
+  Queue queue;
+  std::optional<Queue> restored;
+  std::set<std::tuple<SimTime, std::uint64_t, int>> reference;
+  int next_id = 0;
+  const auto push = [&](SimTime at) {
+    reference.emplace(at, queue.next_seq(), next_id);
+    queue.push(at, next_id);
+    if (restored) {
+      restored->push(at, next_id);
+    }
+    ++next_id;
+  };
+  const SimTime big = 2 * kTicksPerSlot + 5;
+  const SimTime small = 3 * kTicksPerSlot + 100;
+  for (int i = 0; i < 5500; ++i) {
+    push(i % 11 == 10 ? small : big);
+  }
+  for (SimTime i = 0; i < 40; ++i) {
+    push(kTicksPerSlot + 7 * i);
+  }
+
+  int big_popped = 0;
+  for (SimTime slot = 1; slot <= 5; ++slot) {
+    while (!queue.empty() && queue.peek().time <= slot * kTicksPerSlot) {
+      const auto got = queue.pop();
+      ASSERT_FALSE(reference.empty());
+      const auto [time, seq, id] = *reference.begin();
+      reference.erase(reference.begin());
+      ASSERT_EQ(got.time, time);
+      ASSERT_EQ(got.seq, seq);
+      ASSERT_EQ(got.payload, id);
+      if (restored) {
+        const auto copy = restored->pop();
+        ASSERT_EQ(copy.time, time);
+        ASSERT_EQ(copy.seq, seq);
+        ASSERT_EQ(copy.payload, id);
+      }
+      if (got.time != big || ++big_popped % 1000 != 0) {
+        continue;
+      }
+      push(big);
+      push(big + 1);
+      push(2 * big);
+      if (big_popped == 2000) {
+        restored.emplace();
+        queue.for_each([&](const Queue::Entry& entry) {
+          restored->push_keyed(entry.time, entry.seq, entry.payload);
+        });
+        restored->set_next_seq(queue.next_seq());
+        EXPECT_EQ(restored->pending(), queue.pending());
+      }
+    }
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_TRUE(restored->empty());
   EXPECT_TRUE(reference.empty());
 }
 

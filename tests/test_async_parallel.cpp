@@ -24,6 +24,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -93,9 +94,17 @@ TimingConfig level_timing(SimTime tuning, SimTime propagation,
 // and "mailed" events are held back and keyed-pushed one window later.
 // Popping the shards as a k-way merge on (time, seq) must reproduce one
 // reference queue holding every event -- whatever the partition, the
-// push interleaving or the mailbox delays.
+// push interleaving or the mailbox delays. Flood mode is the engines'
+// real traffic: each window's events land on 1-3 ticks, hundreds to a
+// few thousand per tick, keyed in ascending (slot, coupler, winner)
+// order, so the mailed half replays keys that interleave with the
+// shard's own run.
 TEST(ShardedCalendarStress, KeyedShardQueuesMergeToReferenceOrder) {
-  for (const std::size_t shard_count : {2u, 3u, 5u, 8u}) {
+  constexpr std::pair<bool, std::size_t> kCases[] = {  // {flood, shards}
+      {false, 2}, {false, 3}, {false, 5}, {false, 8},
+      {true, 2},  {true, 3},  {true, 5},  {true, 8}};
+  for (const auto& [flood, shard_count] : kCases) {
+    SCOPED_TRACE(flood ? "flood" : "scattered");
     SCOPED_TRACE(shard_count);
     core::Rng rng(1234 + shard_count);
     std::vector<CalendarQueue<std::uint64_t>> shards(shard_count);
@@ -111,8 +120,8 @@ TEST(ShardedCalendarStress, KeyedShardQueuesMergeToReferenceOrder) {
 
     std::uint64_t next_payload = 0;
     constexpr SimTime kWindow = 4 * kTicksPerSlot;
-    constexpr int kWindows = 64;
-    for (int w = 0; w < kWindows; ++w) {
+    const int windows = flood ? 16 : 64;
+    for (int w = 0; w < windows; ++w) {
       const SimTime window_start = w * kWindow;
 
       // Mail from the previous window arrives first (the barrier).
@@ -124,12 +133,22 @@ TEST(ShardedCalendarStress, KeyedShardQueuesMergeToReferenceOrder) {
       // Produce events for strictly-later windows; unique random seq
       // values model the engine's (slot, coupler, winner) keys, which
       // need not be dense or contiguous per shard.
-      const std::size_t produced = 8 + rng.uniform(24);
+      std::vector<SimTime> ticks(flood ? 1 + rng.uniform(3) : 0);
+      for (SimTime& tick : ticks) {
+        tick = window_start + kWindow +
+               static_cast<SimTime>(rng.uniform(4 * kWindow));
+      }
+      const std::size_t produced =
+          flood ? ticks.size() * (200 + rng.uniform(2800))
+                : 8 + rng.uniform(24);
       for (std::size_t i = 0; i < produced; ++i) {
-        const SimTime at = window_start + kWindow +
-                           static_cast<SimTime>(rng.uniform(4 * kWindow));
+        const SimTime at =
+            flood ? ticks[rng.uniform(ticks.size())]
+                  : window_start + kWindow +
+                        static_cast<SimTime>(rng.uniform(4 * kWindow));
         const std::uint64_t seq =
-            (static_cast<std::uint64_t>(w) << 32) + (rng.uniform(1u << 20));
+            (static_cast<std::uint64_t>(w) << 32) +
+            (flood ? i : rng.uniform(1u << 20));
         const std::size_t target = rng.uniform(shard_count);
         const std::uint64_t payload = next_payload++;
         reference.push_keyed(at, seq, payload);
