@@ -592,24 +592,33 @@ constexpr int kAcceptanceRounds = 5;
 struct PairedSpeedup {
   double best = 0.0;
   double median = 0.0;
+  /// The round that set `best`: its contender and baseline seconds, so
+  /// rows written beside the verdict agree with it.
+  double best_contender_seconds = 0.0;
+  double best_baseline_seconds = 0.0;
 };
 
 PairedSpeedup paired_speedup(
     int rounds, const std::function<double()>& contender_seconds,
     const std::function<double()>& baseline_seconds) {
-  std::vector<double> ratios;
+  struct Round {
+    double ratio, contender, baseline;
+  };
+  std::vector<Round> done;
   for (int round = 0; round < rounds; ++round) {
     const double tc = contender_seconds();
     const double tb = baseline_seconds();
     if (tc > 0.0 && tb > 0.0) {
-      ratios.push_back(tb / tc);
+      done.push_back({tb / tc, tc, tb});
     }
   }
-  if (ratios.empty()) {
+  if (done.empty()) {
     return {};
   }
-  std::sort(ratios.begin(), ratios.end());
-  return {ratios.back(), ratios[ratios.size() / 2]};
+  std::sort(done.begin(), done.end(),
+            [](const Round& a, const Round& b) { return a.ratio < b.ratio; });
+  return {done.back().ratio, done[done.size() / 2].ratio,
+          done.back().contender, done.back().baseline};
 }
 
 /// The parallel-async acceptance datapoint written to BENCH_sim.json.
@@ -1361,25 +1370,17 @@ int main(int argc, char** argv) {
   std::cout << "\n[telemetry] obs-layer overhead on SK(4,3,2)/token, "
                "phased serial (" << kAcceptanceRounds
             << " paired rounds)\n\n";
-  double tel_off_best = 1e300;
-  double tel_disabled_best = 1e300;
   const PairedSpeedup telemetry_speedup = paired_speedup(
       kAcceptanceRounds,
       [&] {
-        const double t = time_sim_run(
-            cases[0], otis::sim::Arbitration::kTokenRoundRobin,
-            otis::sim::Engine::kPhased, 1, false, nullptr, nullptr,
-            TelemetryMode::kDisabled);
-        tel_disabled_best = std::min(tel_disabled_best, t);
-        return t;
+        return time_sim_run(cases[0], otis::sim::Arbitration::kTokenRoundRobin,
+                            otis::sim::Engine::kPhased, 1, false, nullptr,
+                            nullptr, TelemetryMode::kDisabled);
       },
       [&] {
-        const double t = time_sim_run(
-            cases[0], otis::sim::Arbitration::kTokenRoundRobin,
-            otis::sim::Engine::kPhased, 1, false, nullptr, nullptr,
-            TelemetryMode::kOff);
-        tel_off_best = std::min(tel_off_best, t);
-        return t;
+        return time_sim_run(cases[0], otis::sim::Arbitration::kTokenRoundRobin,
+                            otis::sim::Engine::kPhased, 1, false, nullptr,
+                            nullptr, TelemetryMode::kOff);
       });
   double tel_sampling_best = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -1389,9 +1390,13 @@ int main(int argc, char** argv) {
                      otis::sim::Engine::kPhased, 1, false, nullptr, nullptr,
                      TelemetryMode::kSampling));
   }
+  // The off and disabled rows come from the round that sets the
+  // verdict, so the recorded overhead is the one these rows imply.
   const std::vector<TelemetryBenchRow> telemetry_rows = {
-      {"off", static_cast<double>(kSimSlots) / tel_off_best},
-      {"disabled", static_cast<double>(kSimSlots) / tel_disabled_best},
+      {"off", static_cast<double>(kSimSlots) /
+                  telemetry_speedup.best_baseline_seconds},
+      {"disabled", static_cast<double>(kSimSlots) /
+                       telemetry_speedup.best_contender_seconds},
       {"sampling_64", static_cast<double>(kSimSlots) / tel_sampling_best}};
   otis::core::Table telemetry_table({"mode", "slots/s"});
   for (const TelemetryBenchRow& t : telemetry_rows) {
@@ -1411,25 +1416,19 @@ int main(int argc, char** argv) {
   std::cout << "\n[runtime-stats] runtime-channel overhead on "
                "SK(4,3,2)/token, phased sharded(1) ("
             << kAcceptanceRounds << " paired rounds)\n\n";
-  double rt_off_best = 1e300;
-  double rt_disabled_best = 1e300;
   const PairedSpeedup runtime_speedup = paired_speedup(
       kAcceptanceRounds,
       [&] {
-        const double t = time_sim_run(
-            cases[0], otis::sim::Arbitration::kTokenRoundRobin,
-            otis::sim::Engine::kSharded, 1, false, nullptr, nullptr,
-            TelemetryMode::kOff, RuntimeStatsMode::kDisabled);
-        rt_disabled_best = std::min(rt_disabled_best, t);
-        return t;
+        return time_sim_run(cases[0], otis::sim::Arbitration::kTokenRoundRobin,
+                            otis::sim::Engine::kSharded, 1, false, nullptr,
+                            nullptr, TelemetryMode::kOff,
+                            RuntimeStatsMode::kDisabled);
       },
       [&] {
-        const double t = time_sim_run(
-            cases[0], otis::sim::Arbitration::kTokenRoundRobin,
-            otis::sim::Engine::kSharded, 1, false, nullptr, nullptr,
-            TelemetryMode::kOff, RuntimeStatsMode::kOff);
-        rt_off_best = std::min(rt_off_best, t);
-        return t;
+        return time_sim_run(cases[0], otis::sim::Arbitration::kTokenRoundRobin,
+                            otis::sim::Engine::kSharded, 1, false, nullptr,
+                            nullptr, TelemetryMode::kOff,
+                            RuntimeStatsMode::kOff);
       });
   double rt_collecting_best = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -1440,8 +1439,10 @@ int main(int argc, char** argv) {
                      TelemetryMode::kOff, RuntimeStatsMode::kCollecting));
   }
   const std::vector<RuntimeStatsBenchRow> runtime_rows = {
-      {"off", static_cast<double>(kSimSlots) / rt_off_best},
-      {"disabled", static_cast<double>(kSimSlots) / rt_disabled_best},
+      {"off", static_cast<double>(kSimSlots) /
+                  runtime_speedup.best_baseline_seconds},
+      {"disabled", static_cast<double>(kSimSlots) /
+                       runtime_speedup.best_contender_seconds},
       {"collecting", static_cast<double>(kSimSlots) / rt_collecting_best}};
   otis::core::Table runtime_table({"mode", "slots/s"});
   for (const RuntimeStatsBenchRow& r : runtime_rows) {

@@ -21,7 +21,9 @@ telemetry_pass=false (attached-but-disabled telemetry costs more than
 2% on the sharded acceptance case), or async_parallel_pass=false
 (async-sharded >= 2.5x its own 1-thread run at 8 threads) -- all
 judged on the best of paired back-to-back rounds, so a slow runner
-cannot flip them -- the script emits ::error:: and exits 1. The same
+cannot flip them -- the script emits ::error:: and exits 1. It does
+the same when a recorded overhead percentage disagrees, beyond
+rounding, with the off/disabled slots/s rows of its own ladder. The same
 holds for route_compile_pass (parallel route compile >= 2.5x serial at
 8 threads) and memory_pass (one sketch-mode scale-up cell's peak-RSS
 growth within its KiB budget). An async_parallel_pass or
@@ -46,6 +48,39 @@ def results_by_key(doc):
         (r["topology"], r["arbitration"], r["engine"]): r
         for r in doc.get("results", [])
     }
+
+
+def overhead_contradictions(doc):
+    """Overhead verdicts that disagree with the file's own ladder rows.
+
+    micro_benchmarks writes each ladder's off and disabled rows from the
+    paired round that sets the verdict, so the recorded overhead must
+    equal (off / disabled - 1) * 100 up to rounding: the rows are
+    truncated to whole slots/s and the percentage to two decimals.
+    Returns one message per ladder that does not.
+    """
+    acceptance = doc.get("acceptance", {})
+    problems = []
+    for ladder, key in (("telemetry", "telemetry_overhead_pct"),
+                        ("runtime_stats", "runtime_stats_overhead_pct")):
+        rows = {r.get("mode"): r.get("slots_per_sec")
+                for r in doc.get(ladder, [])}
+        recorded = acceptance.get(key)
+        off, disabled = rows.get("off"), rows.get("disabled")
+        if recorded is None or off is None or disabled is None:
+            continue
+        if off <= 0 or disabled <= 0:
+            problems.append(f"{ladder}: non-positive off/disabled rows "
+                            f"({off}, {disabled})")
+            continue
+        low = (off / (disabled + 1) - 1) * 100 - 0.005
+        high = ((off + 1) / disabled - 1) * 100 + 0.005
+        if not low <= recorded <= high:
+            problems.append(
+                f"{ladder}: recorded {key} {recorded}% but its rows "
+                f"(off {off}, disabled {disabled} slots/s) imply "
+                f"{(off / disabled - 1) * 100:.2f}%")
+    return problems
 
 
 def enforce_acceptance(current_doc):
@@ -95,6 +130,10 @@ def enforce_acceptance(current_doc):
               f"sharded acceptance case, above the allowed "
               f"{acceptance.get('runtime_stats_required_max_overhead_pct')}"
               f"%")
+        failed = True
+    for problem in overhead_contradictions(current_doc):
+        print(f"::error title=Overhead verdict contradicts its rows::"
+              f"{problem}")
         failed = True
     # The async-parallel scaling bar is tri-state: true/false when the
     # host could judge the 8-thread requirement, null (None) with a skip

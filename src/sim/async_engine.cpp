@@ -85,19 +85,6 @@ bool AsyncEngineT<Routes>::gates_open() const {
 }
 
 template <routing::RouteView Routes>
-int AsyncEngineT<Routes>::clamp_threads() const {
-  int threads = config_.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads <= 0) {
-    threads = 1;
-  }
-  return static_cast<int>(std::min<std::int64_t>(
-      threads, std::max<std::int64_t>(1, std::max(nodes_, couplers_))));
-}
-
-template <routing::RouteView Routes>
 SimTime AsyncEngineT<Routes>::lookahead_slots() const {
   // A transmission in slot t lands no earlier than (t+1) * kTicksPerSlot
   // + min_propagation, so it cannot reach another shard's receive step
@@ -106,92 +93,6 @@ SimTime AsyncEngineT<Routes>::lookahead_slots() const {
   // widen the window.
   return std::min<SimTime>(kMaxLookaheadSlots,
                            1 + timing_.min_propagation() / kTicksPerSlot);
-}
-
-template <routing::RouteView Routes>
-typename AsyncEngineT<Routes>::ShardPlan AsyncEngineT<Routes>::plan_shards(
-    int threads) const {
-  ShardPlan plan;
-  plan.node_cut.assign(static_cast<std::size_t>(threads) + 1, 0);
-  plan.node_cut.back() = nodes_;
-  plan.couplers.resize(static_cast<std::size_t>(threads));
-
-  // Node of each VOQ, to read coupler feed spans off the FeedIndex.
-  std::vector<hypergraph::Node> node_of_queue(
-      static_cast<std::size_t>(voq_base_.back()));
-  for (hypergraph::Node v = 0; v < nodes_; ++v) {
-    for (std::int64_t qi = voq_base_[static_cast<std::size_t>(v)];
-         qi < voq_base_[static_cast<std::size_t>(v) + 1]; ++qi) {
-      node_of_queue[static_cast<std::size_t>(qi)] = v;
-    }
-  }
-
-  // A cut between nodes k-1 and k is feed-local iff no coupler's feed
-  // set spans it. Windows longer than one slot have a coupler's owner
-  // arbitrating over its feed VOQs mid-window, which is only safe when
-  // every one of those queues lives in the owner's shard -- so cuts
-  // inside a feed span are forbidden and the ideal balanced boundaries
-  // snap outward to the nearest legal position.
-  std::vector<std::uint8_t> allowed(static_cast<std::size_t>(nodes_) + 1, 1);
-  std::vector<hypergraph::Node> min_source(
-      static_cast<std::size_t>(couplers_), 0);
-  for (hypergraph::HyperarcId h = 0; h < couplers_; ++h) {
-    const std::size_t fb =
-        static_cast<std::size_t>(feed_.feed_base[static_cast<std::size_t>(h)]);
-    const std::size_t fe = static_cast<std::size_t>(
-        feed_.feed_base[static_cast<std::size_t>(h) + 1]);
-    if (fb == fe) {
-      continue;
-    }
-    hypergraph::Node lo = nodes_;
-    hypergraph::Node hi = 0;
-    for (std::size_t p = fb; p < fe; ++p) {
-      const hypergraph::Node v =
-          node_of_queue[static_cast<std::size_t>(feed_.feed_qi[p])];
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    min_source[static_cast<std::size_t>(h)] = lo;
-    for (hypergraph::Node k = lo + 1; k <= hi; ++k) {
-      allowed[static_cast<std::size_t>(k)] = 0;
-    }
-  }
-
-  for (int w = 1; w < threads; ++w) {
-    const std::int64_t ideal = nodes_ * w / threads;
-    std::int64_t best = 0;
-    for (std::int64_t d = 0;; ++d) {
-      if (ideal - d >= 0 &&
-          allowed[static_cast<std::size_t>(ideal - d)] != 0) {
-        best = ideal - d;
-        break;
-      }
-      if (ideal + d <= nodes_ &&
-          allowed[static_cast<std::size_t>(ideal + d)] != 0) {
-        best = ideal + d;
-        break;
-      }
-    }
-    // Snapping keeps cuts monotone; coinciding cuts leave a shard empty
-    // (it still participates in the barriers).
-    plan.node_cut[static_cast<std::size_t>(w)] =
-        std::max(best, plan.node_cut[static_cast<std::size_t>(w) - 1]);
-  }
-  plan.node_owner.assign(static_cast<std::size_t>(nodes_), 0);
-  for (int w = 0; w < threads; ++w) {
-    for (std::int64_t v = plan.node_cut[static_cast<std::size_t>(w)];
-         v < plan.node_cut[static_cast<std::size_t>(w) + 1]; ++v) {
-      plan.node_owner[static_cast<std::size_t>(v)] =
-          static_cast<std::int32_t>(w);
-    }
-  }
-  for (hypergraph::HyperarcId h = 0; h < couplers_; ++h) {
-    plan.couplers[static_cast<std::size_t>(
-                      plan.node_owner[static_cast<std::size_t>(
-                          min_source[static_cast<std::size_t>(h)])])]
-        .push_back(h);
-  }
-  return plan;
 }
 
 template <routing::RouteView Routes>
@@ -801,8 +702,10 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
 template <routing::RouteView Routes>
 RunMetrics AsyncEngineT<Routes>::run_sharded(
     std::vector<std::int64_t>& coupler_success) {
-  const int threads = clamp_threads();
-  const ShardPlan plan = plan_shards(threads);
+  const int threads =
+      detail::shard_count(config_.threads, nodes_, couplers_);
+  const detail::ShardPlan plan =
+      detail::plan_shards(feed_, voq_base_, threads);
   coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
 
   // Sharded stream universe (shared with the sharded phased engine):
@@ -1431,8 +1334,10 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
 template <routing::RouteView Routes>
 RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     std::vector<std::int64_t>& coupler_success) {
-  const int threads = clamp_threads();
-  const ShardPlan plan = plan_shards(threads);
+  const int threads =
+      detail::shard_count(config_.threads, nodes_, couplers_);
+  const detail::ShardPlan plan =
+      detail::plan_shards(feed_, voq_base_, threads);
   coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
   workload::Workload& load = *config_.workload;
   load.reset();

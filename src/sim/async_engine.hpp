@@ -110,17 +110,6 @@ class AsyncEngineT {
   /// contention (see file comment).
   [[nodiscard]] bool gates_open() const;
 
-  /// Feed-local partition for Engine::kAsyncSharded: contiguous node
-  /// ranges whose cuts never split a coupler's feed set, and per-shard
-  /// coupler lists (ascending ids, possibly non-contiguous) owned by
-  /// the shard holding the coupler's feed nodes.
-  struct ShardPlan {
-    std::vector<std::int64_t> node_cut;   ///< threads + 1 cut positions
-    std::vector<std::int32_t> node_owner;  ///< node -> shard index
-    std::vector<std::vector<hypergraph::HyperarcId>> couplers;
-  };
-  [[nodiscard]] ShardPlan plan_shards(int threads) const;
-  [[nodiscard]] int clamp_threads() const;
   /// Conservative window width in slots (>= 1; see file comment).
   [[nodiscard]] SimTime lookahead_slots() const;
 

@@ -1,6 +1,7 @@
 #pragma once
 /// \file occupancy.hpp
-/// Coupler-feed indexing and occupancy bitmasks for the slot engines.
+/// Coupler-feed indexing, occupancy bitmasks and the feed-local shard
+/// plan for the slot engines.
 ///
 /// Phase 2 of the slot loop asks, for every coupler, "which of my feed
 /// VOQs are non-empty?". The seed answered by chasing every feed's ring
@@ -14,17 +15,24 @@
 ///    reverse maps are well defined, and the feed positions of coupler h
 ///    are bits [0, feed_count) of the words at mask_base[h].
 ///
-///  - OccupancyMasks is the per-run mutable state: one request bit per
-///    feed position (set iff that VOQ is non-empty) plus a summary
-///    bitmap over couplers, so arbitration skips empty couplers with a
-///    count-trailing-zeros scan instead of touching their queues at all,
-///    and pick_winners consumes the request words directly.
+///  - OccupancyMasks is the per-run mutable state over a coupler range:
+///    one request bit per feed position (set iff that VOQ is non-empty)
+///    plus a summary bitmap over the range's couplers, so arbitration
+///    skips empty couplers with a count-trailing-zeros scan instead of
+///    touching their queues at all, and pick_winners consumes the
+///    request words directly.
 ///
-/// The sharded engine does not share these masks across threads (that
-/// would put atomics on the hot path); it rebuilds a coupler's request
-/// word locally from the FeedIndex during its arbitration phase.
+///  - plan_shards cuts the nodes into feed-local shards: no coupler's
+///    feed set spans a cut, so a shard owns every VOQ its couplers read.
+///    Both sharded engines run on it. The sharded phased engine gives
+///    each shard OccupancyMasks over its own couplers, maintained by the
+///    shard alone (no atomics, no shared words); the async-sharded
+///    engine rebuilds a coupler's request word locally from the
+///    FeedIndex during arbitration, screened by its eligibility gate.
 
+#include <algorithm>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "hypergraph/stack_graph.hpp"
@@ -79,41 +87,178 @@ struct FeedIndex {
   }
 };
 
-/// Per-run occupancy state over a FeedIndex (see file comment). The
-/// owner calls mark_nonempty on a VOQ's 0 -> 1 size transition and
-/// mark_empty on 1 -> 0; the serial/async engines do this inline in
-/// their enqueue/pop paths.
+/// Per-run occupancy state over the couplers [begin, end) of a
+/// FeedIndex (see file comment); serial engines cover every coupler.
+/// The owner calls mark_nonempty on a VOQ's 0 -> 1 size transition and
+/// mark_empty on 1 -> 0, for VOQs feeding the range only; the engines
+/// do this inline in their enqueue/pop paths.
 struct OccupancyMasks {
-  std::vector<std::uint64_t> request;  ///< FeedIndex::mask_base layout
-  std::vector<std::uint64_t> active;   ///< summary bitmap over couplers
+  std::vector<std::uint64_t> request;  ///< mask_base layout from word_begin
+  std::vector<std::uint64_t> active;   ///< summary bitmap from coupler_begin
+  std::int64_t coupler_begin = 0;
+  std::int64_t word_begin = 0;
 
   void init(const FeedIndex& fi) {
-    request.assign(static_cast<std::size_t>(fi.mask_base.back()), 0);
-    active.assign((fi.coupler_count() + 63) / 64, 0);
+    init(fi, 0, static_cast<std::int64_t>(fi.coupler_count()));
+  }
+
+  void init(const FeedIndex& fi, std::int64_t begin, std::int64_t end) {
+    coupler_begin = begin;
+    word_begin = fi.mask_base[static_cast<std::size_t>(begin)];
+    request.assign(static_cast<std::size_t>(
+                       fi.mask_base[static_cast<std::size_t>(end)] -
+                       word_begin),
+                   0);
+    active.assign(static_cast<std::size_t>(end - begin + 63) / 64, 0);
+  }
+
+  /// Coupler h's request words (h inside the range).
+  [[nodiscard]] const std::uint64_t* words_of(const FeedIndex& fi,
+                                              std::size_t h) const {
+    return request.data() + (fi.mask_base[h] - word_begin);
   }
 
   void mark_nonempty(const FeedIndex& fi, std::size_t qi) {
-    request[static_cast<std::size_t>(fi.voq_word[qi])] |=
+    request[static_cast<std::size_t>(fi.voq_word[qi] - word_begin)] |=
         std::uint64_t{1} << fi.voq_bit[qi];
-    const std::uint64_t h = static_cast<std::uint64_t>(fi.voq_coupler[qi]);
+    const std::uint64_t h =
+        static_cast<std::uint64_t>(fi.voq_coupler[qi] - coupler_begin);
     active[h >> 6] |= std::uint64_t{1} << (h & 63);
   }
 
   void mark_empty(const FeedIndex& fi, std::size_t qi) {
-    request[static_cast<std::size_t>(fi.voq_word[qi])] &=
+    request[static_cast<std::size_t>(fi.voq_word[qi] - word_begin)] &=
         ~(std::uint64_t{1} << fi.voq_bit[qi]);
     const std::int64_t h = fi.voq_coupler[qi];
     // Clear the summary bit only once every request word went dark.
     for (std::int64_t w = fi.mask_base[static_cast<std::size_t>(h)];
          w < fi.mask_base[static_cast<std::size_t>(h) + 1]; ++w) {
-      if (request[static_cast<std::size_t>(w)] != 0) {
+      if (request[static_cast<std::size_t>(w - word_begin)] != 0) {
         return;
       }
     }
-    active[static_cast<std::uint64_t>(h) >> 6] &=
-        ~(std::uint64_t{1} << (static_cast<std::uint64_t>(h) & 63));
+    const std::uint64_t bit = static_cast<std::uint64_t>(h - coupler_begin);
+    active[bit >> 6] &= ~(std::uint64_t{1} << (bit & 63));
   }
 };
+
+/// Worker count of a sharded run: `requested`, or the hardware thread
+/// count when it is <= 0, capped at one shard per node or coupler.
+[[nodiscard]] inline int shard_count(int requested, std::int64_t nodes,
+                                     std::int64_t couplers) {
+  int threads = requested;
+  if (threads <= 0) {
+    threads = static_cast<int>(std::thread::hardware_concurrency());
+  }
+  if (threads <= 0) {
+    threads = 1;
+  }
+  return static_cast<int>(std::min<std::int64_t>(
+      threads, std::max<std::int64_t>(1, std::max(nodes, couplers))));
+}
+
+/// Feed-local partition shared by the sharded engines: contiguous node
+/// ranges whose cuts never split a coupler's feed set, and per-shard
+/// coupler lists (ascending ids) owned by the shard holding the
+/// coupler's feed nodes. On a stack graph a coupler's feeders are the
+/// copies of its base arc's tail and arcs are numbered by tail, so each
+/// shard's couplers form one id range and the ranges ascend with the
+/// shard index.
+struct ShardPlan {
+  std::vector<std::int64_t> node_cut;    ///< shards + 1 cut positions
+  std::vector<std::int32_t> node_owner;  ///< node -> shard index
+  std::vector<std::vector<hypergraph::HyperarcId>> couplers;
+};
+
+/// Cuts the nodes behind `voq_base` (node v's VOQs are voq_base[v] ..
+/// voq_base[v + 1]) into `shards` feed-local shards (see ShardPlan).
+[[nodiscard]] inline ShardPlan plan_shards(
+    const FeedIndex& fi, const std::vector<std::int64_t>& voq_base,
+    int shards) {
+  const std::int64_t nodes = static_cast<std::int64_t>(voq_base.size()) - 1;
+  const std::int64_t couplers = static_cast<std::int64_t>(fi.coupler_count());
+  ShardPlan plan;
+  plan.node_cut.assign(static_cast<std::size_t>(shards) + 1, 0);
+  plan.node_cut.back() = nodes;
+  plan.couplers.resize(static_cast<std::size_t>(shards));
+
+  // Node of each VOQ, to read coupler feed spans off the FeedIndex.
+  std::vector<hypergraph::Node> node_of_queue(
+      static_cast<std::size_t>(voq_base.back()));
+  for (hypergraph::Node v = 0; v < nodes; ++v) {
+    for (std::int64_t qi = voq_base[static_cast<std::size_t>(v)];
+         qi < voq_base[static_cast<std::size_t>(v) + 1]; ++qi) {
+      node_of_queue[static_cast<std::size_t>(qi)] = v;
+    }
+  }
+
+  // A cut between nodes k-1 and k is feed-local iff no coupler's feed
+  // set spans it. A coupler's owner arbitrates over its feed VOQs while
+  // other shards run, which is only safe when every one of those queues
+  // lives in the owner's shard -- so cuts inside a feed span are
+  // forbidden and the ideal balanced boundaries snap outward to the
+  // nearest legal position.
+  std::vector<std::uint8_t> allowed(static_cast<std::size_t>(nodes) + 1, 1);
+  std::vector<hypergraph::Node> min_source(static_cast<std::size_t>(couplers),
+                                           0);
+  for (hypergraph::HyperarcId h = 0; h < couplers; ++h) {
+    const std::size_t fb =
+        static_cast<std::size_t>(fi.feed_base[static_cast<std::size_t>(h)]);
+    const std::size_t fe = static_cast<std::size_t>(
+        fi.feed_base[static_cast<std::size_t>(h) + 1]);
+    if (fb == fe) {
+      continue;
+    }
+    hypergraph::Node lo = nodes;
+    hypergraph::Node hi = 0;
+    for (std::size_t p = fb; p < fe; ++p) {
+      const hypergraph::Node v =
+          node_of_queue[static_cast<std::size_t>(fi.feed_qi[p])];
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    min_source[static_cast<std::size_t>(h)] = lo;
+    for (hypergraph::Node k = lo + 1; k <= hi; ++k) {
+      allowed[static_cast<std::size_t>(k)] = 0;
+    }
+  }
+
+  for (int w = 1; w < shards; ++w) {
+    const std::int64_t ideal = nodes * w / shards;
+    std::int64_t best = 0;
+    for (std::int64_t d = 0;; ++d) {
+      if (ideal - d >= 0 &&
+          allowed[static_cast<std::size_t>(ideal - d)] != 0) {
+        best = ideal - d;
+        break;
+      }
+      if (ideal + d <= nodes &&
+          allowed[static_cast<std::size_t>(ideal + d)] != 0) {
+        best = ideal + d;
+        break;
+      }
+    }
+    // Snapping keeps cuts monotone; coinciding cuts leave a shard empty
+    // (it still participates in the barriers).
+    plan.node_cut[static_cast<std::size_t>(w)] =
+        std::max(best, plan.node_cut[static_cast<std::size_t>(w) - 1]);
+  }
+  plan.node_owner.assign(static_cast<std::size_t>(nodes), 0);
+  for (int w = 0; w < shards; ++w) {
+    for (std::int64_t v = plan.node_cut[static_cast<std::size_t>(w)];
+         v < plan.node_cut[static_cast<std::size_t>(w) + 1]; ++v) {
+      plan.node_owner[static_cast<std::size_t>(v)] =
+          static_cast<std::int32_t>(w);
+    }
+  }
+  for (hypergraph::HyperarcId h = 0; h < couplers; ++h) {
+    plan.couplers[static_cast<std::size_t>(
+                      plan.node_owner[static_cast<std::size_t>(
+                          min_source[static_cast<std::size_t>(h)])])]
+        .push_back(h);
+  }
+  return plan;
+}
 
 /// Telemetry helper shared by the phased and async engines: observes
 /// each coupler of [begin, end) into the occupancy histogram probe

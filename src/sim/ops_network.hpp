@@ -17,7 +17,7 @@
 ///    [11]: token round-robin, random winner, or oblivious (collision
 ///    destroys all packets in that coupler-slot; senders retry).
 ///
-/// Four execution engines share this model:
+/// Five execution engines share this model:
 ///  - kEventQueue: the original per-slot-event loop on the generic
 ///    EventQueue; kept as the seed-faithful reference implementation
 ///    (tests-only fixture since the async layer landed);
@@ -25,16 +25,21 @@
 ///    receive) over a structure-of-arrays VOQ arena with per-coupler
 ///    occupancy bitmasks and CompiledRoutes tables. Bit-identical to
 ///    kEventQueue for every seed, several times faster;
-///  - kSharded: the phased loop with couplers and nodes partitioned
-///    across worker threads, phases separated by barriers, and RNG
-///    drawn from per-node / per-coupler streams so the result is
-///    bit-identical for EVERY thread count (though, by design, a
+///  - kSharded: the phased loop over feed-local shards (a shard owns
+///    every processor feeding its couplers), relays handed to their
+///    owner shard through per-consumer outboxes, two barriers per slot,
+///    and RNG drawn from per-node / per-coupler streams so the result
+///    is bit-identical for EVERY thread count (though, by design, a
 ///    different -- equally valid -- universe than the serial engines);
 ///  - kAsync: the calendar-queue timed-event engine (async_engine.hpp)
 ///    honouring SimConfig::timing -- transmitter tuning latencies,
 ///    per-coupler propagation skew, slot guard bands in sub-slot ticks.
 ///    Bit-identical to kPhased when the timing model is slot-aligned
-///    (every delay zero).
+///    (every delay zero);
+///  - kAsyncSharded: the async engine as conservative parallel
+///    discrete-event simulation over the same feed-local shards, with
+///    lookahead windows and per-pair mailboxes. Thread-count invariant;
+///    == kSharded when slot-aligned, == serial kAsync in workload mode.
 ///
 /// The simulator works for *any* stack-graph network: POPS, stack-Kautz
 /// and stack-Imase-Itoh differ only in the StackGraph and the routing

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <exception>
 #include <thread>
-#include <utility>
 
 #include "core/error.hpp"
 #include "sim/arbitration.hpp"
@@ -24,29 +23,318 @@ using detail::coupler_streams;
 using detail::node_streams;
 using detail::workload_slot_bound;
 
-/// Ceiling-free contiguous partition of [0, count) into `parts` ranges.
-std::pair<std::int64_t, std::int64_t> partition(std::int64_t count, int part,
-                                                int parts) {
-  const std::int64_t lo = count * part / parts;
-  const std::int64_t hi = count * (part + 1) / parts;
-  return {lo, hi};
-}
-
-/// How far ahead the phase-3 delivery walks prefetch relay entries.
-/// Deliveries for one coupler land on scattered relay-table rows, so a
-/// short look-ahead hides the load latency without thrashing the
-/// prefetch queue.
+/// How far ahead the serial workload loop's delivery walk prefetches
+/// relay entries. Deliveries for one coupler land on scattered
+/// relay-table rows, so a short look-ahead hides the load latency
+/// without thrashing the prefetch queue.
 constexpr std::size_t kRelayPrefetchAhead = 8;
 
-/// Widest request mask of any coupler, in words (per-shard scratch size).
-std::size_t max_mask_words(const detail::FeedIndex& fi) {
-  std::size_t widest = 1;
-  for (std::size_t h = 0; h < fi.coupler_count(); ++h) {
-    widest = std::max(widest, static_cast<std::size_t>(fi.mask_base[h + 1] -
-                                                       fi.mask_base[h]));
+/// A transmission whose receiver relays it onward. Packets that reached
+/// their destination are counted inline during arbitration (metric
+/// updates cannot disturb same-slot winner selection); only relays
+/// defer to the receive step, because their enqueues would make queues
+/// non-empty for couplers arbitrated later in the same slot.
+struct Relay {
+  VoqEntry entry;
+  hypergraph::Node node;
+};
+
+/// Arrives at `barrier`, charging the wait to `rt` when runtime stats
+/// are on.
+template <class Barrier>
+void timed_wait(Barrier& barrier, obs::ShardRuntime* rt) {
+  if (rt == nullptr) {
+    barrier.arrive_and_wait();
+    return;
   }
-  return widest;
+  const std::int64_t t0 = obs::runtime_now_ns();
+  barrier.arrive_and_wait();
+  rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
 }
+
+/// Per-run state and per-slot steps of the two sharded loops (open loop
+/// and workload). The shards come from detail::plan_shards, so a
+/// shard's nodes feed exactly its couplers: generation, arbitration and
+/// the enqueue of received relays touch only the shard's own VOQs, and
+/// each shard keeps the occupancy masks of its couplers as the serial
+/// loop does. A slot runs
+///
+///   generate -> arbitrate -> exchange barrier -> receive -> slot barrier
+///
+/// where arbitrate completes final deliveries inline and posts each
+/// relay to the outbox of the relay node's owner, and receive enqueues
+/// the shard's inbox producer by producer. Shard coupler ranges ascend
+/// with the shard index (checked in the constructor), so producer order
+/// is global coupler order: every VOQ sees the serial push order for
+/// every thread count.
+template <routing::RouteView Routes>
+struct SlotShards {
+  struct Shard {
+    std::int64_t node_begin = 0, node_end = 0;
+    std::int64_t coupler_begin = 0, coupler_end = 0;
+    std::int64_t offered = 0, delivered = 0, dropped = 0;
+    std::int64_t transmissions = 0, collisions = 0;
+    std::int64_t inflight_delta = 0;
+    LatencyStats latency;
+    detail::OccupancyMasks masks;             ///< over the shard's couplers
+    std::vector<std::vector<Relay>> outbox;   ///< per consumer shard
+    std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
+    std::vector<std::size_t> winners, scratch;
+  };
+
+  /// `delivery_bound` sizes the latency buffers (split evenly).
+  SlotShards(const Routes& routes_in, const detail::FeedIndex& feed_in,
+             const std::vector<std::int64_t>& voq_base_in,
+             const SimConfig& config_in, std::vector<std::int64_t>& token_in,
+             std::vector<std::int64_t>& coupler_success_in,
+             std::int64_t delivery_bound)
+      : routes(routes_in),
+        feed(feed_in),
+        voq_base(voq_base_in),
+        config(config_in),
+        token(token_in),
+        coupler_success(coupler_success_in),
+        nodes(static_cast<std::int64_t>(voq_base_in.size()) - 1),
+        threads(detail::shard_count(
+            config_in.threads, nodes,
+            static_cast<std::int64_t>(feed_in.coupler_count()))),
+        plan(detail::plan_shards(feed_in, voq_base_in, threads)),
+        gen_rng(node_streams(config_in.seed, nodes)),
+        arb_rng(coupler_streams(
+            config_in.seed,
+            static_cast<std::int64_t>(feed_in.coupler_count()))),
+        shards(static_cast<std::size_t>(threads)),
+        senders(static_cast<std::size_t>(nodes)) {
+    voq.init(static_cast<std::size_t>(voq_base.back()),
+             static_cast<std::size_t>(threads));
+    const bool sketch = resolve_latency_sketch(config.latency_mode, nodes);
+    std::int64_t covered = 0;  ///< end of the previous shard's couplers
+    for (int w = 0; w < threads; ++w) {
+      Shard& shard = shards[static_cast<std::size_t>(w)];
+      const auto& mine = plan.couplers[static_cast<std::size_t>(w)];
+      shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
+      shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
+      shard.coupler_begin = mine.empty() ? covered : mine.front();
+      shard.coupler_end = mine.empty() ? covered : mine.back() + 1;
+      OTIS_REQUIRE(shard.coupler_begin >= covered &&
+                       shard.coupler_end - shard.coupler_begin ==
+                           static_cast<std::int64_t>(mine.size()),
+                   "sharded engine: shard couplers are not ascending ranges");
+      covered = shard.coupler_end;
+      shard.masks.init(feed, shard.coupler_begin, shard.coupler_end);
+      shard.outbox.resize(static_cast<std::size_t>(threads));
+      if (sketch) {
+        shard.latency.use_sketch();
+      }
+      shard.latency.reserve(
+          std::min(delivery_bound / threads + 1, kLatencyReserveCap));
+      // Only this shard pushes onto its nodes' queues (generation and
+      // receive), so growth stays inside the shard's own pool.
+      for (std::int64_t qi = voq_base[static_cast<std::size_t>(
+               shard.node_begin)];
+           qi < voq_base[static_cast<std::size_t>(shard.node_end)]; ++qi) {
+        voq.set_pool(static_cast<std::size_t>(qi),
+                     static_cast<std::uint32_t>(w));
+      }
+    }
+  }
+
+  /// Worker threads reach the shards through references to this object.
+  SlotShards(const SlotShards&) = delete;
+  SlotShards& operator=(const SlotShards&) = delete;
+
+  /// Rebuilds every shard's masks from a restored arena.
+  void restore_masks() {
+    for (Shard& shard : shards) {
+      for (std::int64_t qi = voq_base[static_cast<std::size_t>(
+               shard.node_begin)];
+           qi < voq_base[static_cast<std::size_t>(shard.node_end)]; ++qi) {
+        if (!voq.empty(static_cast<std::size_t>(qi))) {
+          shard.masks.mark_nonempty(feed, static_cast<std::size_t>(qi));
+        }
+      }
+    }
+  }
+
+  /// Queues `entry` at `shard`'s node `at`, dropping it at a full
+  /// finite queue.
+  void enqueue(Shard& shard, const VoqEntry& entry, hypergraph::Node at,
+               bool measuring) {
+    const std::int32_t slot = routes.next_slot(at, entry.destination);
+    const std::size_t qi = static_cast<std::size_t>(
+        voq_base[static_cast<std::size_t>(at)] + slot);
+    const std::size_t size = voq.size(qi);
+    if (config.queue_capacity > 0 &&
+        static_cast<std::int64_t>(size) >= config.queue_capacity) {
+      if (measuring) {
+        ++shard.dropped;
+      }
+      --shard.inflight_delta;
+      return;
+    }
+    voq.push(qi, entry);
+    if (size == 0) {
+      shard.masks.mark_nonempty(feed, qi);
+    }
+  }
+
+  /// Arbitrates `shard`'s couplers with a non-empty feed in slot `now`.
+  /// Latency counts packets created at or after `warmup`; delivered ids
+  /// below `workload_ids` are workload packets, reported back through
+  /// delivered_ids.
+  void arbitrate(Shard& shard, SimTime now, bool measuring, SimTime warmup,
+                 std::int64_t workload_ids) {
+    const std::size_t capacity = static_cast<std::size_t>(config.wavelengths);
+    const Arbitration policy = config.arbitration;
+    const bool single_token =
+        policy == Arbitration::kTokenRoundRobin && capacity == 1;
+    detail::OccupancyMasks& masks = shard.masks;
+    for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
+      std::uint64_t aword = masks.active[aw];
+      while (aword != 0) {
+        const std::size_t h =
+            static_cast<std::size_t>(masks.coupler_begin) + (aw << 6) +
+            static_cast<std::size_t>(std::countr_zero(aword));
+        aword &= aword - 1;
+        const std::size_t fb = static_cast<std::size_t>(feed.feed_base[h]);
+        const std::size_t source_count =
+            static_cast<std::size_t>(feed.feed_base[h + 1]) - fb;
+        const std::uint64_t* request = masks.words_of(feed, h);
+        const std::size_t words =
+            static_cast<std::size_t>(feed.mask_base[h + 1] - feed.mask_base[h]);
+        const auto transmit = [&](std::size_t si) {
+          const std::size_t qi =
+              static_cast<std::size_t>(feed.feed_qi[fb + si]);
+          VoqEntry entry = voq.pop_front(qi);
+          if (voq.empty(qi)) {
+            masks.mark_empty(feed, qi);
+          }
+          ++entry.hops;
+          if (measuring) {
+            ++shard.transmissions;
+            ++coupler_success[h];
+          }
+          const hypergraph::Node relay = routes.relay(
+              static_cast<hypergraph::HyperarcId>(h), entry.destination);
+          if (relay != entry.destination) {
+            shard
+                .outbox[static_cast<std::size_t>(
+                    plan.node_owner[static_cast<std::size_t>(relay)])]
+                .push_back(Relay{entry, relay});
+            return;
+          }
+          if (measuring) {
+            ++shard.delivered;
+            if (entry.created >= warmup) {
+              shard.latency.record(now - entry.created + 1);
+            }
+          }
+          if (entry.id < workload_ids) {
+            shard.delivered_ids.push_back(entry.id);
+          }
+          --shard.inflight_delta;
+        };
+        if (single_token) {
+          transmit(detail::pick_single_token(source_count, request, words,
+                                             token[h]));
+          continue;
+        }
+        const bool collided = detail::pick_winners(
+            policy, capacity, source_count, request, words, token[h],
+            arb_rng[h], shard.winners, shard.scratch);
+        if (collided && measuring) {
+          ++shard.collisions;
+        }
+        if (shard.winners.size() > 1) {
+          // Warm the winners' relay entries before the transmit walk.
+          for (std::size_t si : shard.winners) {
+            routes.prefetch_relay(
+                static_cast<hypergraph::HyperarcId>(h),
+                voq.front(static_cast<std::size_t>(feed.feed_qi[fb + si]))
+                    .destination);
+          }
+        }
+        for (std::size_t si : shard.winners) {
+          transmit(si);
+        }
+      }
+    }
+  }
+
+  /// Enqueues shard w's inbox, producer by producer (= coupler order).
+  void receive(int w, bool measuring) {
+    Shard& shard = shards[static_cast<std::size_t>(w)];
+    for (Shard& producer : shards) {
+      std::vector<Relay>& inbox = producer.outbox[static_cast<std::size_t>(w)];
+      for (const Relay& r : inbox) {
+        enqueue(shard, r.entry, r.node, measuring);
+      }
+      inbox.clear();
+    }
+  }
+
+  /// Fills `frame` from `shard` at a sampling boundary. Its couplers'
+  /// occupancy is final once its own receive step ended: no other shard
+  /// pushes onto its queues.
+  void snapshot(const Shard& shard, const obs::EngineProbes& ids,
+                obs::ProbeRegistry& frame) const {
+    frame.zero();
+    frame.set(ids.offered, shard.offered);
+    frame.set(ids.delivered, shard.delivered);
+    frame.set(ids.transmissions, shard.transmissions);
+    frame.set(ids.collisions, shard.collisions);
+    frame.set(ids.dropped, shard.dropped);
+    detail::observe_occupancy(frame, ids.occupancy, feed, voq,
+                              shard.coupler_begin, shard.coupler_end);
+  }
+
+  /// Adds every shard's counters to `metrics` (order-independent).
+  void fold(RunMetrics& metrics) const {
+    for (const Shard& shard : shards) {
+      metrics.offered_packets += shard.offered;
+      metrics.delivered_packets += shard.delivered;
+      metrics.dropped_packets += shard.dropped;
+      metrics.coupler_transmissions += shard.transmissions;
+      metrics.collisions += shard.collisions;
+      metrics.latency.merge(shard.latency);
+    }
+  }
+
+  /// Runs worker(w) for every shard, on this thread when there is one.
+  template <class Worker>
+  void run_workers(const Worker& worker) const {
+    if (threads == 1) {
+      worker(0);
+      return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(threads));
+    for (int w = 0; w < threads; ++w) {
+      pool.emplace_back(worker, w);
+    }
+    for (std::thread& t : pool) {
+      t.join();
+    }
+  }
+
+  const Routes& routes;
+  const detail::FeedIndex& feed;
+  const std::vector<std::int64_t>& voq_base;
+  const SimConfig& config;
+  std::vector<std::int64_t>& token;
+  std::vector<std::int64_t>& coupler_success;
+  std::int64_t nodes;
+  int threads;
+  detail::ShardPlan plan;
+  /// Per-unit RNG streams: the partition can never influence a draw.
+  std::vector<core::Rng> gen_rng;
+  std::vector<core::Rng> arb_rng;
+  VoqArena voq;
+  std::vector<Shard> shards;
+  /// Compact senders of the current slot; shard w writes the slice at
+  /// its node_begin.
+  std::vector<SenderDemand> senders;
+};
 
 }  // namespace
 
@@ -113,16 +401,7 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
   std::vector<std::size_t> winners;
   std::vector<std::size_t> scratch;
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
-  /// Transmissions whose receiver relays them onward. Packets that
-  /// reached their destination are counted inline during arbitration
-  /// (metric updates cannot disturb same-slot winner selection); only
-  /// relays defer to phase 3, because their enqueues would make queues
-  /// non-empty for couplers arbitrated later in the same slot.
-  struct Relay {
-    VoqEntry entry;
-    hypergraph::Node node;
-  };
-  std::vector<Relay> relays;
+  std::vector<Relay> relays;  ///< this slot's relays (see Relay)
   const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
   const std::int64_t queue_cap = config_.queue_capacity;
   const Arbitration policy = config_.arbitration;
@@ -377,75 +656,13 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
 template <routing::RouteView Routes>
 RunMetrics PhasedEngineT<Routes>::run_sharded(
     std::vector<std::int64_t>& coupler_success) {
-  int threads = config_.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads <= 0) {
-    threads = 1;
-  }
-  threads = static_cast<int>(std::min<std::int64_t>(
-      threads, std::max<std::int64_t>(1, std::max(nodes_, couplers_))));
-
-  // Per-unit RNG streams: the partition can never influence the draw.
-  std::vector<core::Rng> gen_rng = node_streams(config_.seed, nodes_);
-  std::vector<core::Rng> arb_rng = coupler_streams(config_.seed, couplers_);
-
-  /// Deliveries of the current slot, per coupler, in winner order; hop
-  /// counter already bumped. Written by the coupler's owner in phase 2,
-  /// read by every worker in phase 3.
-  std::vector<std::vector<VoqEntry>> deliveries(
-      static_cast<std::size_t>(couplers_));
-  /// Compact senders of the current slot; disjoint slices per shard
-  /// (shard w writes at its node_begin offset).
-  std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
-
-  VoqArena voq;
-  voq.init(static_cast<std::size_t>(voq_base_.back()),
-           static_cast<std::size_t>(threads));
-  const std::size_t req_words = max_mask_words(feed_);
-
-  struct Shard {
-    std::int64_t node_begin = 0, node_end = 0;
-    std::int64_t coupler_begin = 0, coupler_end = 0;
-    std::int64_t offered = 0, delivered = 0, dropped = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    std::int64_t inflight_delta = 0;
-    LatencyStats latency;
-    std::vector<std::size_t> winners, scratch;
-    std::vector<std::uint64_t> request;  ///< local per-coupler rebuild
-  };
-  const bool latency_sketch =
-      resolve_latency_sketch(config_.latency_mode, nodes_);
-  std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  for (int w = 0; w < threads; ++w) {
-    auto [nb, ne] = partition(nodes_, w, threads);
-    auto [cb, ce] = partition(couplers_, w, threads);
-    Shard& shard = shards[static_cast<std::size_t>(w)];
-    shard.node_begin = nb;
-    shard.node_end = ne;
-    shard.coupler_begin = cb;
-    shard.coupler_end = ce;
-    shard.request.assign(req_words, 0);
-    if (latency_sketch) {
-      shard.latency.use_sketch();
-    }
-    shard.latency.reserve(
-        std::min(config_.measure_slots * (ne - nb), kLatencyReserveCap));
-    // Every queue of the shard's nodes pushes from this shard only (its
-    // own phase-1/3 enqueues), so growth stays inside the shard's pool.
-    for (std::int64_t qi = voq_base_[static_cast<std::size_t>(nb)];
-         qi < voq_base_[static_cast<std::size_t>(ne)]; ++qi) {
-      voq.set_pool(static_cast<std::size_t>(qi),
-                   static_cast<std::uint32_t>(w));
-    }
-  }
-
+  SlotShards<Routes> state(routes_, feed_, voq_base_, config_, token_,
+                           coupler_success, config_.measure_slots * nodes_);
+  using Shard = typename SlotShards<Routes>::Shard;
+  const int threads = state.threads;
+  std::vector<Shard>& shards = state.shards;
   const SimTime horizon = config_.warmup_slots + config_.measure_slots;
   const SimTime drain_bound = horizon + 1'000'000;
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const std::int64_t queue_cap = config_.queue_capacity;
-  const Arbitration policy = config_.arbitration;
 
   // Telemetry: per-shard probe frames, folded with order-independent
   // integer adds in the slot barrier's completion step -- the merged
@@ -488,39 +705,29 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
   // in the completion step -- every worker is blocked, so the shared
   // state is quiescent.
   const std::int64_t ckpt_every = config_.checkpoint_every_slots;
-  SimTime start_slot = 0;
   std::exception_ptr ckpt_error;  ///< completion step is noexcept
   const auto save_checkpoint = [&](SimTime next_slot) {
     core::BlobWriter out;
     checkpoint_write_header(out, config_, nodes_, couplers_);
     out.put_i64(next_slot);
     out.put_i64(inflight);
-    for (const core::Rng& r : gen_rng) {
+    for (const core::Rng& r : state.gen_rng) {
       out.put_rng(r);
     }
-    for (const core::Rng& r : arb_rng) {
+    for (const core::Rng& r : state.arb_rng) {
       out.put_rng(r);
     }
     out.put_i64_vec(token_);
-    std::int64_t offered = 0, delivered = 0, dropped = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    LatencyStats latency;
-    for (const Shard& shard : shards) {
-      offered += shard.offered;
-      delivered += shard.delivered;
-      dropped += shard.dropped;
-      transmissions += shard.transmissions;
-      collisions += shard.collisions;
-      latency.merge(shard.latency);
-    }
-    out.put_i64(offered);
-    out.put_i64(delivered);
-    out.put_i64(dropped);
-    out.put_i64(transmissions);
-    out.put_i64(collisions);
-    latency.serialize(out);
+    RunMetrics folded;
+    state.fold(folded);
+    out.put_i64(folded.offered_packets);
+    out.put_i64(folded.delivered_packets);
+    out.put_i64(folded.dropped_packets);
+    out.put_i64(folded.coupler_transmissions);
+    out.put_i64(folded.collisions);
+    folded.latency.serialize(out);
     out.put_i64_vec(coupler_success);
-    checkpoint_put_voq(out, voq);
+    checkpoint_put_voq(out, state.voq);
     std::vector<std::int64_t> traffic_state;
     traffic_.checkpoint_state(traffic_state);
     out.put_i64_vec(traffic_state);
@@ -533,13 +740,12 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
                         blob)) {
       core::BlobReader in(blob);
       (void)checkpoint_read_header(in, config_, nodes_, couplers_);
-      start_slot = in.get_i64();
-      now = start_slot;
+      now = in.get_i64();
       inflight = in.get_i64();
-      for (core::Rng& r : gen_rng) {
+      for (core::Rng& r : state.gen_rng) {
         r = in.get_rng();
       }
-      for (core::Rng& r : arb_rng) {
+      for (core::Rng& r : state.arb_rng) {
         r = in.get_rng();
       }
       token_ = in.get_i64_vec();
@@ -553,7 +759,8 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
       s0.collisions = in.get_i64();
       s0.latency.deserialize(in);
       coupler_success = in.get_i64_vec();
-      checkpoint_get_voq(in, voq);
+      checkpoint_get_voq(in, state.voq);
+      state.restore_masks();
       traffic_.restore_state(in.get_i64_vec());
       tel_last = checkpoint_get_telemetry(in, tel);
     }
@@ -606,162 +813,49 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
       }
     }
   };
-  std::barrier<> phase_barrier(threads);
+  std::barrier<> exchange_barrier(threads);
   std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
 
   const auto worker = [&](int w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     obs::ShardRuntime* const rt =
         rt_on ? &rt_shards[static_cast<std::size_t>(w)] : nullptr;
-    const auto timed_wait = [&](auto& barrier) {
-      if (rt == nullptr) {
-        barrier.arrive_and_wait();
-        return;
-      }
-      const std::int64_t t0 = obs::runtime_now_ns();
-      barrier.arrive_and_wait();
-      rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
-    };
     const std::int64_t loop_start = rt_on ? obs::runtime_now_ns() : 0;
-    const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
-                             bool measuring) {
-      const std::int32_t slot = routes_.next_slot(at, entry.destination);
-      const std::size_t qi = static_cast<std::size_t>(
-          voq_base_[static_cast<std::size_t>(at)] + slot);
-      if (queue_cap > 0 &&
-          static_cast<std::int64_t>(voq.size(qi)) >= queue_cap) {
-        if (measuring) {
-          ++shard.dropped;
-        }
-        --shard.inflight_delta;
-        return;
-      }
-      voq.push(qi, entry);
-    };
-
     while (true) {
       const bool measuring = now >= config_.warmup_slots && now < horizon;
 
-      // Phase 1: generation over the shard's nodes (compact batch into
-      // the shard's slice of `senders`).
+      // Generate over the shard's nodes (compact batch into the shard's
+      // slice of `senders`), then arbitrate its couplers: feed-local, so
+      // no barrier separates the two.
       if (now < horizon) {
-        const std::size_t sender_count = traffic_.demand_batch_senders_streams(
-            shard.node_begin, shard.node_end, gen_rng.data(),
-            senders.data() + shard.node_begin);
+        const std::size_t sender_count =
+            traffic_.demand_batch_senders_streams(
+                shard.node_begin, shard.node_end, state.gen_rng.data(),
+                state.senders.data() + shard.node_begin);
         if (measuring) {
           shard.offered += static_cast<std::int64_t>(sender_count);
         }
         shard.inflight_delta += static_cast<std::int64_t>(sender_count);
         for (std::size_t i = 0; i < sender_count; ++i) {
           const SenderDemand d =
-              senders[static_cast<std::size_t>(shard.node_begin) + i];
+              state.senders[static_cast<std::size_t>(shard.node_begin) + i];
           if (config_.recorder != nullptr) {
             config_.recorder->record(now, d.source, d.destination);
           }
           // Deterministic id without a shared counter.
-          enqueue(VoqEntry{now * nodes_ + d.source, d.destination, now, 0},
-                  d.source, measuring);
+          state.enqueue(
+              shard, VoqEntry{now * nodes_ + d.source, d.destination, now, 0},
+              d.source, measuring);
         }
       }
-      timed_wait(phase_barrier);
+      state.arbitrate(shard, now, measuring, config_.warmup_slots, 0);
+      timed_wait(exchange_barrier, rt);
 
-      // Phase 2: arbitration over the shard's couplers. The request
-      // words are rebuilt locally from the arena (no shared masks, no
-      // atomics); a word build is a dense len_ scan per feed position.
-      for (hypergraph::HyperarcId h = shard.coupler_begin;
-           h < shard.coupler_end; ++h) {
-        auto& out = deliveries[static_cast<std::size_t>(h)];
-        out.clear();
-        const std::size_t fb =
-            static_cast<std::size_t>(feed_.feed_base[static_cast<std::size_t>(h)]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(
-                feed_.feed_base[static_cast<std::size_t>(h) + 1]) -
-            fb;
-        const std::size_t words = (source_count + 63) / 64;
-        std::uint64_t any = 0;
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          shard.request[wi] = 0;
-        }
-        for (std::size_t si = 0; si < source_count; ++si) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          if (!voq.empty(qi)) {
-            shard.request[si >> 6] |= std::uint64_t{1} << (si & 63);
-          }
-        }
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          any |= shard.request[wi];
-        }
-        if (any == 0) {
-          continue;
-        }
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, shard.request.data(), words,
-            token_[static_cast<std::size_t>(h)],
-            arb_rng[static_cast<std::size_t>(h)], shard.winners,
-            shard.scratch);
-        if (collided && measuring) {
-          ++shard.collisions;
-        }
-        for (std::size_t si : shard.winners) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          VoqEntry entry = voq.pop_front(qi);
-          ++entry.hops;
-          if (measuring) {
-            ++shard.transmissions;
-            ++coupler_success[static_cast<std::size_t>(h)];
-          }
-          out.push_back(entry);
-        }
-      }
-      timed_wait(phase_barrier);
-
-      // Phase 3: every worker scans all deliveries in coupler order and
-      // consumes the ones whose relay it owns, so the push order at each
-      // node is canonical regardless of the partition.
-      for (hypergraph::HyperarcId h = 0; h < couplers_; ++h) {
-        const auto& list = deliveries[static_cast<std::size_t>(h)];
-        for (std::size_t di = 0; di < list.size(); ++di) {
-          if (di + kRelayPrefetchAhead < list.size()) {
-            routes_.prefetch_relay(
-                h, list[di + kRelayPrefetchAhead].destination);
-          }
-          const VoqEntry& entry = list[di];
-          const hypergraph::Node relay = routes_.relay(h, entry.destination);
-          if (relay < shard.node_begin || relay >= shard.node_end) {
-            continue;
-          }
-          if (relay == entry.destination) {
-            if (measuring) {
-              ++shard.delivered;
-              if (entry.created >= config_.warmup_slots) {
-                shard.latency.record(now - entry.created + 1);
-              }
-            }
-            --shard.inflight_delta;
-          } else {
-            enqueue(entry, relay, measuring);
-          }
-        }
-      }
+      state.receive(w, measuring);
       if (tel != nullptr && tel->due(now)) {
-        // Sampling boundary: one extra barrier makes every shard's
-        // phase-3 pushes visible, then each worker snapshots its own
-        // counters and coupler range into its private frame. All
-        // workers agree on due(now) -- `now` is slot-barrier state.
-        timed_wait(phase_barrier);
-        obs::ProbeRegistry& frame = frames[static_cast<std::size_t>(w)];
-        const obs::EngineProbes& ids = tel->engine_probes();
-        frame.zero();
-        frame.set(ids.offered, shard.offered);
-        frame.set(ids.delivered, shard.delivered);
-        frame.set(ids.transmissions, shard.transmissions);
-        frame.set(ids.collisions, shard.collisions);
-        frame.set(ids.dropped, shard.dropped);
-        detail::observe_occupancy(frame, ids.occupancy, feed_, voq,
-                                  shard.coupler_begin, shard.coupler_end);
+        // All workers agree on due(now): `now` is slot-barrier state.
+        state.snapshot(shard, tel->engine_probes(),
+                       frames[static_cast<std::size_t>(w)]);
       }
       if (rt != nullptr) {
         // Slot engines have a fixed one-slot "window".
@@ -769,7 +863,7 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
         ++rt->lookahead_used;
         ++rt->lookahead_available;
       }
-      timed_wait(slot_barrier);
+      timed_wait(slot_barrier, rt);
       if (!running) {
         break;
       }
@@ -781,18 +875,7 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
   };
 
   const std::int64_t run_start = rt_on ? obs::runtime_now_ns() : 0;
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back(worker, w);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
+  state.run_workers(worker);
   if (rt_on) {
     rts->record_shards("phased_sharded", "open_loop",
                        obs::runtime_now_ns() - run_start, rt_shards);
@@ -804,14 +887,7 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
 
   RunMetrics metrics;
   metrics.slots = config_.measure_slots;
-  for (Shard& shard : shards) {
-    metrics.offered_packets += shard.offered;
-    metrics.delivered_packets += shard.delivered;
-    metrics.dropped_packets += shard.dropped;
-    metrics.coupler_transmissions += shard.transmissions;
-    metrics.collisions += shard.collisions;
-    metrics.latency.merge(shard.latency);
-  }
+  state.fold(metrics);
   metrics.backlog = inflight;
   metrics.interrupted = interrupted;
   // Drill interruptions skip finish(): the process "died", and the
@@ -822,7 +898,7 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
     obs::ProbeRegistry& reg = tel->probes();
     const obs::ProbeId hist = tel->engine_probes().occupancy;
     reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, voq, 0, couplers_);
+    detail::observe_occupancy(reg, hist, feed_, state.voq, 0, couplers_);
     tel->finish(tel_last);
   }
   return metrics;
@@ -1028,66 +1104,13 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
   workload::Workload& load = *config_.workload;
   load.reset();
 
-  int threads = config_.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads <= 0) {
-    threads = 1;
-  }
-  threads = static_cast<int>(std::min<std::int64_t>(
-      threads, std::max<std::int64_t>(1, std::max(nodes_, couplers_))));
-
-  std::vector<core::Rng> gen_rng = node_streams(config_.seed, nodes_);
-  std::vector<core::Rng> arb_rng = coupler_streams(config_.seed, couplers_);
-
-  std::vector<std::vector<VoqEntry>> deliveries(
-      static_cast<std::size_t>(couplers_));
-  /// Compact senders; disjoint per-shard slices at node_begin offsets.
-  std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
-
-  VoqArena voq;
-  voq.init(static_cast<std::size_t>(voq_base_.back()),
-           static_cast<std::size_t>(threads));
-  const std::size_t req_words = max_mask_words(feed_);
-
-  struct Shard {
-    std::int64_t node_begin = 0, node_end = 0;
-    std::int64_t coupler_begin = 0, coupler_end = 0;
-    std::int64_t offered = 0, delivered = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    std::int64_t inflight_delta = 0;
-    LatencyStats latency;
-    std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
-    std::vector<std::size_t> winners, scratch;
-    std::vector<std::uint64_t> request;
-  };
-  std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  for (int w = 0; w < threads; ++w) {
-    auto [nb, ne] = partition(nodes_, w, threads);
-    auto [cb, ce] = partition(couplers_, w, threads);
-    Shard& shard = shards[static_cast<std::size_t>(w)];
-    shard.node_begin = nb;
-    shard.node_end = ne;
-    shard.coupler_begin = cb;
-    shard.coupler_end = ce;
-    shard.request.assign(req_words, 0);
-    if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-      shard.latency.use_sketch();
-    }
-    shard.latency.reserve(std::min(
-        load.packet_count() / threads + 1, kLatencyReserveCap));
-    for (std::int64_t qi = voq_base_[static_cast<std::size_t>(nb)];
-         qi < voq_base_[static_cast<std::size_t>(ne)]; ++qi) {
-      voq.set_pool(static_cast<std::size_t>(qi),
-                   static_cast<std::uint32_t>(w));
-    }
-  }
-
   const std::int64_t background_base = load.packet_count();
+  SlotShards<Routes> state(routes_, feed_, voq_base_, config_, token_,
+                           coupler_success, background_base);
+  using Shard = typename SlotShards<Routes>::Shard;
+  const int threads = state.threads;
+  std::vector<Shard>& shards = state.shards;
   const SimTime bound = workload_slot_bound(load);
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const Arbitration policy = config_.arbitration;
 
   // Telemetry: per-shard frames merged in the completion step, exactly
   // as in the open-loop sharded mode.
@@ -1166,32 +1189,17 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
       load.poll(now, inject);
     }
   };
-  std::barrier<> phase_barrier(threads);
+  std::barrier<> exchange_barrier(threads);
   std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
 
   const auto worker = [&](int w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     obs::ShardRuntime* const rt =
         rt_on ? &rt_shards[static_cast<std::size_t>(w)] : nullptr;
-    const auto timed_wait = [&](auto& barrier) {
-      if (rt == nullptr) {
-        barrier.arrive_and_wait();
-        return;
-      }
-      const std::int64_t t0 = obs::runtime_now_ns();
-      barrier.arrive_and_wait();
-      rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
-    };
     const std::int64_t loop_start = rt_on ? obs::runtime_now_ns() : 0;
-    const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at) {
-      const std::int32_t slot = routes_.next_slot(at, entry.destination);
-      voq.push(static_cast<std::size_t>(
-                   voq_base_[static_cast<std::size_t>(at)] + slot),
-               entry);
-    };
-
     while (true) {
-      // Phase 1a: the shard's slice of the eligible injections.
+      // Generate: the shard's slice of the eligible injections, then
+      // background traffic over its nodes until the workload completes.
       for (const workload::WorkloadPacket& packet : inject) {
         if (packet.source < shard.node_begin ||
             packet.source >= shard.node_end) {
@@ -1199,127 +1207,42 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
         }
         ++shard.offered;
         ++shard.inflight_delta;
-        enqueue(VoqEntry{packet.id, packet.destination, now, 0},
-                packet.source);
+        state.enqueue(shard, VoqEntry{packet.id, packet.destination, now, 0},
+                      packet.source, true);
       }
-      // Phase 1b: background traffic over the shard's nodes (compact
-      // batch into the shard's slice of `senders`).
       if (!load_done) {
         const std::size_t sender_count =
             traffic_.demand_batch_senders_streams(
-                shard.node_begin, shard.node_end, gen_rng.data(),
-                senders.data() + shard.node_begin);
+                shard.node_begin, shard.node_end, state.gen_rng.data(),
+                state.senders.data() + shard.node_begin);
         shard.offered += static_cast<std::int64_t>(sender_count);
         shard.inflight_delta += static_cast<std::int64_t>(sender_count);
         for (std::size_t i = 0; i < sender_count; ++i) {
           const SenderDemand d =
-              senders[static_cast<std::size_t>(shard.node_begin) + i];
+              state.senders[static_cast<std::size_t>(shard.node_begin) + i];
           if (config_.recorder != nullptr) {
             config_.recorder->record(now, d.source, d.destination);
           }
-          enqueue(VoqEntry{background_base + now * nodes_ + d.source,
-                           d.destination, now, 0},
-                  d.source);
+          state.enqueue(shard,
+                        VoqEntry{background_base + now * nodes_ + d.source,
+                                 d.destination, now, 0},
+                        d.source, true);
         }
       }
-      timed_wait(phase_barrier);
+      state.arbitrate(shard, now, true, 0, background_base);
+      timed_wait(exchange_barrier, rt);
 
-      // Phase 2: arbitration over the shard's couplers (local request
-      // rebuild, as in the open-loop sharded mode).
-      for (hypergraph::HyperarcId h = shard.coupler_begin;
-           h < shard.coupler_end; ++h) {
-        auto& out = deliveries[static_cast<std::size_t>(h)];
-        out.clear();
-        const std::size_t fb = static_cast<std::size_t>(
-            feed_.feed_base[static_cast<std::size_t>(h)]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(
-                feed_.feed_base[static_cast<std::size_t>(h) + 1]) -
-            fb;
-        const std::size_t words = (source_count + 63) / 64;
-        std::uint64_t any = 0;
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          shard.request[wi] = 0;
-        }
-        for (std::size_t si = 0; si < source_count; ++si) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          if (!voq.empty(qi)) {
-            shard.request[si >> 6] |= std::uint64_t{1} << (si & 63);
-          }
-        }
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          any |= shard.request[wi];
-        }
-        if (any == 0) {
-          continue;
-        }
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, shard.request.data(), words,
-            token_[static_cast<std::size_t>(h)],
-            arb_rng[static_cast<std::size_t>(h)], shard.winners,
-            shard.scratch);
-        if (collided) {
-          ++shard.collisions;
-        }
-        for (std::size_t si : shard.winners) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          VoqEntry entry = voq.pop_front(qi);
-          ++entry.hops;
-          ++shard.transmissions;
-          ++coupler_success[static_cast<std::size_t>(h)];
-          out.push_back(entry);
-        }
-      }
-      timed_wait(phase_barrier);
-
-      // Phase 3: consume the deliveries whose relay this shard owns.
-      for (hypergraph::HyperarcId h = 0; h < couplers_; ++h) {
-        const auto& list = deliveries[static_cast<std::size_t>(h)];
-        for (std::size_t di = 0; di < list.size(); ++di) {
-          if (di + kRelayPrefetchAhead < list.size()) {
-            routes_.prefetch_relay(
-                h, list[di + kRelayPrefetchAhead].destination);
-          }
-          const VoqEntry& entry = list[di];
-          const hypergraph::Node relay = routes_.relay(h, entry.destination);
-          if (relay < shard.node_begin || relay >= shard.node_end) {
-            continue;
-          }
-          if (relay == entry.destination) {
-            ++shard.delivered;
-            shard.latency.record(now - entry.created + 1);
-            if (entry.id < background_base) {
-              shard.delivered_ids.push_back(entry.id);
-            }
-            --shard.inflight_delta;
-          } else {
-            enqueue(entry, relay);
-          }
-        }
-      }
+      state.receive(w, true);
       if (tel != nullptr && tel->due(now)) {
-        // Sampling boundary: extra barrier for phase-3 visibility, then
-        // snapshot this shard's counters and coupler range (see the
-        // open-loop sharded mode).
-        timed_wait(phase_barrier);
-        obs::ProbeRegistry& frame = frames[static_cast<std::size_t>(w)];
-        const obs::EngineProbes& ids = tel->engine_probes();
-        frame.zero();
-        frame.set(ids.offered, shard.offered);
-        frame.set(ids.delivered, shard.delivered);
-        frame.set(ids.transmissions, shard.transmissions);
-        frame.set(ids.collisions, shard.collisions);
-        detail::observe_occupancy(frame, ids.occupancy, feed_, voq,
-                                  shard.coupler_begin, shard.coupler_end);
+        state.snapshot(shard, tel->engine_probes(),
+                       frames[static_cast<std::size_t>(w)]);
       }
       if (rt != nullptr) {
         ++rt->windows;
         ++rt->lookahead_used;
         ++rt->lookahead_available;
       }
-      timed_wait(slot_barrier);
+      timed_wait(slot_barrier, rt);
       if (!running) {
         break;
       }
@@ -1331,18 +1254,7 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
   };
 
   const std::int64_t run_start = rt_on ? obs::runtime_now_ns() : 0;
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back(worker, w);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
+  state.run_workers(worker);
   if (rt_on) {
     rts->record_shards("phased_sharded", "workload",
                        obs::runtime_now_ns() - run_start, rt_shards);
@@ -1351,13 +1263,7 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
   RunMetrics metrics;
   metrics.slots = now + 1;
   metrics.makespan_slots = makespan;
-  for (Shard& shard : shards) {
-    metrics.offered_packets += shard.offered;
-    metrics.delivered_packets += shard.delivered;
-    metrics.coupler_transmissions += shard.transmissions;
-    metrics.collisions += shard.collisions;
-    metrics.latency.merge(shard.latency);
-  }
+  state.fold(metrics);
   metrics.backlog = inflight;
   if (tel != nullptr) {
     windows.finish();
@@ -1365,7 +1271,7 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
     obs::ProbeRegistry& reg = tel->probes();
     const obs::ProbeId hist = tel->engine_probes().occupancy;
     reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, voq, 0, couplers_);
+    detail::observe_occupancy(reg, hist, feed_, state.voq, 0, couplers_);
     tel->finish(tel_last);
   }
   return metrics;

@@ -31,14 +31,20 @@
 ///
 /// Serial mode iterates nodes then couplers in id order drawing from the
 /// single legacy RNG stream, which makes it bit-identical to the
-/// event-queue engine for every seed. Sharded mode partitions nodes and
-/// couplers across worker threads with barrier-synced phases; all
-/// randomness comes from per-node (generation) and per-coupler
-/// (arbitration) streams, so the outcome is a pure function of the seed
-/// -- identical for every thread count and every partition. (Sharded
-/// workers rebuild request words locally instead of sharing the
-/// occupancy masks -- no atomics on the hot path -- and each shard owns
-/// its own arena pool so pushes never race on a growing allocation.)
+/// event-queue engine for every seed. Sharded mode runs on feed-local
+/// shards (occupancy.hpp plan_shards, shared with async-sharded): a
+/// shard owns every processor feeding its couplers, so it generates,
+/// arbitrates off its own occupancy masks and enqueues received relays
+/// without touching another shard's queues. Each coupler's owner
+/// resolves its winners' relays while it arbitrates and hands them to
+/// the relay owner through one per-consumer outbox, so a slot needs two
+/// barriers: an exchange barrier before the receive step and the slot
+/// barrier after it. All randomness comes from per-node (generation)
+/// and per-coupler (arbitration) streams and inboxes are read in
+/// coupler order, so the outcome is a pure function of the seed --
+/// identical for every thread count and every partition. Each shard
+/// owns its own arena pool so pushes never race on a growing
+/// allocation.
 ///
 /// Workload (closed-loop) mode -- SimConfig::workload set -- replaces
 /// the fixed measure window with run-to-completion: phase 1 injects the

@@ -3,12 +3,14 @@
 //    concurrent per-shard queues: keyed pushes plus simulated mailbox
 //    handoffs, k-way merged across shards, must reproduce a single
 //    reference queue's (time, seq) pop order exactly;
-//  - the feed-local shard partition is sane (couplers never split);
+//  - the feed-local shard plan both sharded engines share is sane:
+//    cuts ascend, couplers are never split and have one owner, and
+//    coupler ids ascend with the shard index;
 //  - THE invariance suite: open-loop kAsyncSharded results are
-//    bit-identical across thread counts {1, 2, 3, 5, 8}, equal the
-//    sharded phased engine in the slot-aligned limit, and stay
+//    bit-identical across thread counts {1, 2, 3, 5, 8} and stay
 //    invariant under constant / per-level skew, guard bands, finite
-//    queues, WDM and drain;
+//    queues, WDM and drain; in the slot-aligned limit they pin the
+//    sharded phased engine at every thread count up to 16;
 //  - workload (closed-loop) runs are bit-identical to the SERIAL async
 //    engine for every thread count, policy, table and skew profile,
 //    with and without background traffic;
@@ -36,6 +38,7 @@
 #include "routing/compressed_routes.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/metrics.hpp"
+#include "sim/occupancy.hpp"
 #include "sim/ops_network.hpp"
 #include "sim/timing_model.hpp"
 #include "sim/traffic.hpp"
@@ -46,6 +49,9 @@ namespace otis::sim {
 namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 3, 5, 8};
+/// Shard counts of the plan and sharded-phased checks: 16 exceeds the
+/// 12 groups of every small fixture, so some shards own nothing.
+constexpr int kShardCounts[] = {1, 2, 3, 5, 8, 16};
 
 constexpr Arbitration kAllPolicies[] = {Arbitration::kTokenRoundRobin,
                                         Arbitration::kRandomWinner,
@@ -219,6 +225,98 @@ TEST(ShardedCalendarStress, KeyedShardQueuesMergeToReferenceOrder) {
   }
 }
 
+// ------------------------------------------------ feed-local shard plan
+
+/// Checks detail::plan_shards on `stack`: the cuts ascend and span
+/// every node, every coupler has exactly one owner and every feeder of
+/// the coupler lies inside the owner's node range (so no cut splits a
+/// feed), and coupler ids ascend with the shard index -- the sharded
+/// phased engine reads its inboxes producer by producer on that
+/// promise.
+void expect_feed_local_plan(const hypergraph::StackGraph& stack,
+                            int shards) {
+  const hypergraph::DirectedHypergraph& hg = stack.hypergraph();
+  const std::int64_t nodes = hg.node_count();
+  const std::int64_t couplers = hg.hyperarc_count();
+  std::vector<std::int64_t> voq_base(static_cast<std::size_t>(nodes) + 1, 0);
+  for (hypergraph::Node v = 0; v < nodes; ++v) {
+    voq_base[static_cast<std::size_t>(v) + 1] =
+        voq_base[static_cast<std::size_t>(v)] + hg.out_degree(v);
+  }
+  detail::FeedIndex feed;
+  feed.build(hg, voq_base);
+  const detail::ShardPlan plan = detail::plan_shards(feed, voq_base, shards);
+
+  ASSERT_EQ(plan.node_cut.size(), static_cast<std::size_t>(shards) + 1);
+  ASSERT_EQ(plan.couplers.size(), static_cast<std::size_t>(shards));
+  EXPECT_EQ(plan.node_cut.front(), 0);
+  EXPECT_EQ(plan.node_cut.back(), nodes);
+  for (int w = 0; w < shards; ++w) {
+    EXPECT_LE(plan.node_cut[static_cast<std::size_t>(w)],
+              plan.node_cut[static_cast<std::size_t>(w) + 1]);
+  }
+  ASSERT_EQ(plan.node_owner.size(), static_cast<std::size_t>(nodes));
+  const auto in_shard = [&](hypergraph::Node v, int w) {
+    return plan.node_cut[static_cast<std::size_t>(w)] <= v &&
+           v < plan.node_cut[static_cast<std::size_t>(w) + 1];
+  };
+  std::int64_t misplaced_nodes = 0;
+  for (hypergraph::Node v = 0; v < nodes; ++v) {
+    misplaced_nodes +=
+        in_shard(v, plan.node_owner[static_cast<std::size_t>(v)]) ? 0 : 1;
+  }
+  EXPECT_EQ(misplaced_nodes, 0);
+
+  std::vector<int> owner(static_cast<std::size_t>(couplers), -1);
+  std::int64_t duplicates = 0;
+  std::int64_t out_of_order = 0;
+  hypergraph::HyperarcId last = -1;
+  for (int w = 0; w < shards; ++w) {
+    for (const hypergraph::HyperarcId h :
+         plan.couplers[static_cast<std::size_t>(w)]) {
+      duplicates += owner[static_cast<std::size_t>(h)] >= 0 ? 1 : 0;
+      owner[static_cast<std::size_t>(h)] = w;
+      out_of_order += h > last ? 0 : 1;
+      last = h;
+    }
+  }
+  EXPECT_EQ(duplicates, 0);
+  EXPECT_EQ(out_of_order, 0);
+  std::int64_t orphans = 0;
+  std::int64_t split_feeds = 0;
+  for (hypergraph::HyperarcId h = 0; h < couplers; ++h) {
+    const int w = owner[static_cast<std::size_t>(h)];
+    if (w < 0) {
+      ++orphans;
+      continue;
+    }
+    const hypergraph::CouplerFeed f = hg.coupler_feed(h);
+    for (std::int64_t si = 0; si < f.count; ++si) {
+      split_feeds += in_shard(f.source[si], w) ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(orphans, 0);
+  EXPECT_EQ(split_feeds, 0);
+}
+
+TEST(ShardPlan, FeedLocalCutsGiveEveryCouplerOneOwner) {
+  const hypergraph::StackKautz sk432(4, 3, 2);
+  const hypergraph::Pops pops(6, 12);
+  const hypergraph::StackImaseItoh sii(4, 2, 12);
+  const hypergraph::StackKautz sk10(10, 10, 3);
+  const std::pair<const char*, const hypergraph::StackGraph*> cases[] = {
+      {"SK(4,3,2)", &sk432.stack()},
+      {"POPS(6,12)", &pops.stack()},
+      {"SII(4,2,12)", &sii.stack()},
+      {"SK(10,10,3)", &sk10.stack()}};
+  for (const auto& [name, stack] : cases) {
+    for (const int shards : kShardCounts) {
+      SCOPED_TRACE(std::string(name) + " shards=" + std::to_string(shards));
+      expect_feed_local_plan(*stack, shards);
+    }
+  }
+}
+
 // --------------------------------------------------- open-loop parity
 
 enum class Table { kDense, kCompressed };
@@ -298,24 +396,57 @@ RunMetrics run_topology(int topology, Engine engine, int threads,
 }
 
 TEST(AsyncShardedParity, SlotAlignedMatchesShardedPhasedAcrossThreads) {
+  // The slot-aligned async-sharded engine at one thread is the
+  // reference: it shares no slot loop with the sharded phased engine,
+  // which must reproduce it at every shard count -- so the cross-shard
+  // relay hand-off is checked against an independent engine, not only
+  // against itself -- with finite queues, WDM and drain. Async-sharded
+  // itself must match at every thread count on both route tables.
   const char* names[] = {"SK(4,3,2)", "POPS(6,12)", "SII(4,2,12)"};
   for (int topology = 0; topology < 3; ++topology) {
     for (Arbitration arb : kAllPolicies) {
+      for (const std::int64_t queue_capacity : {0, 3}) {
+        for (const std::int64_t wavelengths : {1, 2}) {
+          for (const bool drain : {false, true}) {
+            SCOPED_TRACE(std::string(names[topology]) + "/" +
+                         arbitration_name(arb) + "/cap=" +
+                         std::to_string(queue_capacity) + "/w=" +
+                         std::to_string(wavelengths) +
+                         (drain ? "/drain" : ""));
+            std::vector<std::int64_t> want_successes;
+            const RunMetrics want = run_topology(
+                topology, Engine::kAsyncSharded, 1, arb, Table::kDense, {},
+                &want_successes, queue_capacity, wavelengths, drain);
+            for (const int threads : kShardCounts) {
+              SCOPED_TRACE(threads);
+              std::vector<std::int64_t> got_successes;
+              const RunMetrics got = run_topology(
+                  topology, Engine::kSharded, threads, arb, Table::kDense,
+                  {}, &got_successes, queue_capacity, wavelengths, drain);
+              expect_identical(want, got);
+              EXPECT_EQ(want_successes, got_successes);
+            }
+          }
+        }
+      }
+      std::vector<std::int64_t> want_successes;
+      const RunMetrics want =
+          run_topology(topology, Engine::kAsyncSharded, 1, arb,
+                       Table::kDense, {}, &want_successes);
       for (Table table : {Table::kDense, Table::kCompressed}) {
         SCOPED_TRACE(std::string(names[topology]) + "/" +
                      arbitration_name(arb) + "/" +
                      (table == Table::kDense ? "dense" : "compressed"));
-        std::vector<std::int64_t> want_successes;
-        const RunMetrics want =
-            run_topology(topology, Engine::kSharded, 1, arb, table, {},
-                         &want_successes);
         for (const int threads : kThreadCounts) {
           SCOPED_TRACE(threads);
           std::vector<std::int64_t> got_successes;
-          const RunMetrics got =
-              run_topology(topology, Engine::kAsyncSharded, threads, arb,
-                           table, {}, &got_successes);
-          expect_identical(want, got);
+          expect_identical(want, run_topology(topology, Engine::kAsyncSharded,
+                                              threads, arb, table, {},
+                                              &got_successes));
+          EXPECT_EQ(want_successes, got_successes);
+          expect_identical(want, run_topology(topology, Engine::kSharded,
+                                              threads, arb, table, {},
+                                              &got_successes));
           EXPECT_EQ(want_successes, got_successes);
         }
       }

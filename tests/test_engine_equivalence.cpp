@@ -164,7 +164,9 @@ TEST(EngineEquivalence, ShardedIsBitIdenticalAcrossThreadCounts) {
   for (Arbitration arb : kAllPolicies) {
     SCOPED_TRACE(arbitration_name(arb));
     RunMetrics one = run_sk(Engine::kSharded, arb, 9, 1);
-    for (int threads : {2, 3, 5, 8}) {
+    // SK(4,3,2) has 12 groups, so 16 threads leave empty shards that
+    // must still cross both per-slot barriers.
+    for (int threads : {2, 3, 5, 8, 16}) {
       SCOPED_TRACE(threads);
       RunMetrics many = run_sk(Engine::kSharded, arb, 9, threads);
       expect_identical(one, many);
@@ -198,7 +200,7 @@ TEST(EngineEquivalence, DrainBitParityAcrossAllEnginesAndThreadCounts) {
         const RunMetrics sharded_one =
             run_sk(Engine::kSharded, arb, 57, 1, queue_capacity,
                    wavelengths, true);
-        for (int threads : {2, 3, 5, 8}) {
+        for (int threads : {2, 3, 5, 8, 16}) {
           SCOPED_TRACE(threads);
           const RunMetrics sharded_many =
               run_sk(Engine::kSharded, arb, 57, threads, queue_capacity,
