@@ -40,7 +40,11 @@
 // the serial phased engine's three slot phases separately -- ns/slot
 // for generate / arbitrate / receive per topology -- and names the hot
 // functions behind each phase, so a perf regression in a future PR
-// points at a phase, not just a total.
+// points at a phase, not just a total. Its SK(10,10,3) row (compressed
+// routes, load 0.6, 200 slots) tracks the cache-bound regime, where
+// queue state outgrows L2. The file opens with a host block (hardware
+// threads, CPU model, compiler) that compare_bench.py matches before
+// comparing any wall-clock or memory row.
 //
 // Self-contained chrono harness (no external benchmark dependency): each
 // measurement is the best of `kReps` runs, which is the right estimator
@@ -154,11 +158,19 @@ constexpr double kSimLoad = 0.3;
 /// averaged over every instrumented slot (kReps runs' worth).
 struct PhaseRow {
   std::string topology;
+  std::string routes;
+  double load;
   std::int64_t slots;
   double generate_ns;
   double arbitrate_ns;
   double receive_ns;
 };
+
+/// The cache-bound phase row: SK(10,10,3) (11,000 processors, 110,000
+/// VOQs) on compressed routes past saturation, where queue state far
+/// outgrows L2 and every phase's cost is its memory misses.
+constexpr double kScalePhaseLoad = 0.6;
+constexpr std::int64_t kScalePhaseSlots = 200;
 
 /// The functions that dominate each phase of the restructured hot path
 /// (from perf annotation of the serial phased engine; kept next to the
@@ -171,14 +183,16 @@ constexpr HotPhase kHotFunctions[] = {
     {"generate",
      "\"TrafficGenerator::demand_batch_senders (compact sender list, "
      "BernoulliThreshold integer gate)\", \"core::Rng::operator()\", "
-     "\"VoqArenaT::push\", \"RouteView::next_slot\""},
+     "\"detail::staged_enqueue (route row, queue header, tail slot "
+     "prefetched ahead)\", \"VoqArenaT::push (one 32-byte record)\""},
     {"arbitrate",
+     "\"detail::pick_then_pop (a summary word's picks, then its pops)\", "
      "\"detail::pick_single_token (request-mask rotate+ctz scan)\", "
      "\"VoqArenaT::pop_front\", \"RouteView::relay (inline final "
      "deliveries)\", \"OccupancyMasks::mark_empty\""},
     {"receive",
-     "\"VoqArenaT::push (relay re-enqueue)\", "
-     "\"OccupancyMasks::mark_nonempty\", \"LatencyStats::record\""},
+     "\"detail::staged_enqueue (relay re-enqueue)\", "
+     "\"VoqArenaT::push\", \"OccupancyMasks::mark_nonempty\""},
 };
 
 /// The telemetry overhead modes of the BENCH telemetry rows: no
@@ -744,6 +758,63 @@ MemoryBenchResult memory_cell_once() {
   return result;
 }
 
+/// Runs the cache-bound phase row (kScalePhaseLoad, kScalePhaseSlots;
+/// see there) kReps times, serial phased, accumulating its breakdown.
+PhaseRow scale_phase_row() {
+  otis::hypergraph::StackKautz big(10, 10, 3);
+  const auto routes =
+      std::make_shared<const otis::routing::CompressedRoutes>(
+          otis::routing::compress_stack_kautz_routes(big));
+  otis::sim::PhaseBreakdown bd;
+  for (int rep = 0; rep < kReps; ++rep) {
+    otis::sim::SimConfig config;
+    config.warmup_slots = 0;
+    config.measure_slots = kScalePhaseSlots;
+    config.seed = 1;
+    config.latency_mode = otis::sim::LatencyMode::kSketch;
+    config.phase_breakdown = &bd;
+    otis::sim::OpsNetworkSim sim(
+        big.stack(), routes,
+        std::make_unique<otis::sim::UniformTraffic>(big.processor_count(),
+                                                    kScalePhaseLoad),
+        config);
+    sim.run();
+  }
+  const double scale =
+      bd.slots > 0 ? 1e9 / static_cast<double>(bd.slots) : 0.0;
+  return PhaseRow{"SK(10,10,3)", "compressed", kScalePhaseLoad, bd.slots,
+                  bd.generate_seconds * scale, bd.arbitrate_seconds * scale,
+                  bd.receive_seconds * scale};
+}
+
+/// The machine a BENCH file was measured on: hardware threads, CPU
+/// model and compiler. compare_bench.py compares wall-clock and memory
+/// rows only between files from the same host.
+void write_host_block(std::ostream& out) {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  std::string model = "unknown";
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0 &&
+        line.find(':') != std::string::npos) {
+      model = line.substr(line.find(':') + 1);
+      model.erase(0, model.find_first_not_of(' '));
+      break;
+    }
+  }
+  std::erase_if(model, [](char ch) { return ch == '"' || ch == '\\'; });
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  out << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"cpu_model\": \"" << model << "\", \"compiler\": \""
+      << compiler << "\"},\n";
+}
+
 /// The phase_breakdown and hot_functions JSON sections, shared between
 /// BENCH_sim.json and the standalone --phases-out artifact.
 void write_phase_sections(std::ostream& out,
@@ -753,6 +824,8 @@ void write_phase_sections(std::ostream& out,
     const PhaseRow& p = phases[i];
     out << "    {\"topology\": \"" << p.topology
         << "\", \"engine\": \"phased\", \"arbitration\": \"token\", "
+        << "\"routes\": \"" << p.routes << "\", \"load\": "
+        << otis::core::format_double(p.load, 2) << ", "
         << "\"slots\": " << p.slots << ", \"generate_ns_per_slot\": "
         << otis::core::format_double(p.generate_ns, 1)
         << ", \"arbitrate_ns_per_slot\": "
@@ -809,8 +882,9 @@ void write_bench_json(const std::string& path,
                       const PairedSpeedup& sk_speedup, bool pass) {
   std::ofstream out(path);
   out << "{\n"
-      << "  \"benchmark\": \"ops_network_slot_engine\",\n"
-      << "  \"slots_per_run\": " << kSimSlots << ",\n"
+      << "  \"benchmark\": \"ops_network_slot_engine\",\n";
+  write_host_block(out);
+  out << "  \"slots_per_run\": " << kSimSlots << ",\n"
       << "  \"uniform_load\": " << kSimLoad << ",\n"
       << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -1221,11 +1295,12 @@ int main(int argc, char** argv) {
     // so seconds / slots is already the per-slot mean.
     const double scale =
         bd.slots > 0 ? 1e9 / static_cast<double>(bd.slots) : 0.0;
-    phases.push_back(PhaseRow{c.topology, bd.slots,
+    phases.push_back(PhaseRow{c.topology, "dense", kSimLoad, bd.slots,
                               bd.generate_seconds * scale,
                               bd.arbitrate_seconds * scale,
                               bd.receive_seconds * scale});
   }
+  phases.push_back(scale_phase_row());
   if (args.has("phase-breakdown")) {
     std::cout << "\n[phases] phased/token slot-loop breakdown, ns/slot "
                  "(mean over " << kReps << " reps)\n\n";

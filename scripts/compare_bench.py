@@ -8,9 +8,17 @@ slots/sec ratio current/previous. Rows slower than the threshold emit a
 GitHub Actions ::warning:: annotation, as do route-table byte growth,
 event-queue rate slowdowns (hold and flood models), collective-makespan
 growth, per-phase ns/slot growth from the phase_breakdown section, and
-serial route-compile ns/pair growth from the route_compile section. Cross-run
-wall-clock comparisons stay warnings (shared CI runners are noisy; the
-trajectory is informative).
+serial route-compile ns/pair growth from the route_compile section, and
+peak-RSS growth of the memory cell. Cross-run wall-clock comparisons
+stay warnings (shared CI runners are noisy; the trajectory is
+informative).
+
+Wall-clock and memory rows are compared only when both files carry the
+same host block (hardware threads, CPU model, compiler); a file without
+one counts as an unknown host. Otherwise one warning names both hosts
+and those rows are skipped -- a host change is not a regression. The
+deterministic rows (route-table bytes, collective makespans) are
+compared whatever the host.
 
 The acceptance section of the CURRENT file IS enforced: if
 micro_benchmarks recorded pass=false (phased >= 6x event-queue),
@@ -41,6 +49,15 @@ import sys
 def load_doc(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def host_label(doc):
+    """The file's host as one string, or None when it records none."""
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        return None
+    return (f"{host.get('cpu_model', '?')}, {host.get('nproc', '?')} "
+            f"threads, {host.get('compiler', '?')}")
 
 
 def results_by_key(doc):
@@ -218,12 +235,24 @@ def main():
               "nothing to compare -- first run on this branch?")
         return enforce_acceptance(current_doc)
 
+    # Wall-clock and memory rows only mean something between runs on one
+    # machine: from another (or an unknown) host, compare against an
+    # empty previous document so those sections find nothing to pair.
+    prev_host, cur_host = host_label(previous_doc), host_label(current_doc)
+    same_host = prev_host is not None and prev_host == cur_host
+    timed_doc = previous_doc if same_host else {}
+    if not same_host:
+        print(f"::warning title=Different hosts::previous run on "
+              f"{prev_host or 'an unknown host'}, current run on "
+              f"{cur_host or 'an unknown host'}; wall-clock and memory "
+              f"rows not compared")
+
     header = f"{'topology':<12} {'arb':<7} {'engine':<12} " \
              f"{'prev slots/s':>13} {'cur slots/s':>13} {'ratio':>7}"
     print(header)
     print("-" * len(header))
     regressions = []
-    for key in sorted(current):
+    for key in sorted(current) if same_host else []:
         cur = current[key]
         prev = previous.get(key)
         if prev is None or not prev.get("slots_per_sec"):
@@ -269,7 +298,7 @@ def main():
     cur_queues = {queue_key(q): q
                   for q in current_doc.get("event_queues", [])}
     prev_queues = {queue_key(q): q
-                   for q in previous_doc.get("event_queues", [])}
+                   for q in timed_doc.get("event_queues", [])}
     for key in sorted(cur_queues, key=str):
         cur_rate = cur_queues[key].get("events_per_sec")
         prev_rate = prev_queues.get(key, {}).get("events_per_sec")
@@ -316,7 +345,7 @@ def main():
     # pre-observability baselines.
     telemetry_regressions = []
     cur_tel = {t["mode"]: t for t in current_doc.get("telemetry", [])}
-    prev_tel = {t["mode"]: t for t in previous_doc.get("telemetry", [])}
+    prev_tel = {t["mode"]: t for t in timed_doc.get("telemetry", [])}
     for mode in sorted(cur_tel):
         cur_rate = cur_tel[mode].get("slots_per_sec")
         prev_rate = prev_tel.get(mode, {}).get("slots_per_sec")
@@ -339,7 +368,7 @@ def main():
     # channel baselines.
     runtime_regressions = []
     cur_rt = {r["mode"]: r for r in current_doc.get("runtime_stats", [])}
-    prev_rt = {r["mode"]: r for r in previous_doc.get("runtime_stats", [])}
+    prev_rt = {r["mode"]: r for r in timed_doc.get("runtime_stats", [])}
     for mode in sorted(cur_rt):
         cur_rate = cur_rt[mode].get("slots_per_sec")
         prev_rate = prev_rt.get(mode, {}).get("slots_per_sec")
@@ -361,7 +390,7 @@ def main():
     # Absent in pre-parallel-async baselines.
     async_regressions = []
     cur_async = current_doc.get("async_parallel", {})
-    prev_async = previous_doc.get("async_parallel", {})
+    prev_async = timed_doc.get("async_parallel", {})
     cur_scaling = cur_async.get("speedup_best")
     prev_scaling = prev_async.get("speedup_best")
     if cur_scaling and prev_scaling \
@@ -388,7 +417,7 @@ def main():
     cur_phases = {p["topology"]: p
                   for p in current_doc.get("phase_breakdown", [])}
     prev_phases = {p["topology"]: p
-                   for p in previous_doc.get("phase_breakdown", [])}
+                   for p in timed_doc.get("phase_breakdown", [])}
     for topology in sorted(cur_phases):
         if topology not in prev_phases:
             continue
@@ -416,7 +445,7 @@ def main():
     cur_compile = {(r["topology"], r["routes"]): r for r in
                    current_doc.get("route_compile", {}).get("serial", [])}
     prev_compile = {(r["topology"], r["routes"]): r for r in
-                    previous_doc.get("route_compile", {}).get("serial", [])}
+                    timed_doc.get("route_compile", {}).get("serial", [])}
     for key in sorted(cur_compile):
         cur_ns = cur_compile[key].get("ns_per_pair")
         prev_ns = prev_compile.get(key, {}).get("ns_per_pair")
@@ -432,10 +461,28 @@ def main():
               f"{routes} serial compile at {ratio:.2f}x the previous run's "
               f"ns/pair (threshold {1.0 + args.threshold:.2f}x)")
 
+    # Memory-cell dimension: the sketch-mode scale-up cell's peak-RSS
+    # growth in KiB. Allocator and kernel behaviour vary by host, so it
+    # is compared only between files from the same host, and growth
+    # beyond the threshold warns (the enforced budget is memory_pass).
+    rss_regressions = []
+    cur_kib = current_doc.get("memory", {}).get("cell_kib")
+    prev_kib = timed_doc.get("memory", {}).get("cell_kib")
+    if cur_kib and prev_kib:
+        ratio = cur_kib / prev_kib
+        print(f"memory cell {prev_kib:>9} -> {cur_kib:>9} KiB {ratio:>7.2f}")
+        if ratio > 1.0 + args.threshold:
+            rss_regressions.append(ratio)
+    for ratio in rss_regressions:
+        print(f"::warning title=Memory regression::the sketch-mode scale-up "
+              f"cell's peak RSS growth at {ratio:.2f}x the previous run's "
+              f"(threshold {1.0 + args.threshold:.2f}x)")
+
     if not regressions and not memory_regressions and not queue_regressions \
             and not makespan_regressions and not telemetry_regressions \
             and not runtime_regressions and not async_regressions \
-            and not phase_regressions and not compile_regressions:
+            and not phase_regressions and not compile_regressions \
+            and not rss_regressions:
         print(f"\nno regression beyond {args.threshold:.0%} threshold")
 
     # The enforced bars: micro_benchmarks already measured these on

@@ -20,6 +20,16 @@
 
 namespace otis::core {
 
+/// FNV-1a (64-bit) over `n` bytes: the checkpoint blob checksum.
+[[nodiscard]] inline std::uint64_t fnv1a64(const std::uint8_t* data,
+                                           std::size_t n) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h = (h ^ data[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
 /// Append-only little-endian byte buffer.
 class BlobWriter {
  public:
@@ -110,6 +120,10 @@ class BlobReader {
   }
 
   [[nodiscard]] bool at_end() const noexcept { return pos_ == size_; }
+  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return size_ - pos_;
+  }
 
  private:
   const std::uint8_t* data_;

@@ -105,6 +105,13 @@ class CompiledRoutes {
                        static_cast<std::size_t>(dest));
   }
 
+  /// Hints the cache toward the next_slot entry of (node, dest): the
+  /// enqueue loops issue it a few packets ahead of the lookup.
+  void prefetch_next(hypergraph::Node node,
+                     hypergraph::Node dest) const noexcept {
+    __builtin_prefetch(next_slot_.data() + index(node, dest));
+  }
+
   /// Bytes held by the baked tables (the O(N^2 + H*N) footprint).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return (next_coupler_.size() + next_slot_.size() + relay_.size()) *

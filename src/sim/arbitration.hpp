@@ -24,14 +24,19 @@
 ///    position order, exactly as the list walk did.
 /// Every policy therefore consumes the same RNG draws in the same order
 /// as the seed and elects the same winners in the same order.
+///
+/// pick_then_pop runs every engine's arbitration a summary word at a
+/// time, so the queue misses of up to 64 couplers overlap.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "sim/occupancy.hpp"
 #include "sim/ops_network.hpp"
 
 namespace otis::sim::detail {
@@ -207,6 +212,95 @@ inline bool pick_winners(Arbitration policy, std::size_t capacity,
     }
   }
   return false;
+}
+
+/// How many picks ahead pick_then_pop prefetches a winner's head entry
+/// (its queue header was prefetched when the winner was picked).
+constexpr std::size_t kPopPrefetchAhead = 4;
+
+/// One winner of a pick batch: the coupler, the winning VOQ and the
+/// winner's rank among the coupler's winners (transmission order).
+struct Pick {
+  std::size_t coupler;
+  std::size_t qi;
+  std::size_t rank;
+};
+
+/// Scratch of pick_then_pop, hoisted per run (or per shard).
+struct PickScratch {
+  std::vector<std::size_t> winners, contenders;
+  std::vector<Pick> picks;
+};
+
+/// Arbitrates the couplers base + b for every set bit b of `word`.
+/// Pick: in ascending coupler order, elect each coupler's winners from
+/// `request_of(h)` -- its request words, or nullptr when no head may
+/// contend -- with `token[h]` and the stream `rng_of(h)`, prefetching
+/// each winner's queue header. Pop: walk the picks in the same coupler
+/// and winner order, prefetching the head entry kPopPrefetchAhead picks
+/// ahead, and call transmit(pick). The hints are issued only when
+/// voq.prefetching(); the order is the same either way. A coupler's
+/// picks read only its own request words and transmits draw no RNG, so
+/// draws, winners and every order downstream of transmit equal a
+/// coupler-by-coupler loop's. Returns the slotted-aloha collisions.
+template <class Arena, class RequestOf, class RngOf, class Transmit>
+std::int64_t pick_then_pop(std::uint64_t word, std::size_t base,
+                           const FeedIndex& fi, const Arena& voq,
+                           Arbitration policy, std::size_t capacity,
+                           std::vector<std::int64_t>& token, PickScratch& s,
+                           RequestOf&& request_of, RngOf&& rng_of,
+                           Transmit&& transmit) {
+  const bool single_token =
+      policy == Arbitration::kTokenRoundRobin && capacity == 1;
+  // Instantiated with and without the hints and chosen once per call: a
+  // flag tested at each hint slowed in-cache runs ~10%.
+  const auto run = [&](auto warm) {
+    constexpr bool kWarm = decltype(warm)::value;
+    std::int64_t collisions = 0;
+    s.picks.clear();
+    while (word != 0) {
+      const std::size_t h =
+          base + static_cast<std::size_t>(std::countr_zero(word));
+      word &= word - 1;
+      const std::uint64_t* request = request_of(h);
+      if (request == nullptr) {
+        continue;
+      }
+      const std::size_t fb = static_cast<std::size_t>(fi.feed_base[h]);
+      const std::size_t source_count =
+          static_cast<std::size_t>(fi.feed_base[h + 1]) - fb;
+      const std::size_t words =
+          static_cast<std::size_t>(fi.mask_base[h + 1] - fi.mask_base[h]);
+      const auto pick = [&](std::size_t si, std::size_t rank) {
+        const std::size_t qi = static_cast<std::size_t>(fi.feed_qi[fb + si]);
+        if constexpr (kWarm) {
+          voq.prefetch(qi);
+        }
+        s.picks.push_back(Pick{h, qi, rank});
+      };
+      if (single_token) {
+        pick(pick_single_token(source_count, request, words, token[h]), 0);
+        continue;
+      }
+      if (pick_winners(policy, capacity, source_count, request, words,
+                       token[h], rng_of(h), s.winners, s.contenders)) {
+        ++collisions;
+      }
+      for (std::size_t rank = 0; rank < s.winners.size(); ++rank) {
+        pick(s.winners[rank], rank);
+      }
+    }
+    for (std::size_t p = 0; p < s.picks.size(); ++p) {
+      if constexpr (kWarm) {
+        if (p + kPopPrefetchAhead < s.picks.size()) {
+          voq.prefetch_front(s.picks[p + kPopPrefetchAhead].qi);
+        }
+      }
+      transmit(s.picks[p]);
+    }
+    return collisions;
+  };
+  return voq.prefetching() ? run(std::true_type{}) : run(std::false_type{});
 }
 
 }  // namespace otis::sim::detail

@@ -32,14 +32,93 @@ std::int64_t latency_slots(SimTime delivered_tick, SimTime created_tick) {
   return (delivered_tick - created_tick + kTicksPerSlot - 1) / kTicksPerSlot;
 }
 
-/// Widest request mask of any coupler, in words (per-shard scratch size).
-std::size_t max_mask_words(const detail::FeedIndex& fi) {
-  std::size_t widest = 1;
-  for (std::size_t h = 0; h < fi.coupler_count(); ++h) {
-    widest = std::max(widest, static_cast<std::size_t>(fi.mask_base[h + 1] -
-                                                       fi.mask_base[h]));
+/// Coupler h's request words at slot boundary `slot_tick`: its
+/// occupancy words when every gate is open; otherwise, written into
+/// `eligible`, only the heads whose own tuning finished AND whose
+/// transmitter re-tuned since the queue's previous transmission, both
+/// `guard` ticks before the boundary. nullptr when no head qualifies.
+const std::uint64_t* gated_request(const detail::FeedIndex& fi,
+                                   const detail::OccupancyMasks& masks,
+                                   const TimedVoqArena& voq,
+                                   const std::vector<SimTime>& retune,
+                                   SimTime guard, bool open,
+                                   std::vector<std::uint64_t>& eligible,
+                                   std::size_t h, SimTime slot_tick) {
+  const std::uint64_t* request = masks.words_of(fi, h);
+  if (open) {
+    return request;
   }
-  return widest;
+  const std::size_t fb = static_cast<std::size_t>(fi.feed_base[h]);
+  const std::size_t mb = static_cast<std::size_t>(fi.mask_base[h]);
+  const std::size_t words =
+      static_cast<std::size_t>(fi.mask_base[h + 1]) - mb;
+  std::uint64_t any = 0;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    std::uint64_t bits = request[wi];
+    std::uint64_t elig = 0;
+    while (bits != 0) {
+      const std::size_t si =
+          (wi << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+      const std::uint64_t bit = bits & (~bits + 1);
+      bits &= bits - 1;
+      const std::size_t qi = static_cast<std::size_t>(fi.feed_qi[fb + si]);
+      if (std::max(voq.front_ready(qi), retune[qi]) + guard <= slot_tick) {
+        elig |= bit;
+      }
+    }
+    eligible[mb + wi] = elig;
+    any |= elig;
+  }
+  return any == 0 ? nullptr : eligible.data() + mb;
+}
+
+/// Coupler h's request words rebuilt from its feed queues into
+/// `request` (the sharded loops keep no occupancy masks): occupied
+/// heads that pass the gate of gated_request. nullptr when none does.
+const std::uint64_t* rebuilt_request(const detail::FeedIndex& fi,
+                                     const TimedVoqArena& voq,
+                                     const std::vector<SimTime>& retune,
+                                     SimTime guard, bool open,
+                                     std::vector<std::uint64_t>& request,
+                                     std::size_t h, SimTime slot_tick) {
+  const std::size_t fb = static_cast<std::size_t>(fi.feed_base[h]);
+  const std::size_t source_count =
+      static_cast<std::size_t>(fi.feed_base[h + 1]) - fb;
+  const std::size_t words = (source_count + 63) / 64;
+  request.assign(words, 0);
+  std::uint64_t any = 0;
+  for (std::size_t si = 0; si < source_count; ++si) {
+    const std::size_t qi = static_cast<std::size_t>(fi.feed_qi[fb + si]);
+    if (voq.empty(qi) ||
+        (!open &&
+         std::max(voq.front_ready(qi), retune[qi]) + guard > slot_tick)) {
+      continue;
+    }
+    request[si >> 6] |= std::uint64_t{1} << (si & 63);
+    any = 1;
+  }
+  return any == 0 ? nullptr : request.data();
+}
+
+/// Calls fn(word, base) for the summary words of a shard's couplers:
+/// `couplers` is one ascending id range (detail::plan_shards).
+template <class Fn>
+void for_each_coupler_word(
+    const std::vector<hypergraph::HyperarcId>& couplers, Fn&& fn) {
+  for (std::size_t c = 0; c < couplers.size(); c += 64) {
+    const std::size_t n = std::min<std::size_t>(64, couplers.size() - c);
+    fn(n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1,
+       static_cast<std::size_t>(couplers[c]));
+  }
+}
+
+/// Throws core::Error unless a restored in-flight arrival names a node
+/// and coupler of a network of `nodes` and `couplers`.
+void require_in_network(const VoqEntry& entry, hypergraph::HyperarcId coupler,
+                        std::int64_t nodes, std::int64_t couplers) {
+  OTIS_REQUIRE(entry.destination >= 0 && entry.destination < nodes &&
+                   entry.hops >= 0 && coupler >= 0 && coupler < couplers,
+               "checkpoint: in-flight arrival outside the network");
 }
 
 }  // namespace
@@ -60,6 +139,9 @@ AsyncEngineT<Routes>::AsyncEngineT(const hypergraph::StackGraph& network,
   couplers_ = hg.hyperarc_count();
   OTIS_REQUIRE(timing_.coupler_count() == couplers_,
                "AsyncEngine: timing model sized for another network");
+  OTIS_REQUIRE(nodes_ <= kMaxPackedNodes,
+               "AsyncEngine: node ids must fit in 31 bits (at most 2^31 "
+               "nodes): the timed VOQ entry packs destinations as int32");
   voq_base_.resize(static_cast<std::size_t>(nodes_) + 1);
   voq_base_[0] = 0;
   for (hypergraph::Node v = 0; v < nodes_; ++v) {
@@ -141,14 +223,11 @@ RunMetrics AsyncEngineT<Routes>::run(
   CalendarQueue<Arrival> propagations;
 
   // Hoisted scratch, as in the phased engine.
-  std::vector<std::size_t> winners;
-  std::vector<std::size_t> scratch;
+  detail::PickScratch picks;
   std::vector<std::uint64_t> eligible(
       open ? 0 : static_cast<std::size_t>(feed_.mask_base.back()), 0);
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
   const std::int64_t queue_cap = config_.queue_capacity;
-  const Arbitration policy = config_.arbitration;
 
   // Telemetry (see phased run_serial): one pointer test per slot when
   // detached, state reads only at sampling boundaries. The async
@@ -170,16 +249,14 @@ RunMetrics AsyncEngineT<Routes>::run(
     detail::observe_occupancy(reg, hist, feed_, voq, 0, couplers_);
   };
 
-  /// Queues `entry` at `at`; `tick` is when it landed there (its
-  /// transmitter is tuned `tuning` ticks later). Mirrors the phased
-  /// engine's enqueue, including drop accounting. On the gates-open
-  /// fast path ready is never read, so the next-coupler lookup that
-  /// only feeds the tuning latency is skipped.
-  const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
-                           SimTime tick, bool measuring) {
-    const std::int32_t slot = routes_.next_slot(at, entry.destination);
-    const std::size_t qi = static_cast<std::size_t>(
-        voq_base_[static_cast<std::size_t>(at)] + slot);
+  /// Queues `entry` on VOQ `qi` of node `at`; `tick` is when it landed
+  /// there (its transmitter is tuned `tuning` ticks later). Mirrors the
+  /// phased engine's enqueue, including drop accounting. On the
+  /// gates-open fast path ready is never read, so the next-coupler
+  /// lookup that only feeds the tuning latency is skipped.
+  const auto enqueue = [&](std::size_t qi, const VoqEntry& entry,
+                           hypergraph::Node at, SimTime tick,
+                           bool measuring) {
     const std::size_t size = voq.size(qi);
     if (queue_cap > 0 && static_cast<std::int64_t>(size) >= queue_cap) {
       if (measuring) {
@@ -213,7 +290,9 @@ RunMetrics AsyncEngineT<Routes>::run(
       }
       --inflight;
     } else {
-      enqueue(arrival.entry, relay, tick, arrival.measuring);
+      enqueue(detail::queue_of(routes_, voq_base_, relay,
+                               arrival.entry.destination),
+              arrival.entry, relay, tick, arrival.measuring);
     }
   };
 
@@ -269,7 +348,7 @@ RunMetrics AsyncEngineT<Routes>::run(
       retune_ = in.get_i64_vec();
       checkpoint_get_metrics(in, metrics);
       coupler_success = in.get_i64_vec();
-      checkpoint_get_voq(in, voq);
+      checkpoint_get_voq(in, voq, nodes_);
       const std::uint64_t pending = in.get_u64();
       for (std::uint64_t i = 0; i < pending; ++i) {
         const SimTime time = in.get_i64();
@@ -281,6 +360,7 @@ RunMetrics AsyncEngineT<Routes>::run(
         arrival.entry.hops = static_cast<std::int32_t>(in.get_i64());
         arrival.coupler = static_cast<hypergraph::HyperarcId>(in.get_u64());
         arrival.measuring = in.get_u8() != 0;
+        require_in_network(arrival.entry, arrival.coupler, nodes_, couplers_);
         propagations.push_keyed(time, seq, std::move(arrival));
       }
       propagations.set_next_seq(in.get_u64());
@@ -326,97 +406,62 @@ RunMetrics AsyncEngineT<Routes>::run(
         metrics.offered_packets += static_cast<std::int64_t>(sender_count);
       }
       inflight += static_cast<std::int64_t>(sender_count);
-      for (std::size_t i = 0; i < sender_count; ++i) {
-        const SenderDemand d = senders[i];
-        if (config_.recorder != nullptr) {
-          config_.recorder->record(now, d.source, d.destination);
-        }
-        enqueue(VoqEntry{next_packet_id++, d.destination, slot_tick, 0},
-                d.source, slot_tick, measuring);
-      }
+      detail::staged_enqueue(
+          routes_, voq_base_, voq, sender_count,
+          [&](std::size_t i) {
+            return std::pair{senders[i].source, senders[i].destination};
+          },
+          [&](std::size_t i, std::size_t qi) {
+            const SenderDemand d = senders[i];
+            if (config_.recorder != nullptr) {
+              config_.recorder->record(now, d.source, d.destination);
+            }
+            enqueue(qi,
+                    VoqEntry{next_packet_id++, d.destination, slot_tick, 0},
+                    d.source, slot_tick, measuring);
+          });
     }
 
     // Arbitrate: winner selection over the occupied couplers,
     // restricted to head packets whose transmitter tuned in time (the
     // gates-open fast path arbitrates the occupancy words directly).
     for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
-      std::uint64_t aword = masks.active[aw];
-      while (aword != 0) {
-        const std::size_t h =
-            (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
-        aword &= aword - 1;
-        const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
-        const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
-        const std::size_t words =
-            static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
-        const std::uint64_t* request = masks.request.data() + mb;
-        if (!open) {
-          // Head eligible iff its own tuning finished AND the
-          // transmitter re-tuned since the queue's previous
-          // transmission, both guard ticks before the boundary.
-          std::uint64_t any = 0;
-          for (std::size_t wi = 0; wi < words; ++wi) {
-            std::uint64_t bits = request[wi];
-            std::uint64_t elig = 0;
-            while (bits != 0) {
-              const std::size_t si =
-                  (wi << 6) +
-                  static_cast<std::size_t>(std::countr_zero(bits));
-              const std::uint64_t bit = bits & (~bits + 1);
-              bits &= bits - 1;
-              const std::size_t qi =
-                  static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-              const SimTime gate =
-                  std::max(voq.front_ready(qi), retune_[qi]);
-              if (gate + guard <= slot_tick) {
-                elig |= bit;
-              }
+      const std::int64_t collisions = detail::pick_then_pop(
+          masks.active[aw], aw << 6, feed_, voq, config_.arbitration,
+          static_cast<std::size_t>(config_.wavelengths), token_, picks,
+          [&](std::size_t h) {
+            return gated_request(feed_, masks, voq, retune_, guard, open,
+                                 eligible, h, slot_tick);
+          },
+          [&](std::size_t) -> core::Rng& { return rng; },
+          [&](const detail::Pick& pick) {
+            const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
+            TimedVoqEntry entry = voq.pop_front(pick.qi);
+            if (voq.empty(pick.qi)) {
+              masks.mark_empty(feed_, pick.qi);
             }
-            eligible[mb + wi] = elig;
-            any |= elig;
-          }
-          if (any == 0) {
-            continue;
-          }
-          request = eligible.data() + mb;
-        }
-        const bool collided =
-            detail::pick_winners(policy, capacity, source_count, request,
-                                 words, token_[h], rng, winners, scratch);
-        if (collided && measuring) {
-          ++metrics.collisions;
-        }
-        for (std::size_t si : winners) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          TimedVoqEntry entry = voq.pop_front(qi);
-          if (voq.empty(qi)) {
-            masks.mark_empty(feed_, qi);
-          }
-          if (!open) {
-            // Transmitter dead time: busy through this slot, re-tunes
-            // after. (With gates open the re-tune lands exactly on the
-            // next boundary and can never block, so it is not tracked.)
-            retune_[qi] = slot_tick + kTicksPerSlot +
-                          timing_.tuning(
-                              static_cast<hypergraph::HyperarcId>(h));
-          }
-          ++entry.hops;
-          if (measuring) {
-            ++metrics.coupler_transmissions;
-            ++coupler_success[h];
-          }
-          // Propagate: the transmission occupies slot `now` and lands
-          // prop(h) ticks after the next boundary.
-          propagations.push(
-              slot_tick + kTicksPerSlot +
-                  timing_.propagation(static_cast<hypergraph::HyperarcId>(h)),
-              Arrival{VoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops},
-                      static_cast<hypergraph::HyperarcId>(h), measuring});
-        }
+            if (!open) {
+              // Transmitter dead time: busy through this slot, re-tunes
+              // after. (With gates open the re-tune lands exactly on the
+              // next boundary and can never block, so it is not tracked.)
+              retune_[pick.qi] =
+                  slot_tick + kTicksPerSlot + timing_.tuning(h);
+            }
+            ++entry.hops;
+            if (measuring) {
+              ++metrics.coupler_transmissions;
+              ++coupler_success[pick.coupler];
+            }
+            // Propagate: the transmission occupies slot `now` and lands
+            // prop(h) ticks after the next boundary.
+            propagations.push(
+                slot_tick + kTicksPerSlot + timing_.propagation(h),
+                Arrival{VoqEntry{entry.id, entry.destination, entry.created,
+                                 entry.hops},
+                        h, measuring});
+          });
+      if (measuring) {
+        metrics.collisions += collisions;
       }
     }
 
@@ -490,14 +535,11 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
   };
   CalendarQueue<Arrival> propagations;
 
-  std::vector<std::size_t> winners;
-  std::vector<std::size_t> scratch;
+  detail::PickScratch picks;
   std::vector<std::uint64_t> eligible(
       open ? 0 : static_cast<std::size_t>(feed_.mask_base.back()), 0);
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
   std::vector<workload::WorkloadPacket> inject;
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const Arbitration policy = config_.arbitration;
   if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
     metrics.latency.use_sketch();
   }
@@ -606,74 +648,33 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
 
     // Arbitrate over eligibility-gated heads, per-coupler streams.
     for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
-      std::uint64_t aword = masks.active[aw];
-      while (aword != 0) {
-        const std::size_t h =
-            (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
-        aword &= aword - 1;
-        const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
-        const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
-        const std::size_t words =
-            static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
-        const std::uint64_t* request = masks.request.data() + mb;
-        if (!open) {
-          std::uint64_t any = 0;
-          for (std::size_t wi = 0; wi < words; ++wi) {
-            std::uint64_t bits = request[wi];
-            std::uint64_t elig = 0;
-            while (bits != 0) {
-              const std::size_t si =
-                  (wi << 6) +
-                  static_cast<std::size_t>(std::countr_zero(bits));
-              const std::uint64_t bit = bits & (~bits + 1);
-              bits &= bits - 1;
-              const std::size_t qi =
-                  static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-              const SimTime gate =
-                  std::max(voq.front_ready(qi), retune_[qi]);
-              if (gate + guard <= slot_tick) {
-                elig |= bit;
-              }
+      metrics.collisions += detail::pick_then_pop(
+          masks.active[aw], aw << 6, feed_, voq, config_.arbitration,
+          static_cast<std::size_t>(config_.wavelengths), token_, picks,
+          [&](std::size_t h) {
+            return gated_request(feed_, masks, voq, retune_, guard, open,
+                                 eligible, h, slot_tick);
+          },
+          [&](std::size_t h) -> core::Rng& { return arb_rng[h]; },
+          [&](const detail::Pick& pick) {
+            const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
+            TimedVoqEntry entry = voq.pop_front(pick.qi);
+            if (voq.empty(pick.qi)) {
+              masks.mark_empty(feed_, pick.qi);
             }
-            eligible[mb + wi] = elig;
-            any |= elig;
-          }
-          if (any == 0) {
-            continue;
-          }
-          request = eligible.data() + mb;
-        }
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, request, words, token_[h],
-            arb_rng[h], winners, scratch);
-        if (collided) {
-          ++metrics.collisions;
-        }
-        for (std::size_t si : winners) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          TimedVoqEntry entry = voq.pop_front(qi);
-          if (voq.empty(qi)) {
-            masks.mark_empty(feed_, qi);
-          }
-          if (!open) {
-            retune_[qi] = slot_tick + kTicksPerSlot +
-                          timing_.tuning(
-                              static_cast<hypergraph::HyperarcId>(h));
-          }
-          ++entry.hops;
-          ++metrics.coupler_transmissions;
-          ++coupler_success[h];
-          propagations.push(
-              slot_tick + kTicksPerSlot +
-                  timing_.propagation(static_cast<hypergraph::HyperarcId>(h)),
-              Arrival{VoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops},
-                      static_cast<hypergraph::HyperarcId>(h)});
-        }
-      }
+            if (!open) {
+              retune_[pick.qi] =
+                  slot_tick + kTicksPerSlot + timing_.tuning(h);
+            }
+            ++entry.hops;
+            ++metrics.coupler_transmissions;
+            ++coupler_success[pick.coupler];
+            propagations.push(
+                slot_tick + kTicksPerSlot + timing_.propagation(h),
+                Arrival{VoqEntry{entry.id, entry.destination, entry.created,
+                                 entry.hops},
+                        h});
+          });
     }
 
     if (tel != nullptr) {
@@ -760,19 +761,17 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     LatencyStats latency;
     CalendarQueue<Arrival> calendar;
     std::vector<std::vector<Mail>> outbox;  ///< per consumer shard
-    std::vector<std::size_t> winners, scratch;
+    detail::PickScratch picks;
     std::vector<std::uint64_t> request;
     /// Telemetry snapshots per window slot (cumulative deltas).
     std::vector<std::int64_t> backlog_snap, events_snap;
   };
   std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  const std::size_t req_words = max_mask_words(feed_);
   for (int w = 0; w < threads; ++w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
     shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
     shard.outbox.resize(static_cast<std::size_t>(threads));
-    shard.request.assign(req_words, 0);
     shard.backlog_snap.assign(static_cast<std::size_t>(lookahead), 0);
     shard.events_snap.assign(static_cast<std::size_t>(lookahead), 0);
     if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
@@ -932,7 +931,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       s0.collisions = in.get_i64();
       s0.latency.deserialize(in);
       coupler_success = in.get_i64_vec();
-      checkpoint_get_voq(in, voq);
+      checkpoint_get_voq(in, voq, nodes_);
       const std::uint64_t events = in.get_u64();
       for (std::uint64_t i = 0; i < events; ++i) {
         const SimTime time = in.get_i64();
@@ -944,6 +943,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
         arrival.entry.hops = static_cast<std::int32_t>(in.get_i64());
         arrival.coupler = static_cast<hypergraph::HyperarcId>(in.get_u64());
         arrival.measuring = in.get_u8() != 0;
+        require_in_network(arrival.entry, arrival.coupler, nodes_, couplers_);
         const hypergraph::Node relay =
             routes_.relay(arrival.coupler, arrival.entry.destination);
         const std::size_t owner =
@@ -1041,14 +1041,12 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   std::barrier<decltype(on_window_end)> window_barrier(threads,
                                                        on_window_end);
 
-  /// Queues `entry` at node `at` of `shard` (feed-local: `at` is owned
-  /// by `shard`). Mirrors the serial enqueue, with shard-local counters.
-  const auto enqueue = [&](Shard& shard, const VoqEntry& entry,
+  /// Queues `entry` on VOQ `qi` of node `at` of `shard` (feed-local:
+  /// `at` is owned by `shard`). Mirrors the serial enqueue, with
+  /// shard-local counters.
+  const auto enqueue = [&](Shard& shard, std::size_t qi, const VoqEntry& entry,
                            hypergraph::Node at, SimTime tick,
                            bool measuring) {
-    const std::int32_t slot = routes_.next_slot(at, entry.destination);
-    const std::size_t qi = static_cast<std::size_t>(
-        voq_base_[static_cast<std::size_t>(at)] + slot);
     if (queue_cap > 0 &&
         static_cast<std::int64_t>(voq.size(qi)) >= queue_cap) {
       if (measuring) {
@@ -1079,7 +1077,51 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       }
       --shard.inflight_delta;
     } else {
-      enqueue(shard, arrival.entry, relay, tick, arrival.measuring);
+      enqueue(shard,
+              detail::queue_of(routes_, voq_base_, relay,
+                               arrival.entry.destination),
+              arrival.entry, relay, tick, arrival.measuring);
+    }
+  };
+
+  /// Transmits `pick` in slot `s` from shard w. The global transmission
+  /// order (slot, coupler, winner) is the sequence key: per-queue pop
+  /// order then matches the serial engine's single auto-sequenced
+  /// calendar exactly, whatever shard the event crosses into. Final
+  /// deliveries stay on the transmitter's calendar (only counters are
+  /// touched at the landing).
+  const auto transmit = [&](Shard& shard, int w, const detail::Pick& pick,
+                            SimTime s, bool measuring) {
+    const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
+    const SimTime slot_tick = ticks_from_slots(s);
+    TimedVoqEntry entry = voq.pop_front(pick.qi);
+    if (!open) {
+      retune_[pick.qi] = slot_tick + kTicksPerSlot + timing_.tuning(h);
+    }
+    ++entry.hops;
+    if (measuring) {
+      ++shard.transmissions;
+      ++coupler_success[pick.coupler];
+    }
+    const SimTime at = slot_tick + kTicksPerSlot + timing_.propagation(h);
+    const std::uint64_t seq =
+        (static_cast<std::uint64_t>(s) * static_cast<std::uint64_t>(couplers_) +
+         pick.coupler) *
+            capacity +
+        pick.rank;
+    ++shard.events_delta;
+    const hypergraph::Node relay = routes_.relay(h, entry.destination);
+    const int owner = relay == entry.destination
+                          ? w
+                          : plan.node_owner[static_cast<std::size_t>(relay)];
+    Mail mail{at, seq,
+              Arrival{VoqEntry{entry.id, entry.destination, entry.created,
+                               entry.hops},
+                      h, measuring}};
+    if (owner != w) {
+      shard.outbox[static_cast<std::size_t>(owner)].push_back(std::move(mail));
+    } else {
+      shard.calendar.push_keyed(at, seq, std::move(mail.arrival));
     }
   };
 
@@ -1112,114 +1154,53 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
         }
 
         if (s < horizon) {
+          SenderDemand* const batch = senders.data() + shard.node_begin;
           const std::size_t sender_count =
               traffic_.demand_batch_senders_streams(
-                  shard.node_begin, shard.node_end, gen_rng.data(),
-                  senders.data() + shard.node_begin);
+                  shard.node_begin, shard.node_end, gen_rng.data(), batch);
           if (measuring) {
             shard.offered += static_cast<std::int64_t>(sender_count);
           }
           shard.inflight_delta += static_cast<std::int64_t>(sender_count);
-          for (std::size_t i = 0; i < sender_count; ++i) {
-            const SenderDemand d =
-                senders[static_cast<std::size_t>(shard.node_begin) + i];
-            if (config_.recorder != nullptr) {
-              config_.recorder->record(s, d.source, d.destination);
-            }
-            // Deterministic id without a shared counter (the sharded
-            // phased convention).
-            enqueue(shard,
-                    VoqEntry{s * nodes_ + d.source, d.destination,
-                             slot_tick, 0},
-                    d.source, slot_tick, measuring);
-          }
+          detail::staged_enqueue(
+              routes_, voq_base_, voq, sender_count,
+              [&](std::size_t i) {
+                return std::pair{batch[i].source, batch[i].destination};
+              },
+              [&](std::size_t i, std::size_t qi) {
+                const SenderDemand d = batch[i];
+                if (config_.recorder != nullptr) {
+                  config_.recorder->record(s, d.source, d.destination);
+                }
+                // Deterministic id without a shared counter (the sharded
+                // phased convention).
+                enqueue(shard, qi,
+                        VoqEntry{s * nodes_ + d.source, d.destination,
+                                 slot_tick, 0},
+                        d.source, slot_tick, measuring);
+              });
         }
 
         // Arbitrate the shard's couplers: the request words are rebuilt
         // locally with the eligibility gate applied (occupied AND tuned
         // guard ticks before the boundary) -- feed-locality makes every
         // read shard-private.
-        for (const hypergraph::HyperarcId h : my_couplers) {
-          const std::size_t hs = static_cast<std::size_t>(h);
-          const std::size_t fb =
-              static_cast<std::size_t>(feed_.feed_base[hs]);
-          const std::size_t source_count =
-              static_cast<std::size_t>(feed_.feed_base[hs + 1]) - fb;
-          const std::size_t words = (source_count + 63) / 64;
-          std::uint64_t any = 0;
-          for (std::size_t wi = 0; wi < words; ++wi) {
-            shard.request[wi] = 0;
+        for_each_coupler_word(my_couplers, [&](std::uint64_t word,
+                                               std::size_t base) {
+          const std::int64_t collisions = detail::pick_then_pop(
+              word, base, feed_, voq, policy, capacity, token_, shard.picks,
+              [&](std::size_t h) {
+                return rebuilt_request(feed_, voq, retune_, guard, open,
+                                       shard.request, h, slot_tick);
+              },
+              [&](std::size_t h) -> core::Rng& { return arb_rng[h]; },
+              [&](const detail::Pick& pick) {
+                transmit(shard, w, pick, s, measuring);
+              });
+          if (measuring) {
+            shard.collisions += collisions;
           }
-          for (std::size_t si = 0; si < source_count; ++si) {
-            const std::size_t qi =
-                static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-            if (voq.empty(qi)) {
-              continue;
-            }
-            if (!open) {
-              const SimTime gate =
-                  std::max(voq.front_ready(qi), retune_[qi]);
-              if (gate + guard > slot_tick) {
-                continue;
-              }
-            }
-            shard.request[si >> 6] |= std::uint64_t{1} << (si & 63);
-          }
-          for (std::size_t wi = 0; wi < words; ++wi) {
-            any |= shard.request[wi];
-          }
-          if (any == 0) {
-            continue;
-          }
-          const bool collided = detail::pick_winners(
-              policy, capacity, source_count, shard.request.data(), words,
-              token_[hs], arb_rng[hs], shard.winners, shard.scratch);
-          if (collided && measuring) {
-            ++shard.collisions;
-          }
-          const SimTime at =
-              slot_tick + kTicksPerSlot + timing_.propagation(h);
-          for (std::size_t idx = 0; idx < shard.winners.size(); ++idx) {
-            const std::size_t qi = static_cast<std::size_t>(
-                feed_.feed_qi[fb + shard.winners[idx]]);
-            TimedVoqEntry entry = voq.pop_front(qi);
-            if (!open) {
-              retune_[qi] = slot_tick + kTicksPerSlot + timing_.tuning(h);
-            }
-            ++entry.hops;
-            if (measuring) {
-              ++shard.transmissions;
-              ++coupler_success[hs];
-            }
-            // The global transmission order (slot, coupler, winner) is
-            // the sequence key: per-queue pop order then matches the
-            // serial engine's single auto-sequenced calendar exactly,
-            // whatever shard the event crosses into.
-            const std::uint64_t seq =
-                (static_cast<std::uint64_t>(s) *
-                     static_cast<std::uint64_t>(couplers_) +
-                 static_cast<std::uint64_t>(h)) *
-                    static_cast<std::uint64_t>(capacity) +
-                static_cast<std::uint64_t>(idx);
-            Arrival arrival{VoqEntry{entry.id, entry.destination,
-                                     entry.created, entry.hops},
-                            h, measuring};
-            ++shard.events_delta;
-            const hypergraph::Node relay =
-                routes_.relay(h, entry.destination);
-            if (relay != entry.destination &&
-                plan.node_owner[static_cast<std::size_t>(relay)] != w) {
-              shard
-                  .outbox[static_cast<std::size_t>(
-                      plan.node_owner[static_cast<std::size_t>(relay)])]
-                  .push_back(Mail{at, seq, std::move(arrival)});
-            } else {
-              // Final deliveries stay on the transmitter's calendar
-              // (only counters are touched at the landing).
-              shard.calendar.push_keyed(at, seq, std::move(arrival));
-            }
-          }
-        }
+        });
 
         if (tel != nullptr && tel->due(s)) {
           const std::size_t k = static_cast<std::size_t>(s - win_begin);
@@ -1384,17 +1365,15 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     CalendarQueue<Arrival> calendar;
     std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
     std::vector<std::vector<Mail>> outbox;
-    std::vector<std::size_t> winners, scratch;
+    detail::PickScratch picks;
     std::vector<std::uint64_t> request;
   };
   std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  const std::size_t req_words = max_mask_words(feed_);
   for (int w = 0; w < threads; ++w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
     shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
     shard.outbox.resize(static_cast<std::size_t>(threads));
-    shard.request.assign(req_words, 0);
     if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
       shard.latency.use_sketch();
     }
@@ -1533,6 +1512,41 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     }
   };
 
+  /// Transmits `pick` in slot `now` from shard w, keyed as in the
+  /// open-loop sharded mode.
+  const auto transmit = [&](Shard& shard, int w, const detail::Pick& pick) {
+    const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
+    const SimTime slot_tick = ticks_from_slots(now);
+    TimedVoqEntry entry = voq.pop_front(pick.qi);
+    if (!open) {
+      retune_[pick.qi] = slot_tick + kTicksPerSlot + timing_.tuning(h);
+    }
+    ++entry.hops;
+    ++shard.transmissions;
+    ++coupler_success[pick.coupler];
+    const SimTime at = slot_tick + kTicksPerSlot + timing_.propagation(h);
+    const std::uint64_t seq =
+        (static_cast<std::uint64_t>(now) *
+             static_cast<std::uint64_t>(couplers_) +
+         pick.coupler) *
+            capacity +
+        pick.rank;
+    ++shard.events_delta;
+    const hypergraph::Node relay = routes_.relay(h, entry.destination);
+    const int owner = relay == entry.destination
+                          ? w
+                          : plan.node_owner[static_cast<std::size_t>(relay)];
+    Mail mail{at, seq,
+              Arrival{VoqEntry{entry.id, entry.destination, entry.created,
+                               entry.hops},
+                      h}};
+    if (owner != w) {
+      shard.outbox[static_cast<std::size_t>(owner)].push_back(std::move(mail));
+    } else {
+      shard.calendar.push_keyed(at, seq, std::move(mail.arrival));
+    }
+  };
+
   const auto worker = [&](int w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     const auto& my_couplers = plan.couplers[static_cast<std::size_t>(w)];
@@ -1617,76 +1631,17 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
         }
       }
 
-      for (const hypergraph::HyperarcId h : my_couplers) {
-        const std::size_t hs = static_cast<std::size_t>(h);
-        const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[hs]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(feed_.feed_base[hs + 1]) - fb;
-        const std::size_t words = (source_count + 63) / 64;
-        std::uint64_t any = 0;
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          shard.request[wi] = 0;
-        }
-        for (std::size_t si = 0; si < source_count; ++si) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          if (voq.empty(qi)) {
-            continue;
-          }
-          if (!open) {
-            const SimTime gate = std::max(voq.front_ready(qi), retune_[qi]);
-            if (gate + guard > slot_tick) {
-              continue;
-            }
-          }
-          shard.request[si >> 6] |= std::uint64_t{1} << (si & 63);
-        }
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          any |= shard.request[wi];
-        }
-        if (any == 0) {
-          continue;
-        }
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, shard.request.data(), words,
-            token_[hs], arb_rng[hs], shard.winners, shard.scratch);
-        if (collided) {
-          ++shard.collisions;
-        }
-        const SimTime at = slot_tick + kTicksPerSlot + timing_.propagation(h);
-        for (std::size_t idx = 0; idx < shard.winners.size(); ++idx) {
-          const std::size_t qi = static_cast<std::size_t>(
-              feed_.feed_qi[fb + shard.winners[idx]]);
-          TimedVoqEntry entry = voq.pop_front(qi);
-          if (!open) {
-            retune_[qi] = slot_tick + kTicksPerSlot + timing_.tuning(h);
-          }
-          ++entry.hops;
-          ++shard.transmissions;
-          ++coupler_success[hs];
-          const std::uint64_t seq =
-              (static_cast<std::uint64_t>(now) *
-                   static_cast<std::uint64_t>(couplers_) +
-               static_cast<std::uint64_t>(h)) *
-                  static_cast<std::uint64_t>(capacity) +
-              static_cast<std::uint64_t>(idx);
-          Arrival arrival{
-              VoqEntry{entry.id, entry.destination, entry.created,
-                       entry.hops},
-              h};
-          ++shard.events_delta;
-          const hypergraph::Node relay = routes_.relay(h, entry.destination);
-          if (relay != entry.destination &&
-              plan.node_owner[static_cast<std::size_t>(relay)] != w) {
-            shard
-                .outbox[static_cast<std::size_t>(
-                    plan.node_owner[static_cast<std::size_t>(relay)])]
-                .push_back(Mail{at, seq, std::move(arrival)});
-          } else {
-            shard.calendar.push_keyed(at, seq, std::move(arrival));
-          }
-        }
-      }
+      for_each_coupler_word(my_couplers, [&](std::uint64_t word,
+                                             std::size_t base) {
+        shard.collisions += detail::pick_then_pop(
+            word, base, feed_, voq, policy, capacity, token_, shard.picks,
+            [&](std::size_t h) {
+              return rebuilt_request(feed_, voq, retune_, guard, open,
+                                     shard.request, h, slot_tick);
+            },
+            [&](std::size_t h) -> core::Rng& { return arb_rng[h]; },
+            [&](const detail::Pick& pick) { transmit(shard, w, pick); });
+      });
 
       if (tel != nullptr && tel->due(now)) {
         // Feed-locality makes the snapshot shard-private, so no extra

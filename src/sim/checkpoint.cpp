@@ -81,9 +81,15 @@ bool checkpoint_read_header(core::BlobReader& in, const SimConfig& config,
 bool checkpoint_load(const std::string& path, const SimConfig& config,
                      std::int64_t nodes, std::int64_t couplers,
                      std::vector<std::uint8_t>& bytes) {
-  if (!core::read_file(path, bytes)) {
+  if (!core::read_file(path, bytes) || bytes.size() < 8) {
     return false;
   }
+  const std::size_t body = bytes.size() - 8;
+  core::BlobReader trailer(bytes.data() + body, 8);
+  if (trailer.get_u64() != core::fnv1a64(bytes.data(), body)) {
+    return false;
+  }
+  bytes.resize(body);
   try {
     core::BlobReader header(bytes);
     return checkpoint_read_header(header, config, nodes, couplers);
@@ -92,7 +98,8 @@ bool checkpoint_load(const std::string& path, const SimConfig& config,
   }
 }
 
-void checkpoint_store(const std::string& path, const core::BlobWriter& out) {
+void checkpoint_store(const std::string& path, core::BlobWriter& out) {
+  out.put_u64(core::fnv1a64(out.bytes().data(), out.bytes().size()));
   core::write_file_atomic(path, out.bytes());
 }
 

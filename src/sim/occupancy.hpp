@@ -33,8 +33,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "core/error.hpp"
 #include "hypergraph/stack_graph.hpp"
 #include "obs/probe.hpp"
 
@@ -163,7 +165,7 @@ struct OccupancyMasks {
 /// coupler's feed nodes. On a stack graph a coupler's feeders are the
 /// copies of its base arc's tail and arcs are numbered by tail, so each
 /// shard's couplers form one id range and the ranges ascend with the
-/// shard index.
+/// shard index; plan_shards checks both, and the engines rely on them.
 struct ShardPlan {
   std::vector<std::int64_t> node_cut;    ///< shards + 1 cut positions
   std::vector<std::int32_t> node_owner;  ///< node -> shard index
@@ -257,7 +259,70 @@ struct ShardPlan {
                           min_source[static_cast<std::size_t>(h)])])]
         .push_back(h);
   }
+  hypergraph::HyperarcId next = 0;  // shard by shard: 0, 1, 2, ...
+  for (const auto& mine : plan.couplers) {
+    for (const hypergraph::HyperarcId h : mine) {
+      OTIS_REQUIRE(h == next++,
+                   "plan_shards: shard couplers are not ascending ranges");
+    }
+  }
   return plan;
+}
+
+/// The VOQ a packet for `dest` joins at node `at`.
+template <class Routes>
+[[nodiscard]] std::size_t queue_of(const Routes& routes,
+                                   const std::vector<std::int64_t>& voq_base,
+                                   std::int64_t at, std::int64_t dest) {
+  return static_cast<std::size_t>(voq_base[static_cast<std::size_t>(at)] +
+                                  routes.next_slot(at, dest));
+}
+
+/// Packets per stage of staged_enqueue (see there).
+constexpr std::size_t kEnqueueStage = 4;
+
+/// Calls enqueue(i, qi) for i in [0, n) in order, where qi is the VOQ
+/// item i joins: queue_of(routes, voq_base, at, dest) for
+/// {at, dest} = node_dest(i). While item i is enqueued, the loop
+/// prefetches the tail slot of item i + kEnqueueStage's queue, computes
+/// item i + 2 * kEnqueueStage's queue index (carried forward, never
+/// looked up twice) and prefetches its header, and prefetches the
+/// route row of item i + 3 * kEnqueueStage -- each load issued after
+/// the one it depends on was warmed. The hints are issued only when
+/// voq.prefetching(); the enqueue order is the same either way.
+template <class Routes, class Arena, class NodeDest, class Enqueue>
+void staged_enqueue(const Routes& routes,
+                    const std::vector<std::int64_t>& voq_base,
+                    const Arena& voq, std::size_t n, NodeDest&& node_dest,
+                    Enqueue&& enqueue) {
+  constexpr std::size_t k = kEnqueueStage;
+  constexpr std::size_t kRing = 4 * k;  ///< > the 2k + 1 indices in flight
+  std::size_t ring[kRing] = {};
+  // Instantiated with and without the hints, as in pick_then_pop.
+  const auto run = [&](auto warm) {
+    constexpr bool kWarm = decltype(warm)::value;
+    for (std::size_t j = 0; j < n + 3 * k; ++j) {
+      if (kWarm && j < n) {
+        const auto [at, dest] = node_dest(j);
+        routes.prefetch_next(at, dest);
+      }
+      if (j >= k && j - k < n) {
+        const auto [at, dest] = node_dest(j - k);
+        const std::size_t qi = queue_of(routes, voq_base, at, dest);
+        ring[(j - k) % kRing] = qi;
+        if (kWarm) {
+          voq.prefetch(qi);
+        }
+      }
+      if (kWarm && j >= 2 * k && j - 2 * k < n) {
+        voq.prefetch_tail(ring[(j - 2 * k) % kRing]);
+      }
+      if (j >= 3 * k) {
+        enqueue(j - 3 * k, ring[(j - 3 * k) % kRing]);
+      }
+    }
+  };
+  voq.prefetching() ? run(std::true_type{}) : run(std::false_type{});
 }
 
 /// Telemetry helper shared by the phased and async engines: observes

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <barrier>
-#include <bit>
 #include <chrono>
 #include <exception>
 #include <thread>
+#include <utility>
 
 #include "core/error.hpp"
 #include "sim/arbitration.hpp"
@@ -64,7 +64,7 @@ void timed_wait(Barrier& barrier, obs::ShardRuntime* rt) {
 /// where arbitrate completes final deliveries inline and posts each
 /// relay to the outbox of the relay node's owner, and receive enqueues
 /// the shard's inbox producer by producer. Shard coupler ranges ascend
-/// with the shard index (checked in the constructor), so producer order
+/// with the shard index (checked by plan_shards), so producer order
 /// is global coupler order: every VOQ sees the serial push order for
 /// every thread count.
 template <routing::RouteView Routes>
@@ -79,19 +79,21 @@ struct SlotShards {
     detail::OccupancyMasks masks;             ///< over the shard's couplers
     std::vector<std::vector<Relay>> outbox;   ///< per consumer shard
     std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
-    std::vector<std::size_t> winners, scratch;
+    detail::PickScratch picks;
   };
 
   /// `delivery_bound` sizes the latency buffers (split evenly).
   SlotShards(const Routes& routes_in, const detail::FeedIndex& feed_in,
              const std::vector<std::int64_t>& voq_base_in,
-             const SimConfig& config_in, std::vector<std::int64_t>& token_in,
+             const SimConfig& config_in, TrafficGenerator& traffic_in,
+             std::vector<std::int64_t>& token_in,
              std::vector<std::int64_t>& coupler_success_in,
              std::int64_t delivery_bound)
       : routes(routes_in),
         feed(feed_in),
         voq_base(voq_base_in),
         config(config_in),
+        traffic(traffic_in),
         token(token_in),
         coupler_success(coupler_success_in),
         nodes(static_cast<std::int64_t>(voq_base_in.size()) - 1),
@@ -115,12 +117,8 @@ struct SlotShards {
       shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
       shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
       shard.coupler_begin = mine.empty() ? covered : mine.front();
-      shard.coupler_end = mine.empty() ? covered : mine.back() + 1;
-      OTIS_REQUIRE(shard.coupler_begin >= covered &&
-                       shard.coupler_end - shard.coupler_begin ==
-                           static_cast<std::int64_t>(mine.size()),
-                   "sharded engine: shard couplers are not ascending ranges");
-      covered = shard.coupler_end;
+      shard.coupler_end = covered =
+          shard.coupler_begin + static_cast<std::int64_t>(mine.size());
       shard.masks.init(feed, shard.coupler_begin, shard.coupler_end);
       shard.outbox.resize(static_cast<std::size_t>(threads));
       if (sketch) {
@@ -156,13 +154,10 @@ struct SlotShards {
     }
   }
 
-  /// Queues `entry` at `shard`'s node `at`, dropping it at a full
-  /// finite queue.
-  void enqueue(Shard& shard, const VoqEntry& entry, hypergraph::Node at,
+  /// Queues `entry` on `shard`'s VOQ `qi`, dropping it at a full finite
+  /// queue.
+  void enqueue(Shard& shard, std::size_t qi, const VoqEntry& entry,
                bool measuring) {
-    const std::int32_t slot = routes.next_slot(at, entry.destination);
-    const std::size_t qi = static_cast<std::size_t>(
-        voq_base[static_cast<std::size_t>(at)] + slot);
     const std::size_t size = voq.size(qi);
     if (config.queue_capacity > 0 &&
         static_cast<std::int64_t>(size) >= config.queue_capacity) {
@@ -178,85 +173,83 @@ struct SlotShards {
     }
   }
 
+  /// Draws the senders of `shard`'s nodes for slot `now` and queues
+  /// their packets, ids id_base + now * nodes + source (deterministic
+  /// without a shared counter).
+  void generate(Shard& shard, SimTime now, bool measuring,
+                std::int64_t id_base) {
+    SenderDemand* const batch = senders.data() + shard.node_begin;
+    const std::size_t count = traffic.demand_batch_senders_streams(
+        shard.node_begin, shard.node_end, gen_rng.data(), batch);
+    if (measuring) {
+      shard.offered += static_cast<std::int64_t>(count);
+    }
+    shard.inflight_delta += static_cast<std::int64_t>(count);
+    detail::staged_enqueue(
+        routes, voq_base, voq, count,
+        [&](std::size_t i) {
+          return std::pair{batch[i].source, batch[i].destination};
+        },
+        [&](std::size_t i, std::size_t qi) {
+          const SenderDemand d = batch[i];
+          if (config.recorder != nullptr) {
+            config.recorder->record(now, d.source, d.destination);
+          }
+          enqueue(shard, qi,
+                  VoqEntry{id_base + now * nodes + d.source, d.destination,
+                           now, 0},
+                  measuring);
+        });
+  }
+
   /// Arbitrates `shard`'s couplers with a non-empty feed in slot `now`.
   /// Latency counts packets created at or after `warmup`; delivered ids
   /// below `workload_ids` are workload packets, reported back through
   /// delivered_ids.
   void arbitrate(Shard& shard, SimTime now, bool measuring, SimTime warmup,
                  std::int64_t workload_ids) {
-    const std::size_t capacity = static_cast<std::size_t>(config.wavelengths);
-    const Arbitration policy = config.arbitration;
-    const bool single_token =
-        policy == Arbitration::kTokenRoundRobin && capacity == 1;
     detail::OccupancyMasks& masks = shard.masks;
+    const auto transmit = [&](const detail::Pick& pick) {
+      VoqEntry entry = voq.pop_front(pick.qi);
+      if (voq.empty(pick.qi)) {
+        masks.mark_empty(feed, pick.qi);
+      }
+      ++entry.hops;
+      if (measuring) {
+        ++shard.transmissions;
+        ++coupler_success[pick.coupler];
+      }
+      const hypergraph::Node relay = routes.relay(
+          static_cast<hypergraph::HyperarcId>(pick.coupler),
+          entry.destination);
+      if (relay != entry.destination) {
+        shard
+            .outbox[static_cast<std::size_t>(
+                plan.node_owner[static_cast<std::size_t>(relay)])]
+            .push_back(Relay{entry, relay});
+        return;
+      }
+      if (measuring) {
+        ++shard.delivered;
+        if (entry.created >= warmup) {
+          shard.latency.record(now - entry.created + 1);
+        }
+      }
+      if (entry.id < workload_ids) {
+        shard.delivered_ids.push_back(entry.id);
+      }
+      --shard.inflight_delta;
+    };
     for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
-      std::uint64_t aword = masks.active[aw];
-      while (aword != 0) {
-        const std::size_t h =
-            static_cast<std::size_t>(masks.coupler_begin) + (aw << 6) +
-            static_cast<std::size_t>(std::countr_zero(aword));
-        aword &= aword - 1;
-        const std::size_t fb = static_cast<std::size_t>(feed.feed_base[h]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(feed.feed_base[h + 1]) - fb;
-        const std::uint64_t* request = masks.words_of(feed, h);
-        const std::size_t words =
-            static_cast<std::size_t>(feed.mask_base[h + 1] - feed.mask_base[h]);
-        const auto transmit = [&](std::size_t si) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed.feed_qi[fb + si]);
-          VoqEntry entry = voq.pop_front(qi);
-          if (voq.empty(qi)) {
-            masks.mark_empty(feed, qi);
-          }
-          ++entry.hops;
-          if (measuring) {
-            ++shard.transmissions;
-            ++coupler_success[h];
-          }
-          const hypergraph::Node relay = routes.relay(
-              static_cast<hypergraph::HyperarcId>(h), entry.destination);
-          if (relay != entry.destination) {
-            shard
-                .outbox[static_cast<std::size_t>(
-                    plan.node_owner[static_cast<std::size_t>(relay)])]
-                .push_back(Relay{entry, relay});
-            return;
-          }
-          if (measuring) {
-            ++shard.delivered;
-            if (entry.created >= warmup) {
-              shard.latency.record(now - entry.created + 1);
-            }
-          }
-          if (entry.id < workload_ids) {
-            shard.delivered_ids.push_back(entry.id);
-          }
-          --shard.inflight_delta;
-        };
-        if (single_token) {
-          transmit(detail::pick_single_token(source_count, request, words,
-                                             token[h]));
-          continue;
-        }
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, request, words, token[h],
-            arb_rng[h], shard.winners, shard.scratch);
-        if (collided && measuring) {
-          ++shard.collisions;
-        }
-        if (shard.winners.size() > 1) {
-          // Warm the winners' relay entries before the transmit walk.
-          for (std::size_t si : shard.winners) {
-            routes.prefetch_relay(
-                static_cast<hypergraph::HyperarcId>(h),
-                voq.front(static_cast<std::size_t>(feed.feed_qi[fb + si]))
-                    .destination);
-          }
-        }
-        for (std::size_t si : shard.winners) {
-          transmit(si);
-        }
+      const std::int64_t collisions = detail::pick_then_pop(
+          masks.active[aw],
+          static_cast<std::size_t>(masks.coupler_begin) + (aw << 6), feed,
+          voq, config.arbitration,
+          static_cast<std::size_t>(config.wavelengths), token, shard.picks,
+          [&](std::size_t h) { return masks.words_of(feed, h); },
+          [&](std::size_t h) -> core::Rng& { return arb_rng[h]; }, transmit);
+      if (measuring) {
+        shard.collisions += collisions;
       }
     }
   }
@@ -266,9 +259,14 @@ struct SlotShards {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     for (Shard& producer : shards) {
       std::vector<Relay>& inbox = producer.outbox[static_cast<std::size_t>(w)];
-      for (const Relay& r : inbox) {
-        enqueue(shard, r.entry, r.node, measuring);
-      }
+      detail::staged_enqueue(
+          routes, voq_base, voq, inbox.size(),
+          [&](std::size_t i) {
+            return std::pair{inbox[i].node, inbox[i].entry.destination};
+          },
+          [&](std::size_t i, std::size_t qi) {
+            enqueue(shard, qi, inbox[i].entry, measuring);
+          });
       inbox.clear();
     }
   }
@@ -321,6 +319,7 @@ struct SlotShards {
   const detail::FeedIndex& feed;
   const std::vector<std::int64_t>& voq_base;
   const SimConfig& config;
+  TrafficGenerator& traffic;
   std::vector<std::int64_t>& token;
   std::vector<std::int64_t>& coupler_success;
   std::int64_t nodes;
@@ -398,15 +397,10 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
   masks.init(feed_);
 
   // Hoisted scratch: one allocation per run, not per coupler-slot.
-  std::vector<std::size_t> winners;
-  std::vector<std::size_t> scratch;
+  detail::PickScratch picks;
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
   std::vector<Relay> relays;  ///< this slot's relays (see Relay)
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
   const std::int64_t queue_cap = config_.queue_capacity;
-  const Arbitration policy = config_.arbitration;
-  const bool single_token =
-      policy == Arbitration::kTokenRoundRobin && capacity == 1;
   PhaseBreakdown* breakdown = config_.phase_breakdown;
   using Clock = std::chrono::steady_clock;
   Clock::time_point t0, t1, t2;
@@ -428,11 +422,9 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
     detail::observe_occupancy(reg, hist, feed_, arena, 0, couplers_);
   };
 
-  const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
+  // Queues `entry` on VOQ `qi` (detail::staged_enqueue computes qi).
+  const auto enqueue = [&](std::size_t qi, const VoqEntry& entry,
                            bool measuring) {
-    const std::int32_t slot = routes_.next_slot(at, entry.destination);
-    const std::size_t qi = static_cast<std::size_t>(
-        voq_base_[static_cast<std::size_t>(at)] + slot);
     const std::size_t size = voq.size(qi);
     if (queue_cap > 0 && static_cast<std::int64_t>(size) >= queue_cap) {
       if (measuring) {
@@ -485,7 +477,7 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
       token_ = in.get_i64_vec();
       checkpoint_get_metrics(in, metrics);
       coupler_success = in.get_i64_vec();
-      checkpoint_get_voq(in, voq);
+      checkpoint_get_voq(in, voq, nodes_);
       traffic_.restore_state(in.get_i64_vec());
       tel_last = checkpoint_get_telemetry(in, tel);
       for (std::size_t qi = 0; qi < voq.queue_count(); ++qi) {
@@ -523,86 +515,62 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
         metrics.offered_packets += static_cast<std::int64_t>(sender_count);
       }
       inflight += static_cast<std::int64_t>(sender_count);
-      for (std::size_t i = 0; i < sender_count; ++i) {
-        const SenderDemand d = senders[i];
-        if (config_.recorder != nullptr) {
-          config_.recorder->record(now, d.source, d.destination);
-        }
-        enqueue(VoqEntry{next_packet_id++, d.destination, now, 0}, d.source,
-                measuring);
-      }
+      detail::staged_enqueue(
+          routes_, voq_base_, voq, sender_count,
+          [&](std::size_t i) {
+            return std::pair{senders[i].source, senders[i].destination};
+          },
+          [&](std::size_t i, std::size_t qi) {
+            const SenderDemand d = senders[i];
+            if (config_.recorder != nullptr) {
+              config_.recorder->record(now, d.source, d.destination);
+            }
+            enqueue(qi, VoqEntry{next_packet_id++, d.destination, now, 0},
+                    measuring);
+          });
     }
     if (breakdown != nullptr) {
       t1 = Clock::now();
     }
 
     // Phase 2: arbitration over the couplers with any non-empty feed,
-    // found by scanning the occupancy summary bitmap. Final deliveries
-    // complete inline; relays defer (see `relays`).
+    // found by scanning the occupancy summary bitmap, one word's picks
+    // at a time. Final deliveries complete inline; relays defer (see
+    // `relays`).
     relays.clear();
+    const auto transmit = [&](const detail::Pick& pick) {
+      VoqEntry entry = voq.pop_front(pick.qi);
+      if (voq.empty(pick.qi)) {
+        masks.mark_empty(feed_, pick.qi);
+      }
+      ++entry.hops;
+      if (measuring) {
+        ++metrics.coupler_transmissions;
+        ++coupler_success[pick.coupler];
+      }
+      const hypergraph::Node relay = routes_.relay(
+          static_cast<hypergraph::HyperarcId>(pick.coupler),
+          entry.destination);
+      if (relay == entry.destination) {
+        if (measuring) {
+          ++metrics.delivered_packets;
+          if (entry.created >= config_.warmup_slots) {
+            metrics.latency.record(now - entry.created + 1);
+          }
+        }
+        --inflight;
+      } else {
+        relays.push_back(Relay{entry, relay});
+      }
+    };
     for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
-      std::uint64_t aword = masks.active[aw];
-      while (aword != 0) {
-        const std::size_t h =
-            (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
-        aword &= aword - 1;
-        const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
-        const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
-        const std::size_t words =
-            static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
-        const auto transmit = [&](std::size_t si) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          VoqEntry entry = voq.pop_front(qi);
-          if (voq.empty(qi)) {
-            masks.mark_empty(feed_, qi);
-          }
-          ++entry.hops;
-          if (measuring) {
-            ++metrics.coupler_transmissions;
-            ++coupler_success[h];
-          }
-          const hypergraph::Node relay = routes_.relay(
-              static_cast<hypergraph::HyperarcId>(h), entry.destination);
-          if (relay == entry.destination) {
-            if (measuring) {
-              ++metrics.delivered_packets;
-              if (entry.created >= config_.warmup_slots) {
-                metrics.latency.record(now - entry.created + 1);
-              }
-            }
-            --inflight;
-          } else {
-            relays.push_back(Relay{entry, relay});
-          }
-        };
-        if (single_token) {
-          transmit(detail::pick_single_token(
-              source_count, masks.request.data() + mb, words, token_[h]));
-          continue;
-        }
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, masks.request.data() + mb, words,
-            token_[h], rng, winners, scratch);
-        if (collided && measuring) {
-          ++metrics.collisions;
-        }
-        if (winners.size() > 1) {
-          // Warm the relay entries for the whole winner batch before the
-          // delivery walk: on dense tables consecutive winners' entries
-          // share no cache line, so each lookup is otherwise a cold miss.
-          for (std::size_t si : winners) {
-            const std::size_t qi =
-                static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-            routes_.prefetch_relay(static_cast<hypergraph::HyperarcId>(h),
-                                   voq.front(qi).destination);
-          }
-        }
-        for (std::size_t si : winners) {
-          transmit(si);
-        }
+      const std::int64_t collisions = detail::pick_then_pop(
+          masks.active[aw], aw << 6, feed_, voq, config_.arbitration,
+          static_cast<std::size_t>(config_.wavelengths), token_, picks,
+          [&](std::size_t h) { return masks.words_of(feed_, h); },
+          [&](std::size_t) -> core::Rng& { return rng; }, transmit);
+      if (measuring) {
+        metrics.collisions += collisions;
       }
     }
     if (breakdown != nullptr) {
@@ -610,9 +578,14 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
     }
 
     // Phase 3: relayed packets re-queue at their next hop.
-    for (const Relay& r : relays) {
-      enqueue(r.entry, r.node, measuring);
-    }
+    detail::staged_enqueue(
+        routes_, voq_base_, voq, relays.size(),
+        [&](std::size_t i) {
+          return std::pair{relays[i].node, relays[i].entry.destination};
+        },
+        [&](std::size_t i, std::size_t qi) {
+          enqueue(qi, relays[i].entry, measuring);
+        });
     if (breakdown != nullptr) {
       const Clock::time_point t3 = Clock::now();
       breakdown->generate_seconds +=
@@ -656,8 +629,9 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
 template <routing::RouteView Routes>
 RunMetrics PhasedEngineT<Routes>::run_sharded(
     std::vector<std::int64_t>& coupler_success) {
-  SlotShards<Routes> state(routes_, feed_, voq_base_, config_, token_,
-                           coupler_success, config_.measure_slots * nodes_);
+  SlotShards<Routes> state(routes_, feed_, voq_base_, config_, traffic_,
+                           token_, coupler_success,
+                           config_.measure_slots * nodes_);
   using Shard = typename SlotShards<Routes>::Shard;
   const int threads = state.threads;
   std::vector<Shard>& shards = state.shards;
@@ -759,7 +733,7 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
       s0.collisions = in.get_i64();
       s0.latency.deserialize(in);
       coupler_success = in.get_i64_vec();
-      checkpoint_get_voq(in, state.voq);
+      checkpoint_get_voq(in, state.voq, nodes_);
       state.restore_masks();
       traffic_.restore_state(in.get_i64_vec());
       tel_last = checkpoint_get_telemetry(in, tel);
@@ -828,25 +802,7 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
       // slice of `senders`), then arbitrate its couplers: feed-local, so
       // no barrier separates the two.
       if (now < horizon) {
-        const std::size_t sender_count =
-            traffic_.demand_batch_senders_streams(
-                shard.node_begin, shard.node_end, state.gen_rng.data(),
-                state.senders.data() + shard.node_begin);
-        if (measuring) {
-          shard.offered += static_cast<std::int64_t>(sender_count);
-        }
-        shard.inflight_delta += static_cast<std::int64_t>(sender_count);
-        for (std::size_t i = 0; i < sender_count; ++i) {
-          const SenderDemand d =
-              state.senders[static_cast<std::size_t>(shard.node_begin) + i];
-          if (config_.recorder != nullptr) {
-            config_.recorder->record(now, d.source, d.destination);
-          }
-          // Deterministic id without a shared counter.
-          state.enqueue(
-              shard, VoqEntry{now * nodes_ + d.source, d.destination, now, 0},
-              d.source, measuring);
-        }
+        state.generate(shard, now, measuring, 0);
       }
       state.arbitrate(shard, now, measuring, config_.warmup_slots, 0);
       timed_wait(exchange_barrier, rt);
@@ -927,8 +883,7 @@ RunMetrics PhasedEngineT<Routes>::run_workload_serial(
   detail::OccupancyMasks masks;
   masks.init(feed_);
 
-  std::vector<std::size_t> winners;
-  std::vector<std::size_t> scratch;
+  detail::PickScratch picks;
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
   struct Delivery {
     VoqEntry entry;
@@ -937,8 +892,6 @@ RunMetrics PhasedEngineT<Routes>::run_workload_serial(
   std::vector<Delivery> deliveries;
   std::vector<workload::WorkloadPacket> inject;
   std::vector<std::int64_t> delivered_ids;
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const Arbitration policy = config_.arbitration;
   if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
     metrics.latency.use_sketch();
   }
@@ -1006,37 +959,22 @@ RunMetrics PhasedEngineT<Routes>::run_workload_serial(
     // Phase 2: arbitration, drawing from the coupler's own stream.
     deliveries.clear();
     for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
-      std::uint64_t aword = masks.active[aw];
-      while (aword != 0) {
-        const std::size_t h =
-            (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
-        aword &= aword - 1;
-        const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
-        const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
-        const std::size_t words =
-            static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, masks.request.data() + mb, words,
-            token_[h], arb_rng[h], winners, scratch);
-        if (collided) {
-          ++metrics.collisions;
-        }
-        for (std::size_t si : winners) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          VoqEntry entry = voq.pop_front(qi);
-          if (voq.empty(qi)) {
-            masks.mark_empty(feed_, qi);
-          }
-          ++entry.hops;
-          ++metrics.coupler_transmissions;
-          ++coupler_success[h];
-          deliveries.push_back(
-              Delivery{entry, static_cast<hypergraph::HyperarcId>(h)});
-        }
-      }
+      metrics.collisions += detail::pick_then_pop(
+          masks.active[aw], aw << 6, feed_, voq, config_.arbitration,
+          static_cast<std::size_t>(config_.wavelengths), token_, picks,
+          [&](std::size_t h) { return masks.words_of(feed_, h); },
+          [&](std::size_t h) -> core::Rng& { return arb_rng[h]; },
+          [&](const detail::Pick& pick) {
+            VoqEntry entry = voq.pop_front(pick.qi);
+            if (voq.empty(pick.qi)) {
+              masks.mark_empty(feed_, pick.qi);
+            }
+            ++entry.hops;
+            ++metrics.coupler_transmissions;
+            ++coupler_success[pick.coupler];
+            deliveries.push_back(Delivery{
+                entry, static_cast<hypergraph::HyperarcId>(pick.coupler)});
+          });
     }
 
     // Phase 3: consume winners; workload deliveries feed back.
@@ -1105,8 +1043,8 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
   load.reset();
 
   const std::int64_t background_base = load.packet_count();
-  SlotShards<Routes> state(routes_, feed_, voq_base_, config_, token_,
-                           coupler_success, background_base);
+  SlotShards<Routes> state(routes_, feed_, voq_base_, config_, traffic_,
+                           token_, coupler_success, background_base);
   using Shard = typename SlotShards<Routes>::Shard;
   const int threads = state.threads;
   std::vector<Shard>& shards = state.shards;
@@ -1207,27 +1145,13 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
         }
         ++shard.offered;
         ++shard.inflight_delta;
-        state.enqueue(shard, VoqEntry{packet.id, packet.destination, now, 0},
-                      packet.source, true);
+        state.enqueue(shard,
+                      detail::queue_of(routes_, voq_base_, packet.source,
+                                       packet.destination),
+                      VoqEntry{packet.id, packet.destination, now, 0}, true);
       }
       if (!load_done) {
-        const std::size_t sender_count =
-            traffic_.demand_batch_senders_streams(
-                shard.node_begin, shard.node_end, state.gen_rng.data(),
-                state.senders.data() + shard.node_begin);
-        shard.offered += static_cast<std::int64_t>(sender_count);
-        shard.inflight_delta += static_cast<std::int64_t>(sender_count);
-        for (std::size_t i = 0; i < sender_count; ++i) {
-          const SenderDemand d =
-              state.senders[static_cast<std::size_t>(shard.node_begin) + i];
-          if (config_.recorder != nullptr) {
-            config_.recorder->record(now, d.source, d.destination);
-          }
-          state.enqueue(shard,
-                        VoqEntry{background_base + now * nodes_ + d.source,
-                                 d.destination, now, 0},
-                        d.source, true);
-        }
+        state.generate(shard, now, true, background_base);
       }
       state.arbitrate(shard, now, true, 0, background_base);
       timed_wait(exchange_barrier, rt);

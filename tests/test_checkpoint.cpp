@@ -14,6 +14,10 @@
 //    byte for byte, and final probe values match;
 //  - a blob whose fingerprint does not match the resuming run (seed or
 //    engine changed) is silently ignored -- the run starts fresh;
+//  - a damaged blob (truncated, a flipped byte, a wrong version) never
+//    resumes with different numbers on any engine, and a blob whose
+//    checksum holds but whose queued destination is out of range
+//    throws;
 //  - the event-queue engine and path-less checkpoint configs are
 //    rejected at construction.
 
@@ -28,11 +32,13 @@
 #include <unistd.h>
 #include <vector>
 
+#include "core/blob.hpp"
 #include "core/error.hpp"
 #include "hypergraph/stack_kautz.hpp"
 #include "obs/probe.hpp"
 #include "obs/telemetry.hpp"
 #include "routing/compiled_routes.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
 #include "sim/timing_model.hpp"
@@ -392,6 +398,143 @@ TEST(Checkpoint, MismatchedFingerprintStartsFresh) {
   const RunResult cross = run_sk(sim::Engine::kSharded, 2, cross_engine);
   const RunResult cross_plain = run_sk(sim::Engine::kSharded, 2, {});
   expect_identical(cross_plain.metrics, cross.metrics);
+}
+
+void write_bytes(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// Replaces the trailing checksum with the FNV-1a-64 of the rest, so a
+/// crafted edit passes the integrity check.
+void reseal(std::string& blob) {
+  const std::size_t body = blob.size() - 8;
+  std::uint64_t sum = core::fnv1a64(
+      reinterpret_cast<const std::uint8_t*>(blob.data()), body);
+  for (std::size_t i = 0; i < 8; ++i) {
+    blob[body + i] = static_cast<char>(sum >> (8 * i));
+  }
+}
+
+TEST(Checkpoint, CorruptBlobsNeverResumeWithDifferentNumbers) {
+  // Truncation at every sixteenth of the drill blob, one flipped byte at
+  // every sixty-fourth, and a wrong version under a valid checksum:
+  // each resume must throw or finish equal to the uninterrupted run.
+  ScratchDir scratch("corrupt");
+  RunOptions skewed;
+  skewed.timing = constant_timing(300, 700);
+  const struct {
+    sim::Engine engine;
+    int threads;
+    RunOptions base;
+  } cells[] = {{sim::Engine::kPhased, 1, {}},
+               {sim::Engine::kSharded, 2, {}},
+               {sim::Engine::kAsync, 1, skewed},
+               {sim::Engine::kAsyncSharded, 2, {}}};
+  int tag = 0;
+  for (const auto& cell : cells) {
+    SCOPED_TRACE(static_cast<int>(cell.engine));
+    const RunResult reference = run_sk(cell.engine, cell.threads, cell.base);
+    RunOptions drill = cell.base;
+    drill.every = kEvery;
+    drill.path = (scratch.path() / ("drill_" + std::to_string(tag++))).string();
+    drill.stop_at = kStopAt;
+    run_sk(cell.engine, cell.threads, drill);
+    const std::string blob = read_bytes(drill.path);
+    ASSERT_GT(blob.size(), 64u);
+
+    RunOptions resume = cell.base;
+    resume.every = kEvery;
+    resume.path = (scratch.path() / "damaged.ckpt").string();
+    resume.resume = true;
+    int fresh = 0;
+    const auto expect_safe = [&](const std::string& damaged,
+                                 const std::string& what) {
+      SCOPED_TRACE(what);
+      write_bytes(resume.path, damaged);
+      try {
+        const RunResult resumed = run_sk(cell.engine, cell.threads, resume);
+        expect_identical(reference.metrics, resumed.metrics);
+        EXPECT_EQ(reference.coupler_success, resumed.coupler_success);
+        ++fresh;
+      } catch (const core::Error&) {
+        // Failing loudly is the other acceptable outcome.
+      }
+    };
+    for (std::size_t k = 1; k < 16; ++k) {
+      expect_safe(blob.substr(0, blob.size() * k / 16),
+                  "truncated to " + std::to_string(k) + "/16");
+    }
+    for (std::size_t k = 0; k < 64; ++k) {
+      std::string flipped = blob;
+      flipped[flipped.size() * k / 64] ^= 0x5a;
+      expect_safe(flipped, "byte flipped at " + std::to_string(k) + "/64");
+    }
+    std::string versioned = blob;
+    versioned[8] = static_cast<char>(sim::kCheckpointVersion + 1);
+    reseal(versioned);
+    expect_safe(versioned, "wrong version");
+    // The checksum catches every case before any field is read, so
+    // each of them starts fresh rather than throwing.
+    EXPECT_EQ(fresh, 15 + 64 + 1);
+  }
+}
+
+TEST(Checkpoint, OutOfRangeQueuedDestinationThrows) {
+  // A phased blob edited to queue a packet for a node outside the
+  // network, with its checksum recomputed: restore must throw, not
+  // route the packet through out-of-range table rows.
+  ScratchDir scratch("crafted");
+  RunOptions drill;
+  drill.every = kEvery;
+  drill.path = (scratch.path() / "crafted.ckpt").string();
+  drill.stop_at = kStopAt;
+  run_sk(sim::Engine::kPhased, 1, drill);
+  std::string blob = read_bytes(drill.path);
+
+  // Walk the phased payload (run_serial's save order) to the first
+  // queued entry's destination field.
+  core::BlobReader in(reinterpret_cast<const std::uint8_t*>(blob.data()),
+                      blob.size() - 8);
+  for (int i = 0; i < 8; ++i) {
+    (void)in.get_u8();  // magic
+  }
+  (void)in.get_u64();  // version
+  for (int i = 0; i < 4; ++i) {
+    (void)in.get_u8();  // engine, arbitration, drain, latency mode
+  }
+  for (int i = 0; i < 7 + 3; ++i) {
+    (void)in.get_i64();  // seed, 6 sizes; next slot, in flight, next id
+  }
+  (void)in.get_rng();
+  (void)in.get_i64_vec();  // tokens
+  sim::RunMetrics metrics;
+  sim::checkpoint_get_metrics(in, metrics);
+  (void)in.get_i64_vec();  // coupler successes
+  const std::uint64_t queues = in.get_u64();
+  std::size_t at = 0;
+  for (std::uint64_t q = 0; q < queues && at == 0; ++q) {
+    const std::uint64_t n = in.get_u64();
+    if (n > 0) {
+      (void)in.get_i64();  // id
+      at = in.position();
+    }
+  }
+  ASSERT_NE(at, 0u) << "the drill must leave packets queued";
+  const std::int64_t outside =
+      hypergraph::StackKautz(4, 3, 2).processor_count() + 7;
+  for (std::size_t i = 0; i < 8; ++i) {
+    blob[at + i] = static_cast<char>(static_cast<std::uint64_t>(outside) >>
+                                     (8 * i));
+  }
+  reseal(blob);
+  write_bytes(drill.path, blob);
+
+  RunOptions resume;
+  resume.every = kEvery;
+  resume.path = drill.path;
+  resume.resume = true;
+  EXPECT_THROW(run_sk(sim::Engine::kPhased, 1, resume), core::Error);
 }
 
 TEST(Checkpoint, ResumeWithoutBlobRunsFresh) {

@@ -22,6 +22,7 @@
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
 #include "sim/traffic.hpp"
+#include "sim/voq_arena.hpp"
 
 namespace otis::sim {
 namespace {
@@ -214,29 +215,107 @@ TEST(EngineEquivalence, DrainBitParityAcrossAllEnginesAndThreadCounts) {
 }
 
 TEST(EngineEquivalence, LargerStackKautzParityAcrossRoutesAndThreads) {
-  // SK(5,4,2): 160 processors, a size class above the other fixtures,
-  // so the compact-sender generation batches span multiple shards with
-  // ragged per-shard sender counts. One event-queue reference run
-  // (hook-routed) must be matched bit-for-bit by the phased engine on
-  // dense AND on group-compressed tables, by the async engine in its
-  // slot-aligned limit, and by the sharded engine at every thread
-  // count, on both route representations.
-  hypergraph::StackKautz sk(5, 4, 2);
+  // Fixtures a size class above the others, so the compact-sender
+  // generation batches span multiple shards with ragged per-shard sender
+  // counts and arbitration batches span several summary words:
+  //  - SK(5,4,2): 160 processors, 80 couplers (2 words), load 0.4;
+  //  - SK(2,4,3): 160 processors, 320 couplers (5 words; 3 per shard at
+  //    2 threads), load 0.4;
+  //  - SK(2,4,3) at load 0.9: queues double several times and drained
+  //    segments are recycled across queues.
+  // One event-queue reference run (hook-routed) must be matched
+  // bit-for-bit by the phased engine on dense AND on group-compressed
+  // tables, by the async engine in its slot-aligned limit, and by the
+  // sharded engine at every thread count, on both route
+  // representations; async-sharded in its slot-aligned limit must match
+  // sharded at {1, 2, 3} threads.
+  const struct {
+    std::int64_t s, d, k;
+    double load;
+  } inputs[] = {{5, 4, 2, 0.4}, {2, 4, 3, 0.4}, {2, 4, 3, 0.9}};
+  for (const auto& input : inputs) {
+    hypergraph::StackKautz sk(input.s, input.d, input.k);
+    SCOPED_TRACE("SK(" + std::to_string(input.s) + "," +
+                 std::to_string(input.d) + "," + std::to_string(input.k) +
+                 ") load " + std::to_string(input.load));
+    routing::StackKautzRouter router(sk);
+    const auto dense = std::make_shared<const routing::CompiledRoutes>(
+        routing::compile_stack_kautz_routes(sk));
+    const auto compressed =
+        std::make_shared<const routing::CompressedRoutes>(
+            routing::compress_stack_kautz_routes(sk));
+    for (Arbitration arb : kAllPolicies) {
+      SCOPED_TRACE(arbitration_name(arb));
+      SimConfig config;
+      config.arbitration = arb;
+      config.warmup_slots = 30;
+      config.measure_slots = 250;
+      config.seed = 23;
+      auto run = [&](Engine engine, bool use_compressed, int threads) {
+        SimConfig c = config;
+        c.engine = engine;
+        c.threads = threads;
+        auto traffic = std::make_unique<UniformTraffic>(sk.processor_count(),
+                                                        input.load);
+        if (engine == Engine::kEventQueue) {
+          OpsNetworkSim sim(sk.stack(), stack_kautz_hooks(router),
+                            std::move(traffic), c);
+          return sim.run();
+        }
+        if (use_compressed) {
+          OpsNetworkSim sim(sk.stack(), compressed, std::move(traffic), c);
+          return sim.run();
+        }
+        OpsNetworkSim sim(sk.stack(), dense, std::move(traffic), c);
+        return sim.run();
+      };
+      const RunMetrics legacy = run(Engine::kEventQueue, false, 1);
+      for (bool use_compressed : {false, true}) {
+        SCOPED_TRACE(use_compressed ? "compressed" : "dense");
+        expect_identical(legacy, run(Engine::kPhased, use_compressed, 1));
+        expect_identical(legacy, run(Engine::kAsync, use_compressed, 1));
+        const RunMetrics sharded_one =
+            run(Engine::kSharded, use_compressed, 1);
+        for (int threads : {2, 3, 5, 8}) {
+          SCOPED_TRACE(threads);
+          expect_identical(sharded_one,
+                           run(Engine::kSharded, use_compressed, threads));
+        }
+        for (int threads : {1, 2, 3}) {
+          SCOPED_TRACE("async-sharded " + std::to_string(threads));
+          expect_identical(
+              sharded_one, run(Engine::kAsyncSharded, use_compressed, threads));
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineEquivalence, PrefetchingArenaParityOnLargeStackKautz) {
+  // SK(4,8,3): 2,304 processors feeding 8 couplers each, so 18,432 VOQs,
+  // past VoqArena::kPrefetchQueues: every engine runs the prefetching
+  // instantiation of pick_then_pop and staged_enqueue, which the
+  // fixtures above (all below it) never reach. Two wavelengths: the 64
+  // couplers of a summary word here leave 8 groups that share a label
+  // prefix and so target distinct groups, so only a coupler's own
+  // winners can share a VOQ and make the pop order visible. Compressed
+  // routes only: the dense tables would take ~84 MB.
+  hypergraph::StackKautz sk(4, 8, 3);
+  ASSERT_GE(sk.processor_count() * 8,
+            static_cast<std::int64_t>(VoqArena::kPrefetchQueues));
   routing::StackKautzRouter router(sk);
-  const auto dense = std::make_shared<const routing::CompiledRoutes>(
-      routing::compile_stack_kautz_routes(sk));
   const auto compressed =
       std::make_shared<const routing::CompressedRoutes>(
           routing::compress_stack_kautz_routes(sk));
   for (Arbitration arb : kAllPolicies) {
     SCOPED_TRACE(arbitration_name(arb));
-    SimConfig config;
-    config.arbitration = arb;
-    config.warmup_slots = 30;
-    config.measure_slots = 250;
-    config.seed = 23;
-    auto run = [&](Engine engine, bool use_compressed, int threads) {
-      SimConfig c = config;
+    auto run = [&](Engine engine, int threads) {
+      SimConfig c;
+      c.arbitration = arb;
+      c.wavelengths = 2;
+      c.warmup_slots = 10;
+      c.measure_slots = 40;
+      c.seed = 29;
       c.engine = engine;
       c.threads = threads;
       auto traffic =
@@ -246,25 +325,17 @@ TEST(EngineEquivalence, LargerStackKautzParityAcrossRoutesAndThreads) {
                           std::move(traffic), c);
         return sim.run();
       }
-      if (use_compressed) {
-        OpsNetworkSim sim(sk.stack(), compressed, std::move(traffic), c);
-        return sim.run();
-      }
-      OpsNetworkSim sim(sk.stack(), dense, std::move(traffic), c);
+      OpsNetworkSim sim(sk.stack(), compressed, std::move(traffic), c);
       return sim.run();
     };
-    const RunMetrics legacy = run(Engine::kEventQueue, false, 1);
-    for (bool use_compressed : {false, true}) {
-      SCOPED_TRACE(use_compressed ? "compressed" : "dense");
-      expect_identical(legacy, run(Engine::kPhased, use_compressed, 1));
-      expect_identical(legacy, run(Engine::kAsync, use_compressed, 1));
-      const RunMetrics sharded_one =
-          run(Engine::kSharded, use_compressed, 1);
-      for (int threads : {2, 3, 5, 8}) {
-        SCOPED_TRACE(threads);
-        expect_identical(sharded_one,
-                         run(Engine::kSharded, use_compressed, threads));
-      }
+    const RunMetrics legacy = run(Engine::kEventQueue, 1);
+    expect_identical(legacy, run(Engine::kPhased, 1));
+    expect_identical(legacy, run(Engine::kAsync, 1));
+    const RunMetrics sharded_one = run(Engine::kSharded, 1);
+    for (int threads : {2, 3}) {
+      SCOPED_TRACE(threads);
+      expect_identical(sharded_one, run(Engine::kSharded, threads));
+      expect_identical(sharded_one, run(Engine::kAsyncSharded, threads));
     }
   }
 }

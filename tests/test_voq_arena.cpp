@@ -1,8 +1,8 @@
-// Unit tests for the SoA VOQ arena backing the slot engines: FIFO
-// order, ring wraparound, segment growth (abandon-and-double), many
-// queues interleaved in one pool, per-shard pools, and the timed
-// arena's front_ready fast path -- each checked against a
-// std::deque<Entry> reference model under a randomized op sequence.
+// Unit tests for the packed-entry VOQ arena backing the slot engines:
+// FIFO order, ring wraparound, segment growth (double and recycle),
+// segment reuse across queues, queues larger than a chunk, per-shard
+// pools, and the timed arena's front_ready fast path -- each checked
+// against a std::deque<Entry> reference model.
 
 #include <gtest/gtest.h>
 
@@ -156,6 +156,159 @@ TEST(VoqArena, InitResetsState) {
   EXPECT_EQ(arena.queue_count(), 3u);
   for (std::size_t q = 0; q < 3; ++q) {
     EXPECT_TRUE(arena.empty(q));
+  }
+}
+
+/// Pushes `count` fresh entries onto queue q of both arena and model.
+void fill(VoqArena& arena, std::deque<VoqEntry>& model, std::size_t q,
+          std::size_t count, std::int64_t& next) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const VoqEntry e = make_entry(next++);
+    arena.push(q, e);
+    model.push_back(e);
+  }
+}
+
+/// Pops `count` entries off queue q, checking each against the model.
+void drain(VoqArena& arena, std::deque<VoqEntry>& model, std::size_t q,
+           std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    expect_entry_eq(arena.pop_front(q), model.front());
+    model.pop_front();
+  }
+}
+
+TEST(VoqArena, DrainedSegmentIsReusedByAnotherQueuesGrowth) {
+  // Queue 0 grows to a 32-entry segment and drains, handing the segment
+  // back; queue 1 then grows through 8 and 16 to 32 and must reuse what
+  // queue 0 freed instead of carving new records, and queue 0 refills
+  // from what queue 1 outgrew, with both queues' entries intact.
+  VoqArena arena;
+  arena.init(2);
+  std::vector<std::deque<VoqEntry>> model(2);
+  std::int64_t next = 0;
+  fill(arena, model[0], 0, 20, next);
+  const std::size_t carved = arena.carved_entries(0);
+  EXPECT_EQ(carved, 8u + 16u + 32u);
+  drain(arena, model[0], 0, 20);
+  fill(arena, model[1], 1, 25, next);
+  fill(arena, model[0], 0, 3, next);  // refills from a recycled segment
+  EXPECT_EQ(arena.carved_entries(0), carved);
+  drain(arena, model[0], 0, 3);
+  drain(arena, model[1], 1, 25);
+  EXPECT_TRUE(arena.empty(0));
+  EXPECT_TRUE(arena.empty(1));
+}
+
+TEST(VoqArena, QueueGrowsPastOneChunk) {
+  // A segment larger than a chunk gets its own allocation; a wrapped
+  // head must survive every doubling on the way there.
+  constexpr std::size_t kChunk = VoqArena::kChunkEntries;
+  VoqArena arena;
+  arena.init(3);
+  std::vector<std::deque<VoqEntry>> model(3);
+  std::int64_t next = 0;
+  fill(arena, model[0], 0, 5, next);
+  drain(arena, model[0], 0, 3);
+  for (std::size_t i = 0; i < 3 * kChunk; ++i) {
+    fill(arena, model[i % 3], i % 3, 1, next);  // interleaved carving
+  }
+  EXPECT_GT(arena.size(0), kChunk / 2);
+  fill(arena, model[0], 0, kChunk, next);
+  EXPECT_GT(arena.size(0), kChunk);
+  for (std::size_t q = 0; q < 3; ++q) {
+    drain(arena, model[q], q, model[q].size());
+    EXPECT_TRUE(arena.empty(q));
+  }
+}
+
+TEST(VoqArena, PoolsRecycleOnlyTheirOwnSegments) {
+  // A segment freed into pool 0 must never serve a queue of pool 1.
+  VoqArena arena;
+  arena.init(4, 2);
+  arena.set_pool(2, 1);
+  arena.set_pool(3, 1);
+  std::vector<std::deque<VoqEntry>> model(4);
+  std::int64_t next = 0;
+  fill(arena, model[0], 0, 40, next);  // pool 0: 8, 16, 32, 64
+  fill(arena, model[2], 2, 5, next);   // pool 1: 8
+  drain(arena, model[0], 0, 40);       // pool 0 gets its 64 back
+  const std::size_t carved0 = arena.carved_entries(0);
+  const std::size_t carved1 = arena.carved_entries(1);
+  fill(arena, model[3], 3, 40, next);  // pool 1 must carve afresh
+  EXPECT_EQ(arena.carved_entries(0), carved0);
+  EXPECT_GT(arena.carved_entries(1), carved1);
+  fill(arena, model[1], 1, 40, next);  // pool 0 reuses its own segments
+  EXPECT_EQ(arena.carved_entries(0), carved0);
+  for (std::size_t q = 0; q < 4; ++q) {
+    drain(arena, model[q], q, model[q].size());
+  }
+}
+
+TEST(VoqArena, RandomizedDequeParityWithDrainAndRefillCycles) {
+  // 1,000 queues in two pools under >= 10^5 operations whose push bias
+  // swings between filling and draining phases, so segments are freed,
+  // recycled across queues and regrown many times over.
+  constexpr std::size_t kQueues = 1000;
+  VoqArena arena;
+  arena.init(kQueues, 2);
+  for (std::size_t q = 0; q < kQueues; q += 2) {
+    arena.set_pool(q, 1);
+  }
+  std::vector<std::deque<VoqEntry>> model(kQueues);
+  core::Rng rng(2024);
+  std::int64_t next = 0;
+  for (int op = 0; op < 200000; ++op) {
+    const bool filling = (op / 20000) % 2 == 0;
+    const std::size_t q = static_cast<std::size_t>(
+        rng.uniform(filling ? kQueues : kQueues / 4));
+    if (model[q].empty() || rng.bernoulli(filling ? 0.7 : 0.2)) {
+      fill(arena, model[q], q, 1 + rng.uniform(3), next);
+    } else {
+      expect_entry_eq(arena.front(q), model[q].front());
+      drain(arena, model[q], q, 1);
+    }
+    ASSERT_EQ(arena.size(q), model[q].size());
+  }
+  for (std::size_t q = 0; q < kQueues; ++q) {
+    drain(arena, model[q], q, model[q].size());
+    ASSERT_TRUE(arena.empty(q));
+  }
+}
+
+TEST(TimedVoqArena, FrontReadyThroughRecycledSegments) {
+  // Two queues alternate growing and draining, so each regrows into
+  // segments the other freed; front_ready and the narrowed destination
+  // must read back exactly.
+  TimedVoqArena arena;
+  arena.init(2);
+  std::vector<std::deque<TimedVoqEntry>> model(2);
+  std::int64_t next = 0;
+  for (int round = 0; round < 12; ++round) {
+    const std::size_t q = static_cast<std::size_t>(round % 2);
+    for (int i = 0; i < 10 + 7 * round; ++i) {
+      TimedVoqEntry e;
+      e.id = next;
+      e.destination = (next * 7919) % (std::int64_t{1} << 31);
+      e.created = next * 3;
+      e.hops = static_cast<std::int32_t>(next % 4);
+      e.ready = next * 11 + 7;
+      ++next;
+      arena.push(q, e);
+      model[q].push_back(e);
+    }
+    const std::size_t other = 1 - q;
+    while (!model[other].empty()) {
+      ASSERT_EQ(arena.front_ready(other), model[other].front().ready);
+      const TimedVoqEntry got = arena.pop_front(other);
+      EXPECT_EQ(got.id, model[other].front().id);
+      EXPECT_EQ(got.destination, model[other].front().destination);
+      EXPECT_EQ(got.created, model[other].front().created);
+      EXPECT_EQ(got.hops, model[other].front().hops);
+      EXPECT_EQ(got.ready, model[other].front().ready);
+      model[other].pop_front();
+    }
+    EXPECT_TRUE(arena.empty(other));
   }
 }
 
