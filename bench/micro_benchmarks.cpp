@@ -172,25 +172,30 @@ struct PhaseRow {
 constexpr double kScalePhaseLoad = 0.6;
 constexpr std::int64_t kScalePhaseSlots = 200;
 
-/// The functions that dominate each phase of the restructured hot path
-/// (from perf annotation of the serial phased engine; kept next to the
-/// breakdown so a regressing phase points straight at its code).
+/// The functions that dominate each phase of the phased slot loop (the
+/// one loop behind serial and sharded runs; a serial run is one shard),
+/// kept next to the breakdown so a regressing phase points straight at
+/// its code.
 struct HotPhase {
   const char* phase;
   const char* functions;
 };
 constexpr HotPhase kHotFunctions[] = {
     {"generate",
+     "\"SlotShards::generate\", \"detail::RunStreams::draw_senders\", "
      "\"TrafficGenerator::demand_batch_senders (compact sender list, "
      "BernoulliThreshold integer gate)\", \"core::Rng::operator()\", "
      "\"detail::staged_enqueue (route row, queue header, tail slot "
      "prefetched ahead)\", \"VoqArenaT::push (one 32-byte record)\""},
     {"arbitrate",
+     "\"SlotShards::arbitrate\", "
      "\"detail::pick_then_pop (a summary word's picks, then its pops)\", "
      "\"detail::pick_single_token (request-mask rotate+ctz scan)\", "
      "\"VoqArenaT::pop_front\", \"RouteView::relay (inline final "
-     "deliveries)\", \"OccupancyMasks::mark_empty\""},
+     "deliveries, relays to the owner's outbox)\", "
+     "\"OccupancyMasks::mark_empty\""},
     {"receive",
+     "\"SlotShards::receive\", "
      "\"detail::staged_enqueue (relay re-enqueue)\", "
      "\"VoqArenaT::push\", \"OccupancyMasks::mark_nonempty\""},
 };
@@ -204,12 +209,12 @@ constexpr HotPhase kHotFunctions[] = {
 enum class TelemetryMode { kOff, kDisabled, kSampling };
 
 /// The runtime-channel overhead modes of the BENCH runtime_stats rows,
-/// measured on the SHARDED phased loop (the only loop the channel
-/// instruments): no session attached (the production null-pointer
-/// path), attached with a default config whose active() is false (one
-/// pointer+flag test before the worker loop -- the enforced <= 2%
-/// bar), and collecting into a discarding row counter (the timed
-/// barriers' full price, reported but not enforced).
+/// measured on kSharded runs of the phased slot loop (the channel
+/// records no rows for kPhased): no session attached (the production
+/// null-pointer path), attached with a default config whose active()
+/// is false (one pointer+flag test before the worker loop -- the
+/// enforced <= 2% bar), and collecting into a discarding row counter
+/// (the per-slot accounting's full price, reported but not enforced).
 enum class RuntimeStatsMode { kOff, kDisabled, kCollecting };
 
 /// One timed simulator run: construction (route-table sharing, arena
@@ -369,7 +374,7 @@ struct TelemetryBenchRow {
   double slots_per_sec;
 };
 
-/// One runtime-channel overhead datapoint: the SHARDED phased
+/// One runtime-channel overhead datapoint: the kSharded phased
 /// SK(4,3,2)/token case (1 shard, so the numbers isolate channel cost
 /// from scaling) in one of the RuntimeStatsMode states.
 struct RuntimeStatsBenchRow {
@@ -1482,12 +1487,12 @@ int main(int argc, char** argv) {
   const bool telemetry_pass = telemetry_speedup.best >= 0.98;
 
   // ---------------------------------------- runtime-channel overhead
-  // Same ladder for the runtime-introspection channel, on the loop it
-  // actually instruments: kSharded with 1 thread, so the paired ratio
-  // isolates the channel's cost from parallel scaling noise. The
-  // enforced bar is attached-but-disabled (one pointer+flag test
-  // before the worker loop); the collecting row prices the timed
-  // barriers for context.
+  // Same ladder for the runtime-introspection channel, on the runs it
+  // actually instruments: kSharded with 1 thread, a one-shard slot loop
+  // (no barriers), so the paired ratio isolates the channel's cost
+  // from parallel scaling noise. The enforced bar is attached-but-
+  // disabled (one pointer+flag test before the worker loop); the
+  // collecting row prices the per-slot accounting for context.
   std::cout << "\n[runtime-stats] runtime-channel overhead on "
                "SK(4,3,2)/token, phased sharded(1) ("
             << kAcceptanceRounds << " paired rounds)\n\n";

@@ -92,19 +92,6 @@ class CompiledRoutes {
                   static_cast<std::size_t>(dest)];
   }
 
-  /// Hints the cache toward the relay entry of (coupler, dest). The
-  /// winner loops issue these for a whole batch of winners before
-  /// walking the deliveries: the dense relay row is H*N wide, so
-  /// consecutive winners' entries share no cache line and each lookup
-  /// is otherwise a cold miss.
-  void prefetch_relay(hypergraph::HyperarcId coupler,
-                      hypergraph::Node dest) const noexcept {
-    __builtin_prefetch(relay_.data() +
-                       static_cast<std::size_t>(coupler) *
-                           static_cast<std::size_t>(nodes_) +
-                       static_cast<std::size_t>(dest));
-  }
-
   /// Hints the cache toward the next_slot entry of (node, dest): the
   /// enqueue loops issue it a few packets ahead of the lookup.
   void prefetch_next(hypergraph::Node node,

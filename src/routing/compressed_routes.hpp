@@ -113,15 +113,6 @@ class CompressedRoutes {
     return relay_base_[static_cast<std::size_t>(coupler)] + dest % s_;
   }
 
-  /// Hints the cache toward the relay base of `coupler` (the group
-  /// tables fit in cache, so only the per-coupler base can miss; the
-  /// destination term is pure arithmetic).
-  void prefetch_relay(hypergraph::HyperarcId coupler,
-                      hypergraph::Node /*dest*/) const noexcept {
-    __builtin_prefetch(relay_base_.data() +
-                       static_cast<std::size_t>(coupler));
-  }
-
   /// Hints the cache toward the group row entry next_slot(node, dest)
   /// reads: at 10^4 nodes the group tables outgrow L2.
   void prefetch_next(hypergraph::Node node,

@@ -6,9 +6,9 @@
 /// A route view answers three hot-path questions -- which VOQ slot a
 /// packet queues into, which coupler that slot feeds, and which node
 /// picks the packet off a coupler -- plus the two sizes the engines use
-/// to lay out their flat state. Two cache hints (prefetch_relay,
-/// prefetch_next) let the engines' staged loops warm a lookup a few
-/// packets before they make it. The phased engines are templated over
+/// to lay out their flat state. A cache hint (prefetch_next) lets the
+/// engines' staged enqueue loops warm a lookup a few packets before
+/// they make it. The phased engines are templated over
 /// this concept, so each implementation is compiled into the slot loop
 /// with no virtual dispatch: a hop stays two array loads (dense tables,
 /// CompiledRoutes) or two loads plus the group/copy integer arithmetic
@@ -36,7 +36,6 @@ concept RouteView =
       { view.next_slot(node, node) } noexcept
           -> std::convertible_to<std::int32_t>;
       { view.relay(h, node) } noexcept -> std::convertible_to<hypergraph::Node>;
-      { view.prefetch_relay(h, node) } noexcept;
       { view.prefetch_next(node, node) } noexcept;
       { view.node_count() } noexcept -> std::convertible_to<std::int64_t>;
       { view.coupler_count() } noexcept -> std::convertible_to<std::int64_t>;

@@ -5,7 +5,6 @@
 #include <bit>
 #include <exception>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "core/error.hpp"
@@ -15,10 +14,6 @@
 
 namespace otis::sim {
 namespace {
-
-/// Same per-run stream as the serial engines: the zero-delay limit must
-/// consume the identical RNG sequence.
-constexpr std::uint64_t kRunStream = 0x0715;
 
 /// Ceiling on the conservative window width: bounds the per-shard
 /// telemetry frame storage and keeps termination/backlog checks (which
@@ -34,9 +29,10 @@ std::int64_t latency_slots(SimTime delivered_tick, SimTime created_tick) {
 
 /// Coupler h's request words at slot boundary `slot_tick`: its
 /// occupancy words when every gate is open; otherwise, written into
-/// `eligible`, only the heads whose own tuning finished AND whose
-/// transmitter re-tuned since the queue's previous transmission, both
-/// `guard` ticks before the boundary. nullptr when no head qualifies.
+/// `eligible` (laid out like the masks' request words), only the heads
+/// whose own tuning finished AND whose transmitter re-tuned since the
+/// queue's previous transmission, both `guard` ticks before the
+/// boundary. nullptr when no head qualifies.
 const std::uint64_t* gated_request(const detail::FeedIndex& fi,
                                    const detail::OccupancyMasks& masks,
                                    const TimedVoqArena& voq,
@@ -49,9 +45,10 @@ const std::uint64_t* gated_request(const detail::FeedIndex& fi,
     return request;
   }
   const std::size_t fb = static_cast<std::size_t>(fi.feed_base[h]);
-  const std::size_t mb = static_cast<std::size_t>(fi.mask_base[h]);
+  const std::size_t mb =
+      static_cast<std::size_t>(fi.mask_base[h] - masks.word_begin);
   const std::size_t words =
-      static_cast<std::size_t>(fi.mask_base[h + 1]) - mb;
+      static_cast<std::size_t>(fi.mask_base[h + 1] - fi.mask_base[h]);
   std::uint64_t any = 0;
   for (std::size_t wi = 0; wi < words; ++wi) {
     std::uint64_t bits = request[wi];
@@ -73,7 +70,7 @@ const std::uint64_t* gated_request(const detail::FeedIndex& fi,
 }
 
 /// Coupler h's request words rebuilt from its feed queues into
-/// `request` (the sharded loops keep no occupancy masks): occupied
+/// `request` (the sharded open loop keeps no occupancy masks): occupied
 /// heads that pass the gate of gated_request. nullptr when none does.
 const std::uint64_t* rebuilt_request(const detail::FeedIndex& fi,
                                      const TimedVoqArena& voq,
@@ -181,15 +178,15 @@ template <routing::RouteView Routes>
 RunMetrics AsyncEngineT<Routes>::run(
     std::vector<std::int64_t>& coupler_success) {
   if (config_.workload != nullptr) {
-    return config_.engine == Engine::kAsyncSharded
-               ? run_workload_sharded(coupler_success)
-               : run_workload(coupler_success);
+    return run_workload(coupler_success);
   }
   if (config_.engine == Engine::kAsyncSharded) {
     return run_sharded(coupler_success);
   }
   coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
-  core::Rng rng = core::Rng::stream(config_.seed, kRunStream);
+  // The run stream of the serial phased engine: the zero-delay limit
+  // must consume the identical RNG sequence.
+  detail::RunStreams streams(config_.seed, true, nodes_, couplers_, 1);
   RunMetrics metrics;
   metrics.slots = config_.measure_slots;
   if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
@@ -229,9 +226,8 @@ RunMetrics AsyncEngineT<Routes>::run(
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
   const std::int64_t queue_cap = config_.queue_capacity;
 
-  // Telemetry (see phased run_serial): one pointer test per slot when
-  // detached, state reads only at sampling boundaries. The async
-  // engine additionally reports the calendar-queue pending count.
+  // Telemetry: one pointer test per slot when detached, state reads
+  // only at sampling boundaries, plus the calendar-queue pending count.
   obs::Telemetry* const tel = config_.telemetry.get();
   obs::WindowSpans windows;
   SimTime tel_last = 0;
@@ -297,7 +293,7 @@ RunMetrics AsyncEngineT<Routes>::run(
   };
 
   // Checkpointing (sim/checkpoint.hpp): same "blob = state at the top
-  // of a slot that will execute" contract as the phased serial loop,
+  // of a slot that will execute" contract as the phased slot loop,
   // plus the async-only state -- re-tune deadlines, the calendar's
   // pending arrivals (re-pushed keyed: pop order is a pure function of
   // (time, seq)) and its auto-sequence counter.
@@ -308,7 +304,7 @@ RunMetrics AsyncEngineT<Routes>::run(
     out.put_i64(next_slot);
     out.put_i64(inflight);
     out.put_i64(next_packet_id);
-    out.put_rng(rng);
+    streams.put(out);
     out.put_i64_vec(token_);
     out.put_i64_vec(retune_);
     checkpoint_put_metrics(out, metrics);
@@ -343,10 +339,12 @@ RunMetrics AsyncEngineT<Routes>::run(
       start_slot = in.get_i64();
       inflight = in.get_i64();
       next_packet_id = in.get_i64();
-      rng = in.get_rng();
+      streams.get(in);
       token_ = in.get_i64_vec();
       retune_ = in.get_i64_vec();
       checkpoint_get_metrics(in, metrics);
+      OTIS_REQUIRE(metrics.latency.max() <= start_slot,
+                   "checkpoint: a latency exceeds the elapsed slots");
       coupler_success = in.get_i64_vec();
       checkpoint_get_voq(in, voq, nodes_);
       const std::uint64_t pending = in.get_u64();
@@ -401,7 +399,7 @@ RunMetrics AsyncEngineT<Routes>::run(
     // batch: only the slot's actual senders come back.
     if (now < horizon) {
       const std::size_t sender_count =
-          traffic_.demand_batch_senders(0, nodes_, rng, senders.data());
+          streams.draw_senders(traffic_, 0, nodes_, senders.data());
       if (measuring) {
         metrics.offered_packets += static_cast<std::int64_t>(sender_count);
       }
@@ -433,7 +431,9 @@ RunMetrics AsyncEngineT<Routes>::run(
             return gated_request(feed_, masks, voq, retune_, guard, open,
                                  eligible, h, slot_tick);
           },
-          [&](std::size_t) -> core::Rng& { return rng; },
+          [&](std::size_t h) -> core::Rng& {
+            return streams.arbitration(h);
+          },
           [&](const detail::Pick& pick) {
             const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
             TimedVoqEntry entry = voq.pop_front(pick.qi);
@@ -502,205 +502,6 @@ RunMetrics AsyncEngineT<Routes>::run(
 }
 
 template <routing::RouteView Routes>
-RunMetrics AsyncEngineT<Routes>::run_workload(
-    std::vector<std::int64_t>& coupler_success) {
-  coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
-  workload::Workload& load = *config_.workload;
-  load.reset();
-
-  // Workload RNG contract (shared with the phased engines): generation
-  // from per-node streams, arbitration from per-coupler streams.
-  std::vector<core::Rng> gen_rng = detail::node_streams(config_.seed, nodes_);
-  std::vector<core::Rng> arb_rng =
-      detail::coupler_streams(config_.seed, couplers_);
-
-  RunMetrics metrics;
-  const std::int64_t background_base = load.packet_count();
-  // Shared with the phased engines; skew can only defer deliveries by
-  // bounded sub-slot amounts, so no extra headroom needed.
-  const SimTime bound = detail::workload_slot_bound(load);
-  const SimTime guard = timing_.guard();
-  const bool open = gates_open();
-  std::int64_t inflight = 0;
-  SimTime makespan_tick = 0;
-
-  TimedVoqArena voq;
-  voq.init(static_cast<std::size_t>(voq_base_.back()));
-  detail::OccupancyMasks masks;
-  masks.init(feed_);
-
-  struct Arrival {
-    VoqEntry entry;
-    hypergraph::HyperarcId coupler = 0;
-  };
-  CalendarQueue<Arrival> propagations;
-
-  detail::PickScratch picks;
-  std::vector<std::uint64_t> eligible(
-      open ? 0 : static_cast<std::size_t>(feed_.mask_base.back()), 0);
-  std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
-  std::vector<workload::WorkloadPacket> inject;
-  if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-    metrics.latency.use_sketch();
-  }
-  metrics.latency.reserve(std::min(background_base, kLatencyReserveCap));
-
-  // Telemetry, as in the open-loop run above (no warmup window).
-  obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows;
-  SimTime tel_last = 0;
-  if (tel != nullptr && tel->trace_sink() != nullptr) {
-    windows = obs::WindowSpans(tel->trace_sink(), tel->tid(), 0, bound + 1);
-  }
-  const auto fill_probes = [&]() {
-    detail::fill_metric_probes(*tel, metrics, inflight);
-    obs::ProbeRegistry& reg = tel->probes();
-    reg.set(tel->engine_probes().pending_events,
-            static_cast<std::int64_t>(propagations.pending()));
-    const obs::ProbeId hist = tel->engine_probes().occupancy;
-    reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, voq, 0, couplers_);
-  };
-
-  // queue_capacity is 0 in workload mode (validated): never drops.
-  const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
-                           SimTime tick) {
-    const std::int32_t slot = routes_.next_slot(at, entry.destination);
-    const std::size_t qi = static_cast<std::size_t>(
-        voq_base_[static_cast<std::size_t>(at)] + slot);
-    const std::size_t size = voq.size(qi);
-    SimTime ready = tick;
-    if (!open) {
-      ready = tick +
-              timing_.tuning(routes_.next_coupler(at, entry.destination));
-    }
-    voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops, ready});
-    if (size == 0) {
-      masks.mark_nonempty(feed_, qi);
-    }
-  };
-
-  const auto receive = [&](const Arrival& arrival, SimTime tick) {
-    const hypergraph::Node relay =
-        routes_.relay(arrival.coupler, arrival.entry.destination);
-    if (relay == arrival.entry.destination) {
-      ++metrics.delivered_packets;
-      metrics.latency.record(latency_slots(tick, arrival.entry.created));
-      if (arrival.entry.id < background_base) {
-        load.delivered(arrival.entry.id);
-        makespan_tick = std::max(makespan_tick, tick);
-      }
-      --inflight;
-    } else {
-      enqueue(arrival.entry, relay, tick);
-    }
-  };
-
-  SimTime now = 0;
-  for (;;) {
-    const SimTime slot_tick = ticks_from_slots(now);
-
-    // Receive everything that landed by this boundary; all of a
-    // boundary's deliveries reach the workload before the poll below
-    // (order within the boundary is irrelevant by the poll contract).
-    while (!propagations.empty() && propagations.peek().time <= slot_tick) {
-      auto event = propagations.pop();
-      receive(event.payload, event.time);
-    }
-    const bool load_done = load.done();
-    if (load_done && inflight == 0) {
-      break;
-    }
-    if (now > bound) {
-      // The phased engines count the bound-hit boundary as a slot
-      // (they break after ++now); do the same so slots/backlog agree
-      // across engines even for runs the bound cuts off.
-      ++now;
-      break;
-    }
-
-    // Inject the packets that became eligible, then background traffic
-    // (same per-node VOQ push order as the phased engines).
-    if (!load_done) {
-      inject.clear();
-      load.poll(now, inject);
-      for (const workload::WorkloadPacket& packet : inject) {
-        ++metrics.offered_packets;
-        ++inflight;
-        enqueue(VoqEntry{packet.id, packet.destination, slot_tick, 0},
-                packet.source, slot_tick);
-      }
-      const std::size_t sender_count = traffic_.demand_batch_senders_streams(
-          0, nodes_, gen_rng.data(), senders.data());
-      metrics.offered_packets += static_cast<std::int64_t>(sender_count);
-      inflight += static_cast<std::int64_t>(sender_count);
-      for (std::size_t i = 0; i < sender_count; ++i) {
-        const SenderDemand d = senders[i];
-        if (config_.recorder != nullptr) {
-          config_.recorder->record(now, d.source, d.destination);
-        }
-        enqueue(VoqEntry{background_base + now * nodes_ + d.source,
-                         d.destination, slot_tick, 0},
-                d.source, slot_tick);
-      }
-    }
-
-    // Arbitrate over eligibility-gated heads, per-coupler streams.
-    for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
-      metrics.collisions += detail::pick_then_pop(
-          masks.active[aw], aw << 6, feed_, voq, config_.arbitration,
-          static_cast<std::size_t>(config_.wavelengths), token_, picks,
-          [&](std::size_t h) {
-            return gated_request(feed_, masks, voq, retune_, guard, open,
-                                 eligible, h, slot_tick);
-          },
-          [&](std::size_t h) -> core::Rng& { return arb_rng[h]; },
-          [&](const detail::Pick& pick) {
-            const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
-            TimedVoqEntry entry = voq.pop_front(pick.qi);
-            if (voq.empty(pick.qi)) {
-              masks.mark_empty(feed_, pick.qi);
-            }
-            if (!open) {
-              retune_[pick.qi] =
-                  slot_tick + kTicksPerSlot + timing_.tuning(h);
-            }
-            ++entry.hops;
-            ++metrics.coupler_transmissions;
-            ++coupler_success[pick.coupler];
-            propagations.push(
-                slot_tick + kTicksPerSlot + timing_.propagation(h),
-                Arrival{VoqEntry{entry.id, entry.destination, entry.created,
-                                 entry.hops},
-                        h});
-          });
-    }
-
-    if (tel != nullptr) {
-      windows.at_slot(now);
-      if (tel->due(now)) {
-        fill_probes();
-        tel->sample(now);
-      }
-      tel_last = now;
-    }
-    ++now;
-  }
-
-  metrics.slots = now;
-  metrics.makespan_slots =
-      (makespan_tick + kTicksPerSlot - 1) / kTicksPerSlot;
-  metrics.backlog = inflight;
-  if (tel != nullptr) {
-    windows.finish();
-    fill_probes();
-    tel->finish(tel_last);
-  }
-  return metrics;
-}
-
-template <routing::RouteView Routes>
 RunMetrics AsyncEngineT<Routes>::run_sharded(
     std::vector<std::int64_t>& coupler_success) {
   const int threads =
@@ -709,17 +510,12 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       detail::plan_shards(feed_, voq_base_, threads);
   coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
 
-  // Sharded stream universe (shared with the sharded phased engine):
-  // per-node generation streams, per-coupler arbitration streams, so
-  // the partition can never influence a draw. The serial async engine's
-  // single kRunStream interleaves draws across the whole network and
-  // cannot be split without replaying it, so the sharded open loop is a
-  // different -- equally valid -- universe; in the slot-aligned limit it
-  // is bit-identical to Engine::kSharded, and workload runs (below) are
-  // bit-identical to serial Engine::kAsync.
-  std::vector<core::Rng> gen_rng = detail::node_streams(config_.seed, nodes_);
-  std::vector<core::Rng> arb_rng =
-      detail::coupler_streams(config_.seed, couplers_);
+  // Per-unit streams (detail::RunStreams), as in the sharded phased
+  // engine: the serial run stream cannot be split across shards, so the
+  // sharded open loop is a different -- equally valid -- universe; in
+  // the slot-aligned limit it is bit-identical to Engine::kSharded.
+  detail::RunStreams streams(config_.seed, false, nodes_, couplers_,
+                             threads);
 
   RunMetrics metrics;
   metrics.slots = config_.measure_slots;
@@ -852,12 +648,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     out.put_i64(boundary);
     out.put_i64(inflight);
     out.put_i64(pending_total);
-    for (const core::Rng& r : gen_rng) {
-      out.put_rng(r);
-    }
-    for (const core::Rng& r : arb_rng) {
-      out.put_rng(r);
-    }
+    streams.put(out);
     out.put_i64_vec(token_);
     out.put_i64_vec(retune_);
     std::int64_t offered = 0, delivered = 0, dropped = 0;
@@ -915,12 +706,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       }
       inflight = in.get_i64();
       pending_total = in.get_i64();
-      for (core::Rng& r : gen_rng) {
-        r = in.get_rng();
-      }
-      for (core::Rng& r : arb_rng) {
-        r = in.get_rng();
-      }
+      streams.get(in);
       token_ = in.get_i64_vec();
       retune_ = in.get_i64_vec();
       Shard& s0 = shards[0];
@@ -930,6 +716,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       s0.transmissions = in.get_i64();
       s0.collisions = in.get_i64();
       s0.latency.deserialize(in);
+      OTIS_REQUIRE(s0.latency.max() <= win_begin,
+                   "checkpoint: a latency exceeds the elapsed slots");
       coupler_success = in.get_i64_vec();
       checkpoint_get_voq(in, voq, nodes_);
       const std::uint64_t events = in.get_u64();
@@ -1155,9 +943,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
 
         if (s < horizon) {
           SenderDemand* const batch = senders.data() + shard.node_begin;
-          const std::size_t sender_count =
-              traffic_.demand_batch_senders_streams(
-                  shard.node_begin, shard.node_end, gen_rng.data(), batch);
+          const std::size_t sender_count = streams.draw_senders(
+              traffic_, shard.node_begin, shard.node_end, batch);
           if (measuring) {
             shard.offered += static_cast<std::int64_t>(sender_count);
           }
@@ -1193,7 +980,9 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
                 return rebuilt_request(feed_, voq, retune_, guard, open,
                                        shard.request, h, slot_tick);
               },
-              [&](std::size_t h) -> core::Rng& { return arb_rng[h]; },
+              [&](std::size_t h) -> core::Rng& {
+                return streams.arbitration(h);
+              },
               [&](const detail::Pick& pick) {
                 transmit(shard, w, pick, s, measuring);
               });
@@ -1231,12 +1020,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
           rt->mailbox_bytes_sent +=
               static_cast<std::int64_t>(box.size() * sizeof(Mail));
         }
-        const std::int64_t t0 = obs::runtime_now_ns();
-        window_barrier.arrive_and_wait();
-        rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
-      } else {
-        window_barrier.arrive_and_wait();
       }
+      detail::timed_wait(window_barrier, rt);
       if (!running) {
         break;
       }
@@ -1248,18 +1033,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   };
 
   const std::int64_t run_start = rt_on ? obs::runtime_now_ns() : 0;
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back(worker, w);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
+  detail::run_shards(threads, worker);
   if (rt_on) {
     rts->record_shards("async_sharded", "open_loop",
                        obs::runtime_now_ns() - run_start, rt_shards);
@@ -1313,10 +1087,15 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
 }
 
 template <routing::RouteView Routes>
-RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
+RunMetrics AsyncEngineT<Routes>::run_workload(
     std::vector<std::int64_t>& coupler_success) {
+  // kAsync is one shard; kAsyncSharded cuts the same feed-local shards
+  // as the open loop. Either way the run is bit-identical: per-node and
+  // per-coupler streams, ids fixed by the workload and by (slot,
+  // source), and keyed (time, seq) receive order per queue.
+  const bool sharded = config_.engine == Engine::kAsyncSharded;
   const int threads =
-      detail::shard_count(config_.threads, nodes_, couplers_);
+      sharded ? detail::shard_count(config_.threads, nodes_, couplers_) : 1;
   const detail::ShardPlan plan =
       detail::plan_shards(feed_, voq_base_, threads);
   coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
@@ -1324,16 +1103,16 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
   load.reset();
 
   // Delivery feedback gates injection every slot, so the conservative
-  // window collapses to one slot: the cycle is two barriers per slot
-  // (receive+feed, then inject+arbitrate), bit-identical to the serial
-  // async workload loop -- same per-node/per-coupler streams, same ids,
-  // same (time, seq) receive order per queue.
-  std::vector<core::Rng> gen_rng = detail::node_streams(config_.seed, nodes_);
-  std::vector<core::Rng> arb_rng =
-      detail::coupler_streams(config_.seed, couplers_);
+  // window collapses to one slot: two steps per slot (receive+feed,
+  // then inject+arbitrate), each closed by a barrier when there is more
+  // than one shard.
+  detail::RunStreams streams(config_.seed, false, nodes_, couplers_,
+                             threads);
 
   RunMetrics metrics;
   const std::int64_t background_base = load.packet_count();
+  // Shared with the phased engines; skew can only defer deliveries by
+  // bounded sub-slot amounts, so no extra headroom needed.
   const SimTime bound = detail::workload_slot_bound(load);
   const SimTime guard = timing_.guard();
   const bool open = gates_open();
@@ -1356,6 +1135,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
 
   struct Shard {
     std::int64_t node_begin = 0, node_end = 0;
+    std::int64_t coupler_begin = 0, coupler_end = 0;
     std::int64_t offered = 0, delivered = 0;
     std::int64_t transmissions = 0, collisions = 0;
     std::int64_t inflight_delta = 0;
@@ -1365,14 +1145,25 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     CalendarQueue<Arrival> calendar;
     std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
     std::vector<std::vector<Mail>> outbox;
+    /// Occupancy of the shard's couplers, kept by the shard alone (every
+    /// push and pop on its queues is its own), and their gated request
+    /// words in the masks' layout.
+    detail::OccupancyMasks masks;
+    std::vector<std::uint64_t> eligible;
     detail::PickScratch picks;
-    std::vector<std::uint64_t> request;
   };
   std::vector<Shard> shards(static_cast<std::size_t>(threads));
+  std::int64_t covered = 0;  ///< end of the previous shard's couplers
   for (int w = 0; w < threads; ++w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
+    const auto& mine = plan.couplers[static_cast<std::size_t>(w)];
     shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
     shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
+    shard.coupler_begin = mine.empty() ? covered : mine.front();
+    shard.coupler_end = covered =
+        shard.coupler_begin + static_cast<std::int64_t>(mine.size());
+    shard.masks.init(feed_, shard.coupler_begin, shard.coupler_end);
+    shard.eligible.assign(open ? 0 : shard.masks.request.size(), 0);
     shard.outbox.resize(static_cast<std::size_t>(threads));
     if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
       shard.latency.use_sketch();
@@ -1405,16 +1196,17 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     }
   }
 
-  // Runtime channel: as in the open-loop sharded mode, except replays
-  // are counted worker-side (each consumer drains its own mailboxes in
-  // phase A here).
+  // Runtime channel: as in the open-loop sharded mode, for sharded runs
+  // at any shard count, except replays are counted worker-side (each
+  // consumer drains its own mailboxes in phase A here).
   obs::RuntimeStats* const rts = config_.runtime_stats.get();
-  const bool rt_on = rts != nullptr && rts->active();
+  const bool rt_on = sharded && rts != nullptr && rts->active();
   std::vector<obs::ShardRuntime> rt_shards(
       rt_on ? static_cast<std::size_t>(threads) : 0);
 
-  // Slot state shared across workers; mutated only in the barriers'
-  // completion steps. `inject` is read-only during phases.
+  // Slot state shared across workers; mutated only in the two steps
+  // that close the phases (barrier completions, or direct calls on one
+  // shard). `inject` is read-only during phases.
   SimTime now = 0;
   std::int64_t inflight = 0;
   std::int64_t pending_total = 0;
@@ -1422,9 +1214,9 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
   bool running = true;
   std::vector<workload::WorkloadPacket> inject;
 
-  // Receive barrier: fold the landings, feed the workload, and decide
-  // -- replicating the serial loop's exit order exactly (done+empty
-  // stops before the slot counts; a bound hit counts the boundary).
+  // After the receives: fold the landings, feed the workload, and
+  // decide -- done+empty stops before the slot counts; a bound hit
+  // counts the boundary, as the phased engines do.
   const auto on_receives_done = [&]() noexcept {
     for (Shard& shard : shards) {
       inflight += shard.inflight_delta;
@@ -1480,12 +1272,13 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
       threads, on_receives_done);
   std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
 
-  // queue_capacity is 0 in workload mode (validated): never drops.
-  const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
-                           SimTime tick) {
-    const std::int32_t slot = routes_.next_slot(at, entry.destination);
-    const std::size_t qi = static_cast<std::size_t>(
-        voq_base_[static_cast<std::size_t>(at)] + slot);
+  // Queues `entry` at `shard`'s node `at`. queue_capacity is 0 in
+  // workload mode (validated): never drops.
+  const auto enqueue = [&](Shard& shard, const VoqEntry& entry,
+                           hypergraph::Node at, SimTime tick) {
+    const std::size_t qi =
+        detail::queue_of(routes_, voq_base_, at, entry.destination);
+    const std::size_t size = voq.size(qi);
     SimTime ready = tick;
     if (!open) {
       ready = tick +
@@ -1493,6 +1286,9 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     }
     voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
                                entry.hops, ready});
+    if (size == 0) {
+      shard.masks.mark_nonempty(feed_, qi);
+    }
   };
 
   const auto receive = [&](Shard& shard, const Arrival& arrival,
@@ -1508,7 +1304,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
       }
       --shard.inflight_delta;
     } else {
-      enqueue(arrival.entry, relay, tick);
+      enqueue(shard, arrival.entry, relay, tick);
     }
   };
 
@@ -1518,6 +1314,9 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
     const SimTime slot_tick = ticks_from_slots(now);
     TimedVoqEntry entry = voq.pop_front(pick.qi);
+    if (voq.empty(pick.qi)) {
+      shard.masks.mark_empty(feed_, pick.qi);
+    }
     if (!open) {
       retune_[pick.qi] = slot_tick + kTicksPerSlot + timing_.tuning(h);
     }
@@ -1532,10 +1331,14 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
             capacity +
         pick.rank;
     ++shard.events_delta;
-    const hypergraph::Node relay = routes_.relay(h, entry.destination);
-    const int owner = relay == entry.destination
-                          ? w
-                          : plan.node_owner[static_cast<std::size_t>(relay)];
+    // One shard owns every relay; more look the relay's owner up.
+    int owner = w;
+    if (threads > 1) {
+      const hypergraph::Node relay = routes_.relay(h, entry.destination);
+      if (relay != entry.destination) {
+        owner = plan.node_owner[static_cast<std::size_t>(relay)];
+      }
+    }
     Mail mail{at, seq,
               Arrival{VoqEntry{entry.id, entry.destination, entry.created,
                                entry.hops},
@@ -1549,18 +1352,9 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
 
   const auto worker = [&](int w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
-    const auto& my_couplers = plan.couplers[static_cast<std::size_t>(w)];
+    detail::OccupancyMasks& masks = shard.masks;
     obs::ShardRuntime* const rt =
         rt_on ? &rt_shards[static_cast<std::size_t>(w)] : nullptr;
-    const auto timed_wait = [&](auto& barrier) {
-      if (rt == nullptr) {
-        barrier.arrive_and_wait();
-        return;
-      }
-      const std::int64_t t0 = obs::runtime_now_ns();
-      barrier.arrive_and_wait();
-      rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
-    };
     const std::int64_t loop_start = rt_on ? obs::runtime_now_ns() : 0;
     while (true) {
       const SimTime slot_tick = ticks_from_slots(now);
@@ -1595,13 +1389,18 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
         --shard.events_delta;
         receive(shard, event.payload, event.time);
       }
-      timed_wait(receive_barrier);
+      if (threads > 1) {
+        detail::timed_wait(receive_barrier, rt);
+      } else {
+        on_receives_done();
+      }
       if (!running) {
         break;
       }
 
       // Phase B: inject the shard's slice of the eligible workload
-      // packets, then background traffic, then arbitrate.
+      // packets, then background traffic, then arbitrate the shard's
+      // occupied couplers over their eligibility-gated heads.
       for (const workload::WorkloadPacket& packet : inject) {
         if (packet.source < shard.node_begin ||
             packet.source >= shard.node_end) {
@@ -1609,44 +1408,45 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
         }
         ++shard.offered;
         ++shard.inflight_delta;
-        enqueue(VoqEntry{packet.id, packet.destination, slot_tick, 0},
+        enqueue(shard, VoqEntry{packet.id, packet.destination, slot_tick, 0},
                 packet.source, slot_tick);
       }
       if (!load_done) {
-        const std::size_t sender_count =
-            traffic_.demand_batch_senders_streams(
-                shard.node_begin, shard.node_end, gen_rng.data(),
-                senders.data() + shard.node_begin);
+        SenderDemand* const batch = senders.data() + shard.node_begin;
+        const std::size_t sender_count = streams.draw_senders(
+            traffic_, shard.node_begin, shard.node_end, batch);
         shard.offered += static_cast<std::int64_t>(sender_count);
         shard.inflight_delta += static_cast<std::int64_t>(sender_count);
         for (std::size_t i = 0; i < sender_count; ++i) {
-          const SenderDemand d =
-              senders[static_cast<std::size_t>(shard.node_begin) + i];
+          const SenderDemand d = batch[i];
           if (config_.recorder != nullptr) {
             config_.recorder->record(now, d.source, d.destination);
           }
-          enqueue(VoqEntry{background_base + now * nodes_ + d.source,
+          enqueue(shard,
+                  VoqEntry{background_base + now * nodes_ + d.source,
                            d.destination, slot_tick, 0},
                   d.source, slot_tick);
         }
       }
 
-      for_each_coupler_word(my_couplers, [&](std::uint64_t word,
-                                             std::size_t base) {
+      for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
         shard.collisions += detail::pick_then_pop(
-            word, base, feed_, voq, policy, capacity, token_, shard.picks,
+            masks.active[aw],
+            static_cast<std::size_t>(masks.coupler_begin) + (aw << 6), feed_,
+            voq, policy, capacity, token_, shard.picks,
             [&](std::size_t h) {
-              return rebuilt_request(feed_, voq, retune_, guard, open,
-                                     shard.request, h, slot_tick);
+              return gated_request(feed_, masks, voq, retune_, guard, open,
+                                   shard.eligible, h, slot_tick);
             },
-            [&](std::size_t h) -> core::Rng& { return arb_rng[h]; },
+            [&](std::size_t h) -> core::Rng& {
+              return streams.arbitration(h);
+            },
             [&](const detail::Pick& pick) { transmit(shard, w, pick); });
-      });
+      }
 
       if (tel != nullptr && tel->due(now)) {
         // Feed-locality makes the snapshot shard-private, so no extra
-        // visibility barrier is needed (unlike the phased sharded mode,
-        // whose coupler feeds span other shards' nodes).
+        // visibility barrier is needed.
         obs::ProbeRegistry& frame = frames[static_cast<std::size_t>(w)];
         const obs::EngineProbes& ids = tel->engine_probes();
         frame.zero();
@@ -1654,10 +1454,8 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
         frame.set(ids.delivered, shard.delivered);
         frame.set(ids.transmissions, shard.transmissions);
         frame.set(ids.collisions, shard.collisions);
-        for (const hypergraph::HyperarcId h : my_couplers) {
-          detail::observe_occupancy(frame, ids.occupancy, feed_, voq, h,
-                                    h + 1);
-        }
+        detail::observe_occupancy(frame, ids.occupancy, feed_, voq,
+                                  shard.coupler_begin, shard.coupler_end);
       }
       if (rt != nullptr) {
         // The outboxes hold exactly this slot's phase-B sends (the
@@ -1668,7 +1466,11 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
               static_cast<std::int64_t>(box.size() * sizeof(Mail));
         }
       }
-      timed_wait(slot_barrier);
+      if (threads > 1) {
+        detail::timed_wait(slot_barrier, rt);
+      } else {
+        on_slot_end();
+      }
     }
     if (rt != nullptr) {
       rt->work_ns +=
@@ -1677,25 +1479,14 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
   };
 
   const std::int64_t run_start = rt_on ? obs::runtime_now_ns() : 0;
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back(worker, w);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
+  detail::run_shards(threads, worker);
   if (rt_on) {
     rts->record_shards("async_sharded", "workload",
                        obs::runtime_now_ns() - run_start, rt_shards);
   }
 
-  // No final flush: the serial workload loop leaves undeliverable
-  // events pending too and reports them as backlog.
+  // No final flush: a run the bound cut off leaves undeliverable events
+  // pending and reports them as backlog.
   metrics.slots = now;
   SimTime makespan_tick = 0;
   for (Shard& shard : shards) {
@@ -1703,7 +1494,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     metrics.delivered_packets += shard.delivered;
     metrics.coupler_transmissions += shard.transmissions;
     metrics.collisions += shard.collisions;
-    metrics.latency.merge(shard.latency);
+    metrics.latency.merge(std::move(shard.latency));
     makespan_tick = std::max(makespan_tick, shard.makespan_tick);
   }
   metrics.makespan_slots = (makespan_tick + kTicksPerSlot - 1) / kTicksPerSlot;

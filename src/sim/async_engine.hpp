@@ -59,8 +59,13 @@
 /// wavelengths + winner), so per-queue pop order equals the serial
 /// engine's single-queue order and results are invariant across thread
 /// counts. Open-loop sharded runs draw from the per-node/per-coupler
-/// stream universe (== the sharded phased engine when slot-aligned);
-/// workload runs are bit-identical to serial Engine::kAsync.
+/// stream universe (== the sharded phased engine when slot-aligned).
+///
+/// Workload runs of both engines go through one loop, kAsync as one
+/// shard: delivery feedback collapses the window to one slot, each
+/// shard keeps occupancy masks over its own couplers and arbitrates
+/// through the eligibility gate, and a one-shard run calls the two
+/// per-slot completion steps directly instead of meeting at barriers.
 
 #include <cstdint>
 #include <vector>
@@ -102,9 +107,8 @@ class AsyncEngineT {
   RunMetrics run(std::vector<std::int64_t>& coupler_success);
 
  private:
-  RunMetrics run_workload(std::vector<std::int64_t>& coupler_success);
   RunMetrics run_sharded(std::vector<std::int64_t>& coupler_success);
-  RunMetrics run_workload_sharded(std::vector<std::int64_t>& coupler_success);
+  RunMetrics run_workload(std::vector<std::int64_t>& coupler_success);
   /// True when no tuning latency and no guard band exist: the
   /// eligibility gate cannot fail, so occupancy alone decides
   /// contention (see file comment).

@@ -34,7 +34,7 @@ namespace otis::sim {
 struct SimConfig;
 
 /// Blob layout version; bump on any payload format change.
-inline constexpr std::uint64_t kCheckpointVersion = 2;
+inline constexpr std::uint64_t kCheckpointVersion = 3;
 
 /// Appends magic, version and the config fingerprint to `out`. Engines
 /// call this first, then append their payload.

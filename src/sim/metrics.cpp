@@ -1,6 +1,7 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/blob.hpp"
 
@@ -48,6 +49,14 @@ void LatencyStats::merge(const LatencyStats& other) {
   samples_.reserve(samples_.size() + other.samples_.size());
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
+}
+
+void LatencyStats::merge(LatencyStats&& other) {
+  if (count() == 0 && sketch_ == other.sketch_) {
+    *this = std::move(other);
+    return;
+  }
+  merge(other);
 }
 
 double LatencyStats::mean() const {

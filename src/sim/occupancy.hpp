@@ -24,11 +24,12 @@
 ///
 ///  - plan_shards cuts the nodes into feed-local shards: no coupler's
 ///    feed set spans a cut, so a shard owns every VOQ its couplers read.
-///    Both sharded engines run on it. The sharded phased engine gives
-///    each shard OccupancyMasks over its own couplers, maintained by the
-///    shard alone (no atomics, no shared words); the async-sharded
-///    engine rebuilds a coupler's request word locally from the
-///    FeedIndex during arbitration, screened by its eligibility gate.
+///    Both engines run on it. The phased slot loop and the async
+///    workload loop give each shard OccupancyMasks over its own
+///    couplers, maintained by the shard alone (no atomics, no shared
+///    words); only the async-sharded open loop rebuilds a coupler's
+///    request word from the FeedIndex during arbitration, screened by
+///    its eligibility gate.
 
 #include <algorithm>
 #include <cstdint>
@@ -39,6 +40,7 @@
 #include "core/error.hpp"
 #include "hypergraph/stack_graph.hpp"
 #include "obs/probe.hpp"
+#include "obs/runtime_stats.hpp"
 
 namespace otis::sim::detail {
 
@@ -90,7 +92,7 @@ struct FeedIndex {
 };
 
 /// Per-run occupancy state over the couplers [begin, end) of a
-/// FeedIndex (see file comment); serial engines cover every coupler.
+/// FeedIndex (see file comment); one-shard runs cover every coupler.
 /// The owner calls mark_nonempty on a VOQ's 0 -> 1 size transition and
 /// mark_empty on 1 -> 0, for VOQs feeding the range only; the engines
 /// do this inline in their enqueue/pop paths.
@@ -159,7 +161,38 @@ struct OccupancyMasks {
       threads, std::max<std::int64_t>(1, std::max(nodes, couplers))));
 }
 
-/// Feed-local partition shared by the sharded engines: contiguous node
+/// Runs worker(w) for every shard w on its own thread, or on the
+/// calling thread when there is one shard.
+template <class Worker>
+void run_shards(int shards, const Worker& worker) {
+  if (shards == 1) {
+    worker(0);
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(shards));
+  for (int w = 0; w < shards; ++w) {
+    pool.emplace_back(worker, w);
+  }
+  for (std::thread& t : pool) {
+    t.join();
+  }
+}
+
+/// Arrives at `barrier`, charging the wait to `rt` when runtime stats
+/// are on.
+template <class Barrier>
+void timed_wait(Barrier& barrier, obs::ShardRuntime* rt) {
+  if (rt == nullptr) {
+    barrier.arrive_and_wait();
+    return;
+  }
+  const std::int64_t t0 = obs::runtime_now_ns();
+  barrier.arrive_and_wait();
+  rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
+}
+
+/// Feed-local partition the shard loops run on: contiguous node
 /// ranges whose cuts never split a coupler's feed set, and per-shard
 /// coupler lists (ascending ids) owned by the shard holding the
 /// coupler's feed nodes. On a stack graph a coupler's feeders are the

@@ -9,6 +9,49 @@
 
 namespace otis::sim {
 
+namespace detail {
+
+RunStreams::RunStreams(std::uint64_t seed, bool single, std::int64_t nodes,
+                       std::int64_t couplers, int shards) {
+  if (single) {
+    OTIS_REQUIRE(shards == 1,
+                 "RunStreams: the single run stream needs one shard");
+    arb_.push_back(core::Rng::stream(seed, kRunStream));
+    return;
+  }
+  node_.reserve(static_cast<std::size_t>(nodes));
+  for (std::int64_t v = 0; v < nodes; ++v) {
+    node_.push_back(core::Rng::stream(
+        seed, kNodeStreamBase + static_cast<std::uint64_t>(v)));
+  }
+  arb_.reserve(static_cast<std::size_t>(couplers));
+  for (std::int64_t h = 0; h < couplers; ++h) {
+    arb_.push_back(core::Rng::stream(
+        seed, kCouplerStreamBase + static_cast<std::uint64_t>(h)));
+  }
+  mask_ = ~std::size_t{0};
+}
+
+void RunStreams::put(core::BlobWriter& out) const {
+  for (const core::Rng& r : node_) {
+    out.put_rng(r);
+  }
+  for (const core::Rng& r : arb_) {
+    out.put_rng(r);
+  }
+}
+
+void RunStreams::get(core::BlobReader& in) {
+  for (core::Rng& r : node_) {
+    r = in.get_rng();
+  }
+  for (core::Rng& r : arb_) {
+    r = in.get_rng();
+  }
+}
+
+}  // namespace detail
+
 const char* arbitration_name(Arbitration policy) {
   switch (policy) {
     case Arbitration::kTokenRoundRobin:
@@ -130,7 +173,8 @@ OpsNetworkSim::OpsNetworkSim(const hypergraph::StackGraph& network,
       routing_(std::move(routing)),
       traffic_(std::move(traffic)),
       config_(config),
-      rng_(core::Rng::stream(config.seed, 0x0715)) {
+      rng_(core::Rng::stream(config.seed,
+                             detail::RunStreams::kRunStream)) {
   OTIS_REQUIRE(routing_.next_coupler && routing_.relay_on,
                "OpsNetworkSim: routing hooks must be set");
   OTIS_REQUIRE(traffic_ != nullptr, "OpsNetworkSim: traffic must be set");
@@ -171,7 +215,8 @@ OpsNetworkSim::OpsNetworkSim(
       routes_(std::move(routes)),
       traffic_(std::move(traffic)),
       config_(config),
-      rng_(core::Rng::stream(config.seed, 0x0715)) {
+      rng_(core::Rng::stream(config.seed,
+                             detail::RunStreams::kRunStream)) {
   OTIS_REQUIRE(routes_ != nullptr, "OpsNetworkSim: routes must be set");
   OTIS_REQUIRE(traffic_ != nullptr, "OpsNetworkSim: traffic must be set");
   OTIS_REQUIRE(routes_->node_count() == network_.node_count(),
@@ -202,7 +247,8 @@ OpsNetworkSim::OpsNetworkSim(
       compressed_routes_(std::move(routes)),
       traffic_(std::move(traffic)),
       config_(config),
-      rng_(core::Rng::stream(config.seed, 0x0715)) {
+      rng_(core::Rng::stream(config.seed,
+                             detail::RunStreams::kRunStream)) {
   OTIS_REQUIRE(compressed_routes_ != nullptr,
                "OpsNetworkSim: routes must be set");
   OTIS_REQUIRE(traffic_ != nullptr, "OpsNetworkSim: traffic must be set");

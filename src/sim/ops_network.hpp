@@ -21,15 +21,16 @@
 ///  - kEventQueue: the original per-slot-event loop on the generic
 ///    EventQueue; kept as the seed-faithful reference implementation
 ///    (tests-only fixture since the async layer landed);
-///  - kPhased: a direct three-phase slot loop (generate / arbitrate /
-///    receive) over a structure-of-arrays VOQ arena with per-coupler
-///    occupancy bitmasks and CompiledRoutes tables. Bit-identical to
-///    kEventQueue for every seed, several times faster;
-///  - kSharded: the phased loop over feed-local shards (a shard owns
-///    every processor feeding its couplers), relays handed to their
-///    owner shard through per-consumer outboxes, two barriers per slot,
-///    and RNG drawn from per-node / per-coupler streams so the result
-///    is bit-identical for EVERY thread count (though, by design, a
+///  - kPhased: the direct three-phase slot loop (generate / arbitrate /
+///    receive; phased_engine.hpp) as one shard drawing from the single
+///    run stream, over packed VOQ records, per-coupler occupancy
+///    bitmasks and compiled route tables. Bit-identical to kEventQueue
+///    for every seed, several times faster;
+///  - kSharded: the same loop over feed-local shards (a shard owns every
+///    processor feeding its couplers), relays handed to their owner
+///    shard through per-consumer outboxes, two barriers per slot, and
+///    RNG drawn from per-node / per-coupler streams so the result is
+///    bit-identical for EVERY thread count (though, by design, a
 ///    different -- equally valid -- universe than the serial engines);
 ///  - kAsync: the calendar-queue timed-event engine (async_engine.hpp)
 ///    honouring SimConfig::timing -- transmitter tuning latencies,
@@ -39,7 +40,8 @@
 ///  - kAsyncSharded: the async engine as conservative parallel
 ///    discrete-event simulation over the same feed-local shards, with
 ///    lookahead windows and per-pair mailboxes. Thread-count invariant;
-///    == kSharded when slot-aligned, == serial kAsync in workload mode.
+///    == kSharded when slot-aligned. Workload runs of kAsync and
+///    kAsyncSharded share one loop (kAsync as one shard).
 ///
 /// The simulator works for *any* stack-graph network: POPS, stack-Kautz
 /// and stack-Imase-Itoh differ only in the StackGraph and the routing
@@ -52,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "core/blob.hpp"
 #include "core/rng.hpp"
 #include "hypergraph/stack_graph.hpp"
 #include "obs/runtime_stats.hpp"
@@ -68,43 +71,53 @@
 namespace otis::sim {
 
 namespace detail {
-/// RNG stream tags for the per-unit streams. The sharded engine always
-/// draws generation randomness from per-node streams and arbitration
-/// randomness from per-coupler streams (so work partitioning cannot
-/// influence the outcome); in workload (closed-loop) mode EVERY engine
-/// does, which is what makes workload-driven runs bit-identical across
-/// engines as well as thread counts. The values keep the families
-/// disjoint from each other and from the serial engines' 0x0715 run
-/// stream.
-inline constexpr std::uint64_t kNodeStreamBase = 0x4F50534E4F444500ULL;
-inline constexpr std::uint64_t kCouplerStreamBase = 0x4F5053435E504C00ULL;
+/// The RNG universe of one run, and its sole owner: either the single
+/// legacy run stream, or per-node generation streams plus per-coupler
+/// arbitration streams.
+///
+/// The run stream interleaves draws across the whole network, so only
+/// a one-shard run can consume it; the kPhased and kAsync open loops
+/// (and the event-queue fixture, which they match bit for bit) use it.
+/// Every other run draws from the per-unit streams, so the partition
+/// can never influence a draw: sharded results hold for every shard
+/// count, and workload runs agree across engines. The tags keep the
+/// three families disjoint.
+class RunStreams {
+ public:
+  static constexpr std::uint64_t kRunStream = 0x0715;
+  static constexpr std::uint64_t kNodeStreamBase = 0x4F50534E4F444500ULL;
+  static constexpr std::uint64_t kCouplerStreamBase = 0x4F5053435E504C00ULL;
 
-/// The per-node generation streams for one run. Every engine that
-/// draws per-unit randomness MUST build its streams through these two
-/// helpers -- a second hand-rolled copy that drifted would silently
-/// break the cross-engine/thread-count parity guarantees.
-inline std::vector<core::Rng> node_streams(std::uint64_t seed,
-                                           std::int64_t nodes) {
-  std::vector<core::Rng> streams;
-  streams.reserve(static_cast<std::size_t>(nodes));
-  for (std::int64_t v = 0; v < nodes; ++v) {
-    streams.push_back(core::Rng::stream(
-        seed, kNodeStreamBase + static_cast<std::uint64_t>(v)));
-  }
-  return streams;
-}
+  /// The run stream when `single` (which requires `shards` == 1),
+  /// otherwise one stream per node and per coupler.
+  RunStreams(std::uint64_t seed, bool single, std::int64_t nodes,
+             std::int64_t couplers, int shards);
 
-/// The per-coupler arbitration streams for one run.
-inline std::vector<core::Rng> coupler_streams(std::uint64_t seed,
-                                              std::int64_t couplers) {
-  std::vector<core::Rng> streams;
-  streams.reserve(static_cast<std::size_t>(couplers));
-  for (std::int64_t h = 0; h < couplers; ++h) {
-    streams.push_back(core::Rng::stream(
-        seed, kCouplerStreamBase + static_cast<std::uint64_t>(h)));
+  [[nodiscard]] bool single() const noexcept { return node_.empty(); }
+
+  /// Draws one slot's senders among nodes [begin, end) into `out`.
+  std::size_t draw_senders(TrafficGenerator& traffic, std::int64_t begin,
+                           std::int64_t end, SenderDemand* out) {
+    return single() ? traffic.demand_batch_senders(begin, end, arb_[0], out)
+                    : traffic.demand_batch_senders_streams(
+                          begin, end, node_.data(), out);
   }
-  return streams;
-}
+
+  /// Coupler h's arbitration stream (the run stream when single).
+  [[nodiscard]] core::Rng& arbitration(std::size_t h) noexcept {
+    return arb_[h & mask_];
+  }
+
+  /// Checkpoint round-trip: the run stream, or every node stream then
+  /// every coupler stream.
+  void put(core::BlobWriter& out) const;
+  void get(core::BlobReader& in);
+
+ private:
+  std::vector<core::Rng> node_;  ///< per node; empty for the run stream
+  std::vector<core::Rng> arb_;   ///< per coupler, or just the run stream
+  std::size_t mask_ = 0;         ///< coupler -> arb_ index mask
+};
 
 /// Slot bound on closed-loop runs, shared by every engine (the engines
 /// must cut a stuck run off at the SAME slot or their reported
@@ -213,10 +226,10 @@ inline constexpr std::int64_t kAutoLatencySketchNodes = 32768;
   return mode == LatencyMode::kSketch;
 }
 
-/// Wall-time attribution of the slot loop's three phases, filled by the
-/// serial phased engine when SimConfig::phase_breakdown points at one
-/// (micro_benchmarks --phase-breakdown). Other engines ignore it -- the
-/// serial loop is the one whose speedup the acceptance bar measures.
+/// Wall-time attribution of the slot loop's three phases, filled by
+/// one-shard phased runs when SimConfig::phase_breakdown points at one
+/// (micro_benchmarks --phase-breakdown). Multi-shard runs ignore it:
+/// their phases overlap across threads.
 struct PhaseBreakdown {
   std::int64_t slots = 0;  ///< slot iterations attributed below
   double generate_seconds = 0.0;
@@ -262,9 +275,9 @@ struct SimConfig {
   /// Execution engine. kPhased is the default: same results as the
   /// legacy event queue, several times faster.
   Engine engine = Engine::kPhased;
-  /// Worker threads for kSharded and kAsyncSharded (<= 0 means hardware
-  /// concurrency). Ignored by the serial engines. Results never depend
-  /// on this value.
+  /// Worker threads, one shard each, for kSharded and kAsyncSharded
+  /// (<= 0 means hardware concurrency). The serial engines ignore it
+  /// and run one shard. Results never depend on this value.
   int threads = 1;
   /// Routing-table representation for simulators constructed from
   /// RoutingHooks (pre-compiled tables pick their own representation).
@@ -309,8 +322,9 @@ struct SimConfig {
   /// alongside the workload until it completes (hand in load 0 for an
   /// uncontended run). Workload runs draw generation randomness from
   /// per-node streams and arbitration randomness from per-coupler
-  /// streams on every engine, so the result is bit-identical across
-  /// phased/sharded/async engines, route tables and thread counts.
+  /// streams on every engine (detail::RunStreams), so the result is
+  /// bit-identical across phased/sharded/async engines, route tables
+  /// and thread counts.
   /// Requires unbounded VOQs (queue_capacity 0: a dropped dependency
   /// would stall its dependents forever) and a non-event-queue engine.
   std::shared_ptr<workload::Workload> workload;
@@ -321,7 +335,7 @@ struct SimConfig {
   /// fixture).
   std::shared_ptr<workload::TraceRecorder> recorder;
   /// Optional per-phase timing sink (must outlive the run). Honoured by
-  /// serial Engine::kPhased runs only; see PhaseBreakdown.
+  /// one-shard phased runs only; see PhaseBreakdown.
   PhaseBreakdown* phase_breakdown = nullptr;
   /// Optional telemetry session (obs/telemetry.hpp): timeseries probe
   /// sampling every sample_period slots plus warmup/measure/drain spans
@@ -336,9 +350,9 @@ struct SimConfig {
   /// Optional runtime-introspection session (obs/runtime_stats.hpp):
   /// the NONdeterministic channel -- per-shard barrier-wait/advance
   /// time, conservative-window widths, mailbox pressure and calendar
-  /// depth, all wall-clock derived. Collected by the sharded phased
-  /// and async-sharded worker loops only; the serial engines have no
-  /// barriers to attribute. Null or inactive costs one pointer+flag
+  /// depth, all wall-clock derived. Collected by kSharded and
+  /// kAsyncSharded runs at any thread count; kPhased and kAsync runs
+  /// record none. Null or inactive costs one pointer+flag
   /// test per run (checked once before the worker loop, never per
   /// slot), and collection never touches simulation state: RunMetrics,
   /// probe values and timeseries bytes are unchanged whether or not a

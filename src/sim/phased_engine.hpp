@@ -1,59 +1,45 @@
 #pragma once
 /// \file phased_engine.hpp
-/// Direct three-phase slot engines behind OpsNetworkSim.
+/// The three-phase slot engine behind Engine::kPhased and kSharded.
 ///
 /// One simulated slot is three phases over flat state:
-///   1. generate  -- one batched traffic call fills the per-node demand
-///                   scratch (traffic.hpp demand_batch: same draw
-///                   sequence as per-node calls, one virtual dispatch
-///                   per slot) and every firing node pushes onto the
-///                   VOQ chosen by the route view;
+///   1. generate  -- one batched traffic call draws the slot's senders
+///                   (traffic.hpp demand_batch_senders) and each packet
+///                   joins the VOQ chosen by the route view;
 ///   2. arbitrate -- couplers with any non-empty feed (found by a
 ///                   count-trailing-zeros scan over the occupancy
 ///                   summary bitmap) pick winners straight off their
 ///                   request-mask words (sim/arbitration.hpp) and pop
-///                   them from the SoA VOQ arena;
-///   3. receive   -- every winner is consumed by its relay: counted as
-///                   delivered at the destination or re-enqueued onward.
+///                   them; final deliveries complete inline;
+///   3. receive   -- relayed winners re-queue at their next hop.
 ///
-/// VOQs live in a structure-of-arrays arena (voq_arena.hpp): one
-/// contiguous array per packet field plus flat head/size cursors, so
-/// the loops touch dense cache lines instead of chasing per-queue ring
-/// buffers. Per-coupler occupancy bitmasks (occupancy.hpp), maintained
-/// on VOQ push/pop, let arbitration skip empty couplers outright.
+/// VOQs are 32-byte packed records in per-shard pools (voq_arena.hpp);
+/// per-coupler occupancy bitmasks (occupancy.hpp), maintained on push
+/// and pop, let arbitration skip empty couplers outright. The engine
+/// is templated over the RouteView (route_view.hpp): dense and
+/// group-factored tables compile into the same loop with no virtual
+/// dispatch and give bit-identical results.
 ///
-/// The engine is templated over the RouteView (route_view.hpp): the
-/// dense CompiledRoutes and the group-factored CompressedRoutes compile
-/// into the same loop with no virtual dispatch, so a hop stays two
-/// array loads (+ the group/copy arithmetic for compressed tables).
-/// Because both views answer every query identically, the two
-/// instantiations are bit-identical for every seed and thread count.
+/// Every run is one slot loop over feed-local shards (occupancy.hpp
+/// plan_shards, shared with async-sharded): a shard owns every
+/// processor feeding its couplers, so it generates, arbitrates off its
+/// own masks and enqueues received relays without touching another
+/// shard's queues. Relays go to the relay owner through per-consumer
+/// outboxes read in coupler order, so a slot needs two barriers (before
+/// and after the receive step), and the outcome is a pure function of
+/// the seed for every shard count. A serial run is one shard on the
+/// calling thread, with no barriers, drawing from the single legacy
+/// run stream (detail::RunStreams) -- bit-identical to the event-queue
+/// fixture; sharded runs draw from per-node and per-coupler streams.
 ///
-/// Serial mode iterates nodes then couplers in id order drawing from the
-/// single legacy RNG stream, which makes it bit-identical to the
-/// event-queue engine for every seed. Sharded mode runs on feed-local
-/// shards (occupancy.hpp plan_shards, shared with async-sharded): a
-/// shard owns every processor feeding its couplers, so it generates,
-/// arbitrates off its own occupancy masks and enqueues received relays
-/// without touching another shard's queues. Each coupler's owner
-/// resolves its winners' relays while it arbitrates and hands them to
-/// the relay owner through one per-consumer outbox, so a slot needs two
-/// barriers: an exchange barrier before the receive step and the slot
-/// barrier after it. All randomness comes from per-node (generation)
-/// and per-coupler (arbitration) streams and inboxes are read in
-/// coupler order, so the outcome is a pure function of the seed --
-/// identical for every thread count and every partition. Each shard
-/// owns its own arena pool so pushes never race on a growing
-/// allocation.
-///
-/// Workload (closed-loop) mode -- SimConfig::workload set -- replaces
-/// the fixed measure window with run-to-completion: phase 1 injects the
-/// packets the workload reports eligible (plus open-loop background
-/// traffic until the workload completes), phase 3 feeds deliveries back
-/// to the workload, and the loop ends when every workload packet has
-/// been delivered and the network drained. BOTH serial and sharded
-/// workload runs use the per-node/per-coupler streams, so workload
-/// results are bit-identical across engines as well as thread counts.
+/// The source is chosen once per run. Open loop: traffic until the
+/// horizon, then optional drain. Workload (SimConfig::workload): each
+/// slot first injects the packets the workload reports eligible, then
+/// background traffic until it completes; deliveries feed back at the
+/// end of the slot, and the run ends when the workload is delivered and
+/// the network drained. Workload runs draw from the per-unit streams on
+/// every engine, so they are bit-identical across engines and shard
+/// counts.
 
 #include <cstdint>
 #include <memory>
@@ -86,11 +72,6 @@ class PhasedEngineT {
   RunMetrics run(std::vector<std::int64_t>& coupler_success);
 
  private:
-  RunMetrics run_serial(std::vector<std::int64_t>& coupler_success);
-  RunMetrics run_sharded(std::vector<std::int64_t>& coupler_success);
-  RunMetrics run_workload_serial(std::vector<std::int64_t>& coupler_success);
-  RunMetrics run_workload_sharded(std::vector<std::int64_t>& coupler_success);
-
   const hypergraph::StackGraph& network_;
   const Routes& routes_;
   TrafficGenerator& traffic_;

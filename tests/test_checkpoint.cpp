@@ -16,8 +16,8 @@
 //    engine changed) is silently ignored -- the run starts fresh;
 //  - a damaged blob (truncated, a flipped byte, a wrong version) never
 //    resumes with different numbers on any engine, and a blob whose
-//    checksum holds but whose queued destination is out of range
-//    throws;
+//    checksum holds but whose queued destination is out of range, or
+//    whose largest latency exceeds its next slot, throws;
 //  - the event-queue engine and path-less checkpoint configs are
 //    rejected at construction.
 
@@ -480,6 +480,28 @@ TEST(Checkpoint, CorruptBlobsNeverResumeWithDifferentNumbers) {
   }
 }
 
+/// Reads a drill blob's header, leaving `in` at the engine payload.
+void skip_header(core::BlobReader& in) {
+  for (int i = 0; i < 8; ++i) {
+    (void)in.get_u8();  // magic
+  }
+  (void)in.get_u64();  // version
+  for (int i = 0; i < 4; ++i) {
+    (void)in.get_u8();  // engine, arbitration, drain, latency mode
+  }
+  for (int i = 0; i < 7; ++i) {
+    (void)in.get_i64();  // seed and 6 sizes
+  }
+}
+
+/// Writes `value` over the i64 at byte `at` of `blob`.
+void overwrite_i64(std::string& blob, std::size_t at, std::int64_t value) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    blob[at + i] =
+        static_cast<char>(static_cast<std::uint64_t>(value) >> (8 * i));
+  }
+}
+
 TEST(Checkpoint, OutOfRangeQueuedDestinationThrows) {
   // A phased blob edited to queue a packet for a node outside the
   // network, with its checksum recomputed: restore must throw, not
@@ -492,24 +514,21 @@ TEST(Checkpoint, OutOfRangeQueuedDestinationThrows) {
   run_sk(sim::Engine::kPhased, 1, drill);
   std::string blob = read_bytes(drill.path);
 
-  // Walk the phased payload (run_serial's save order) to the first
-  // queued entry's destination field.
+  // Walk the phased payload (the slot loop's save order, a serial run
+  // holding the single run stream) to the first queued entry's
+  // destination field.
   core::BlobReader in(reinterpret_cast<const std::uint8_t*>(blob.data()),
                       blob.size() - 8);
-  for (int i = 0; i < 8; ++i) {
-    (void)in.get_u8();  // magic
-  }
-  (void)in.get_u64();  // version
-  for (int i = 0; i < 4; ++i) {
-    (void)in.get_u8();  // engine, arbitration, drain, latency mode
-  }
-  for (int i = 0; i < 7 + 3; ++i) {
-    (void)in.get_i64();  // seed, 6 sizes; next slot, in flight, next id
-  }
+  skip_header(in);
+  (void)in.get_i64();  // next slot
+  (void)in.get_i64();  // in flight
   (void)in.get_rng();
   (void)in.get_i64_vec();  // tokens
-  sim::RunMetrics metrics;
-  sim::checkpoint_get_metrics(in, metrics);
+  for (int i = 0; i < 5; ++i) {
+    (void)in.get_i64();  // offered, delivered, dropped, sent, collisions
+  }
+  sim::LatencyStats latency;
+  latency.deserialize(in);
   (void)in.get_i64_vec();  // coupler successes
   const std::uint64_t queues = in.get_u64();
   std::size_t at = 0;
@@ -521,12 +540,8 @@ TEST(Checkpoint, OutOfRangeQueuedDestinationThrows) {
     }
   }
   ASSERT_NE(at, 0u) << "the drill must leave packets queued";
-  const std::int64_t outside =
-      hypergraph::StackKautz(4, 3, 2).processor_count() + 7;
-  for (std::size_t i = 0; i < 8; ++i) {
-    blob[at + i] = static_cast<char>(static_cast<std::uint64_t>(outside) >>
-                                     (8 * i));
-  }
+  overwrite_i64(blob, at,
+                hypergraph::StackKautz(4, 3, 2).processor_count() + 7);
   reseal(blob);
   write_bytes(drill.path, blob);
 
@@ -535,6 +550,64 @@ TEST(Checkpoint, OutOfRangeQueuedDestinationThrows) {
   resume.path = drill.path;
   resume.resume = true;
   EXPECT_THROW(run_sk(sim::Engine::kPhased, 1, resume), core::Error);
+}
+
+TEST(Checkpoint, LatencyBeyondTheElapsedSlotsThrows) {
+  // A packet delivered in slot t < next slot waited at most t + 1
+  // slots. A blob whose first latency sample is edited past the next
+  // slot, with its checksum recomputed, must throw on restore.
+  ScratchDir scratch("latency");
+  RunOptions skewed;
+  skewed.timing = constant_timing(300, 700);
+  for (const sim::Engine engine : {sim::Engine::kPhased, sim::Engine::kAsync}) {
+    SCOPED_TRACE(sim::engine_name(engine));
+    const RunOptions base = engine == sim::Engine::kAsync ? skewed
+                                                          : RunOptions{};
+    RunOptions drill = base;
+    drill.every = kEvery;
+    drill.path = (scratch.path() / sim::engine_name(engine)).string();
+    drill.stop_at = kStopAt;
+    run_sk(engine, 1, drill);
+    std::string blob = read_bytes(drill.path);
+
+    core::BlobReader in(reinterpret_cast<const std::uint8_t*>(blob.data()),
+                        blob.size() - 8);
+    skip_header(in);
+    const std::int64_t next_slot = in.get_i64();
+    (void)in.get_i64();  // in flight
+    if (engine == sim::Engine::kAsync) {
+      (void)in.get_i64();  // next packet id
+    }
+    (void)in.get_rng();
+    (void)in.get_i64_vec();  // tokens
+    if (engine == sim::Engine::kAsync) {
+      (void)in.get_i64_vec();  // re-tune gates
+      for (int i = 0; i < 8; ++i) {
+        (void)in.get_i64();  // the RunMetrics counters
+      }
+    } else {
+      for (int i = 0; i < 5; ++i) {
+        (void)in.get_i64();  // the folded shard counters
+      }
+    }
+    ASSERT_EQ(in.get_u8(), 0) << "full latency samples expected";
+    ASSERT_GT(in.get_u64(), 0u) << "the drill must have delivered packets";
+    const std::size_t at = in.position();
+    std::string stretched = blob;
+    overwrite_i64(stretched, at, next_slot);
+    reseal(stretched);
+    write_bytes(drill.path, stretched);
+    RunOptions resume = base;
+    resume.every = kEvery;
+    resume.path = drill.path;
+    resume.resume = true;
+    // A latency equal to the next slot is possible; one more is not.
+    EXPECT_NO_THROW(run_sk(engine, 1, resume));
+    overwrite_i64(blob, at, next_slot + 1);
+    reseal(blob);
+    write_bytes(drill.path, blob);
+    EXPECT_THROW(run_sk(engine, 1, resume), core::Error);
+  }
 }
 
 TEST(Checkpoint, ResumeWithoutBlobRunsFresh) {

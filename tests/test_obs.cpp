@@ -10,20 +10,29 @@
 //  - probe totals equal the RunMetrics they mirror;
 //  - Chrome-trace output is well-formed JSON whose spans strictly nest
 //    per track (round-tripped through core::Json);
+//  - serial runs (phased open loop, phased and async workloads) emit
+//    exactly the timeseries bytes and metrics frozen as FNV-1a-64
+//    digests, so a refactor of the run loops cannot move them;
 //  - config validation: unknown probe names and the probe-less
 //    event-queue engine are rejected.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "collectives/stack_kautz_collectives.hpp"
+#include "core/blob.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
 #include "hypergraph/stack_kautz.hpp"
@@ -34,6 +43,8 @@
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
 #include "sim/traffic.hpp"
+#include "sim/timing_model.hpp"
+#include "workload/schedule_workload.hpp"
 #include "workload/trace.hpp"
 
 namespace {
@@ -372,6 +383,132 @@ TEST(Telemetry, ChromeTraceIsWellFormedAndSpansNestPerTrack) {
   EXPECT_TRUE(has("sim.run"));
   EXPECT_TRUE(has("warmup"));
   EXPECT_TRUE(has("measure"));
+}
+
+/// FNV-1a-64 of every RunMetrics field (the latency distribution through
+/// its count, mean bits, max and percentiles) plus the per-coupler
+/// success counts.
+std::uint64_t metrics_digest(const sim::RunMetrics& m,
+                             const std::vector<std::int64_t>& successes) {
+  core::BlobWriter out;
+  for (const std::int64_t v :
+       {m.slots, m.offered_packets, m.delivered_packets,
+        m.coupler_transmissions, m.collisions, m.dropped_packets, m.backlog,
+        m.makespan_slots, m.latency.count(), m.latency.max()}) {
+    out.put_i64(v);
+  }
+  out.put_u8(m.interrupted ? 1 : 0);
+  out.put_u64(std::bit_cast<std::uint64_t>(m.latency.mean()));
+  for (const double q : {0.0, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+    out.put_i64(m.latency.percentile(q));
+  }
+  out.put_i64_vec(successes);
+  return core::fnv1a64(out.bytes().data(), out.bytes().size());
+}
+
+/// One SK(4,3,2) run sampled every 16 slots into `path`; returns the
+/// digests of its timeseries bytes and of its metrics.
+std::pair<std::uint64_t, std::uint64_t> serial_run_digests(
+    sim::SimConfig config, double load, const std::filesystem::path& path) {
+  hypergraph::StackKautz sk(4, 3, 2);
+  const auto tel = obs::Telemetry::create(sampling_config(16, path));
+  config.telemetry = tel;
+  sim::OpsNetworkSim sim(
+      sk.stack(),
+      std::make_shared<const routing::CompiledRoutes>(
+          routing::compile_stack_kautz_routes(sk)),
+      std::make_unique<sim::UniformTraffic>(sk.processor_count(), load),
+      config);
+  const sim::RunMetrics metrics = sim.run();
+  tel->close();
+  const std::string bytes = read_file(path);
+  EXPECT_GT(bytes.size(), 0u);
+  return {core::fnv1a64(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                        bytes.size()),
+          metrics_digest(metrics, sim.coupler_successes())};
+}
+
+TEST(Telemetry, SerialRunsMatchFrozenDigests) {
+  // Recorded from the serial loops before they became one-shard runs;
+  // every later loop must reproduce them byte for byte.
+  struct Frozen {
+    const char* name;
+    std::uint64_t timeseries;
+    std::uint64_t metrics;
+  };
+  const Frozen frozen[] = {
+      {"phased/token/w1", 0xc626291ccfdeb1ccULL,
+       0x25f42d41d23d6b56ULL},
+      {"phased/token/w2", 0x28f2e9a1ccd54eb9ULL,
+       0xfc82ea2a20d63919ULL},
+      {"phased/random/w1", 0xb112f4b153b04b72ULL,
+       0xf438d419ffee0d4dULL},
+      {"phased/random/w2", 0x62248275f15ce93fULL,
+       0x81bdde4fe7d73323ULL},
+      {"phased/aloha/w1", 0xc6d6dcbd6de540bdULL,
+       0x1f69f8e4d001ffa8ULL},
+      {"phased/aloha/w2", 0xec54bc58a4e08565ULL,
+       0x5008213d08731731ULL},
+      {"phased/gossip/bg0.4", 0xe2c0e2519f21e230ULL,
+       0x6c2e49dcfd7e1af0ULL},
+      {"async/gossip/skew", 0xc448cd58f151f572ULL,
+       0x2dcca216355bb69dULL},
+  };
+  ScratchDir scratch("frozen");
+  std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
+      got;
+  for (const sim::Arbitration arbitration :
+       {sim::Arbitration::kTokenRoundRobin, sim::Arbitration::kRandomWinner,
+        sim::Arbitration::kSlottedAloha}) {
+    for (const std::int64_t wavelengths : {1, 2}) {
+      sim::SimConfig config;
+      config.warmup_slots = kWarmup;
+      config.measure_slots = kMeasure;
+      config.seed = 42;
+      config.arbitration = arbitration;
+      config.wavelengths = wavelengths;
+      config.queue_capacity = 3;
+      config.drain = true;
+      const std::string policy = sim::arbitration_name(arbitration);
+      const std::string w = "w" + std::to_string(wavelengths);
+      got.emplace_back("phased/" + policy + "/" + w,
+                       serial_run_digests(config, 0.35,
+                                          scratch.path() / (policy + w)));
+    }
+  }
+  hypergraph::StackKautz sk(4, 3, 2);
+  const auto gossip = [&] {
+    return std::shared_ptr<workload::Workload>(workload::schedule_workload(
+        sk.stack(), collectives::stack_kautz_gossip(sk)));
+  };
+  sim::SimConfig phased;
+  phased.seed = 99;
+  phased.workload = gossip();
+  got.emplace_back("phased/gossip/bg0.4",
+                   serial_run_digests(phased, 0.4,
+                                      scratch.path() / "phased_gossip"));
+  sim::SimConfig async;
+  async.seed = 99;
+  async.engine = sim::Engine::kAsync;
+  async.workload = gossip();
+  async.timing.profile = sim::SkewProfile::kConstant;
+  async.timing.tuning_ticks = 256;
+  async.timing.propagation_ticks = 3 * sim::kTicksPerSlot;
+  async.timing.guard_ticks = 64;
+  got.emplace_back("async/gossip/skew",
+                   serial_run_digests(async, 0.4,
+                                      scratch.path() / "async_gossip"));
+
+  ASSERT_EQ(got.size(), std::size(frozen));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(got[i].first);
+    EXPECT_EQ(got[i].first, frozen[i].name);
+    std::ostringstream actual;
+    actual << std::hex << "timeseries 0x" << got[i].second.first
+           << ", metrics 0x" << got[i].second.second;
+    EXPECT_EQ(got[i].second.first, frozen[i].timeseries) << actual.str();
+    EXPECT_EQ(got[i].second.second, frozen[i].metrics) << actual.str();
+  }
 }
 
 }  // namespace
