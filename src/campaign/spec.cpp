@@ -468,6 +468,10 @@ void CampaignSpec::validate() const {
   }
   OTIS_REQUIRE(warmup_slots >= 0, "CampaignSpec: warmup_slots must be >= 0");
   OTIS_REQUIRE(measure_slots > 0, "CampaignSpec: measure_slots must be > 0");
+  OTIS_REQUIRE(measure_slots <= sim::kMaxRunSlots &&
+                   warmup_slots <= sim::kMaxRunSlots - measure_slots,
+               "CampaignSpec: warmup_slots + measure_slots must be at most "
+               "2^50");
   OTIS_REQUIRE(queue_capacity >= 0,
                "CampaignSpec: queue_capacity must be >= 0");
   OTIS_REQUIRE(checkpoint_every >= 0,

@@ -366,6 +366,9 @@ std::int64_t Json::as_int() const {
   const double value = as_number();
   const double rounded = std::nearbyint(value);
   OTIS_REQUIRE(value == rounded, "Json: expected an integer");
+  // 2^63 is exact as a double; the cast is undefined at and beyond it.
+  OTIS_REQUIRE(rounded >= -0x1p63 && rounded < 0x1p63,
+               "Json: integer out of the int64 range");
   return static_cast<std::int64_t>(rounded);
 }
 

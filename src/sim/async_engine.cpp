@@ -97,25 +97,368 @@ const std::uint64_t* rebuilt_request(const detail::FeedIndex& fi,
   return any == 0 ? nullptr : request.data();
 }
 
-/// Calls fn(word, base) for the summary words of a shard's couplers:
-/// `couplers` is one ascending id range (detail::plan_shards).
-template <class Fn>
-void for_each_coupler_word(
-    const std::vector<hypergraph::HyperarcId>& couplers, Fn&& fn) {
-  for (std::size_t c = 0; c < couplers.size(); c += 64) {
-    const std::size_t n = std::min<std::size_t>(64, couplers.size() - c);
-    fn(n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1,
-       static_cast<std::size_t>(couplers[c]));
+/// An in-flight transmission: coupler -> receivers, landing at the
+/// event's calendar time. `measuring` is the transmission slot's flag
+/// (the phased engine accounts deliveries in the slot that carried
+/// them, so the async engines must too); workload runs measure every
+/// slot.
+struct Arrival {
+  VoqEntry entry;
+  hypergraph::HyperarcId coupler = 0;
+  bool measuring = false;
+};
+
+/// A cross-shard arrival: the consumer replays the producer's
+/// push_keyed, so the global (time, seq) pop order is preserved across
+/// the handoff.
+struct Mail {
+  SimTime time = 0;
+  std::uint64_t seq = 0;
+  Arrival arrival;
+};
+
+/// A landed relay waiting for its enqueue at `node`; `tick` is when it
+/// landed.
+struct Landing {
+  VoqEntry entry;
+  hypergraph::Node node = 0;
+  SimTime tick = 0;
+  bool measuring = false;
+};
+
+/// Relays per staged enqueue of the landing step: a final drain can
+/// land a whole calendar at once, and the batch stays this small.
+constexpr std::size_t kLandingBatch = 1024;
+
+/// The landing step: pops every arrival of `calendar` due by `until` in
+/// (time, seq) order, calls deliver(arrival, tick) on each final
+/// delivery as it pops, and enqueue(qi, entry, node, tick, measuring)
+/// on each relay in pop order through detail::staged_enqueue, up to
+/// kLandingBatch relays at a time (`batch` is scratch). A landing never
+/// schedules an event, so popping arrivals before enqueuing them
+/// changes no pop and every VOQ sees the pushes an interleaved
+/// pop-enqueue loop made. Deliveries never enter the batch: a dense
+/// table has no queue at the destination itself. Returns the number of
+/// arrivals popped.
+template <class Routes, class Deliver, class Enqueue>
+std::int64_t land(CalendarQueue<Arrival>& calendar, SimTime until,
+                  const Routes& routes,
+                  const std::vector<std::int64_t>& voq_base,
+                  const TimedVoqArena& voq, std::vector<Landing>& batch,
+                  Deliver&& deliver, Enqueue&& enqueue) {
+  std::int64_t popped = 0;
+  do {
+    batch.clear();
+    while (batch.size() < kLandingBatch && !calendar.empty() &&
+           calendar.peek().time <= until) {
+      const auto event = calendar.pop();
+      ++popped;
+      const Arrival& arrival = event.payload;
+      const hypergraph::Node relay =
+          routes.relay(arrival.coupler, arrival.entry.destination);
+      if (relay == arrival.entry.destination) {
+        deliver(arrival, event.time);
+      } else {
+        batch.push_back(
+            Landing{arrival.entry, relay, event.time, arrival.measuring});
+      }
+    }
+    detail::staged_enqueue(
+        routes, voq_base, voq, batch.size(),
+        [&](std::size_t i) {
+          return std::pair{batch[i].node, batch[i].entry.destination};
+        },
+        [&](std::size_t i, std::size_t qi) {
+          const Landing& l = batch[i];
+          enqueue(qi, l.entry, l.node, l.tick, l.measuring);
+        });
+  } while (batch.size() == kLandingBatch);
+  return popped;
+}
+
+/// One shard of the sharded open loop or the workload loop: its nodes
+/// (detail::plan_shards) and couplers, whose queues, occupancy masks
+/// (workload loop) and calendar only it touches, and its share of the
+/// counters.
+struct Shard {
+  std::int64_t node_begin = 0, node_end = 0;
+  std::int64_t coupler_begin = 0, coupler_end = 0;
+  std::int64_t offered = 0, delivered = 0, dropped = 0;
+  std::int64_t transmissions = 0, collisions = 0;
+  std::int64_t inflight_delta = 0;  ///< since the last fold
+  std::int64_t events_delta = 0;    ///< calendar pushes - pops, ditto
+  SimTime makespan_tick = 0;
+  LatencyStats latency;
+  CalendarQueue<Arrival> calendar;
+  std::vector<std::vector<Mail>> outbox;    ///< per consumer shard
+  std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
+  /// Occupancy of the shard's couplers and their gated request words
+  /// in the masks' layout (workload loop), or one coupler's rebuilt
+  /// request words (open loop).
+  detail::OccupancyMasks masks;
+  std::vector<std::uint64_t> eligible, request;
+  detail::PickScratch picks;
+  std::vector<Landing> landed;  ///< the landing step's batch
+  /// Open-loop telemetry snapshots per window slot (cumulative deltas).
+  std::vector<std::int64_t> backlog_snap, events_snap;
+};
+
+/// The shards of `plan`: one outbox per shard, latency buffers of
+/// reserve(node count) samples, and each shard's queues growing in its
+/// own pool of `voq`.
+template <class Reserve>
+std::vector<Shard> make_shards(const detail::ShardPlan& plan,
+                               const std::vector<std::int64_t>& voq_base,
+                               TimedVoqArena& voq, bool sketch,
+                               Reserve&& reserve) {
+  const std::size_t threads = plan.couplers.size();
+  std::vector<Shard> shards(threads);
+  std::int64_t covered = 0;  ///< end of the previous shard's couplers
+  for (std::size_t w = 0; w < threads; ++w) {
+    Shard& shard = shards[w];
+    const auto& mine = plan.couplers[w];
+    shard.node_begin = plan.node_cut[w];
+    shard.node_end = plan.node_cut[w + 1];
+    shard.coupler_begin = mine.empty() ? covered : mine.front();
+    shard.coupler_end = covered =
+        shard.coupler_begin + static_cast<std::int64_t>(mine.size());
+    shard.outbox.resize(threads);
+    if (sketch) {
+      shard.latency.use_sketch();
+    }
+    shard.latency.reserve(reserve(shard.node_end - shard.node_begin));
+    for (std::int64_t qi =
+             voq_base[static_cast<std::size_t>(shard.node_begin)];
+         qi < voq_base[static_cast<std::size_t>(shard.node_end)]; ++qi) {
+      voq.set_pool(static_cast<std::size_t>(qi),
+                   static_cast<std::uint32_t>(w));
+    }
+  }
+  return shards;
+}
+
+/// The per-shard steps of the sharded open loop and the workload loop
+/// over one run's arena. Each touches only its shard's queues, masks,
+/// calendar and counters, and the retune gates, tokens and success
+/// counts of the shard's own couplers, so shards run them concurrently.
+template <class Routes>
+struct ShardSteps {
+  const Routes& routes;
+  const detail::FeedIndex& feed;
+  const std::vector<std::int64_t>& voq_base;
+  const TimingModel& timing;
+  const SimConfig& config;
+  const detail::ShardPlan& plan;
+  TimedVoqArena& voq;
+  std::vector<SimTime>& retune;
+  std::vector<std::int64_t>& token;
+  std::vector<std::int64_t>& coupler_success;
+  detail::RunStreams& streams;
+  bool open;                  ///< AsyncEngineT::gates_open()
+  bool masked;                ///< shards keep masks (the workload loop)
+  SimTime warmup_tick;        ///< latency counts packets created from here
+  std::int64_t workload_ids;  ///< delivered ids below this are reported
+
+  /// Queues `entry` on VOQ `qi` of `shard`'s node `at`, reached at
+  /// `tick`: the serial loop's enqueue, drops included, on the shard's
+  /// counters and masks.
+  void enqueue(Shard& shard, std::size_t qi, const VoqEntry& entry,
+               hypergraph::Node at, SimTime tick, bool measuring) const {
+    const std::size_t size = voq.size(qi);
+    if (config.queue_capacity > 0 &&
+        static_cast<std::int64_t>(size) >= config.queue_capacity) {
+      if (measuring) {
+        ++shard.dropped;
+      }
+      --shard.inflight_delta;
+      return;
+    }
+    SimTime ready = tick;
+    if (!open) {
+      ready = tick + timing.tuning(routes.next_coupler(at, entry.destination));
+    }
+    voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
+                               entry.hops, ready});
+    if (masked && size == 0) {
+      shard.masks.mark_nonempty(feed, qi);
+    }
+  }
+
+  /// Lands every arrival of `shard`'s calendar due by `until`.
+  void land_due(Shard& shard, SimTime until) const {
+    shard.events_delta -= land(
+        shard.calendar, until, routes, voq_base, voq, shard.landed,
+        [&](const Arrival& arrival, SimTime tick) {
+          if (arrival.measuring) {
+            ++shard.delivered;
+            if (arrival.entry.created >= warmup_tick) {
+              shard.latency.record(
+                  latency_slots(tick, arrival.entry.created));
+            }
+          }
+          if (arrival.entry.id < workload_ids) {
+            shard.delivered_ids.push_back(arrival.entry.id);
+            shard.makespan_tick = std::max(shard.makespan_tick, tick);
+          }
+          --shard.inflight_delta;
+        },
+        [&](std::size_t qi, const VoqEntry& entry, hypergraph::Node at,
+            SimTime tick, bool measuring) {
+          enqueue(shard, qi, entry, at, tick, measuring);
+        });
+  }
+
+  /// Arbitrates shard w's couplers in slot `s` over their
+  /// eligibility-gated heads and transmits the winners: the occupied
+  /// ones off the masks, or every one with its request words rebuilt
+  /// (one shard, gates closed, ran 6% slower with masks). The global
+  /// transmission order (slot, coupler, winner) is each arrival's
+  /// sequence key, so per-queue pop order matches the serial engine's
+  /// single auto-sequenced calendar whatever shard the arrival crosses
+  /// into. A final delivery stays on the transmitter's calendar (its
+  /// landing touches only counters).
+  void arbitrate(Shard& shard, int w, SimTime s, bool measuring) const {
+    const SimTime slot_tick = ticks_from_slots(s);
+    const SimTime guard = timing.guard();
+    const std::uint64_t couplers = feed.coupler_count();
+    const std::size_t capacity = static_cast<std::size_t>(config.wavelengths);
+    const auto transmit = [&](const detail::Pick& pick) {
+      const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
+      TimedVoqEntry entry = voq.pop_front(pick.qi);
+      if (masked && voq.empty(pick.qi)) {
+        shard.masks.mark_empty(feed, pick.qi);
+      }
+      if (!open) {
+        // Transmitter dead time: busy through this slot, re-tunes after.
+        retune[pick.qi] = slot_tick + kTicksPerSlot + timing.tuning(h);
+      }
+      ++entry.hops;
+      if (measuring) {
+        ++shard.transmissions;
+        ++coupler_success[pick.coupler];
+      }
+      const SimTime at = slot_tick + kTicksPerSlot + timing.propagation(h);
+      const std::uint64_t seq =
+          (static_cast<std::uint64_t>(s) * couplers + pick.coupler) *
+              capacity +
+          pick.rank;
+      ++shard.events_delta;
+      // One shard owns every relay; more look the relay's owner up.
+      int owner = w;
+      if (plan.couplers.size() > 1) {
+        const hypergraph::Node relay = routes.relay(h, entry.destination);
+        if (relay != entry.destination) {
+          owner = plan.node_owner[static_cast<std::size_t>(relay)];
+        }
+      }
+      Arrival arrival{VoqEntry{entry.id, entry.destination, entry.created,
+                               entry.hops},
+                      h, measuring};
+      if (owner != w) {
+        shard.outbox[static_cast<std::size_t>(owner)].push_back(
+            Mail{at, seq, std::move(arrival)});
+      } else {
+        shard.calendar.push_keyed(at, seq, std::move(arrival));
+      }
+    };
+    const detail::OccupancyMasks& masks = shard.masks;
+    for (std::int64_t c = shard.coupler_begin; c < shard.coupler_end;
+         c += 64) {
+      const std::int64_t n = std::min<std::int64_t>(64, shard.coupler_end - c);
+      const std::int64_t collisions = detail::pick_then_pop(
+          masked ? masks.active[static_cast<std::size_t>(
+                       (c - shard.coupler_begin) >> 6)]
+          : n == 64 ? ~std::uint64_t{0}
+                    : (std::uint64_t{1} << n) - 1,
+          static_cast<std::size_t>(c), feed, voq, config.arbitration,
+          capacity, token, shard.picks,
+          [&](std::size_t h) {
+            return masked ? gated_request(feed, masks, voq, retune, guard,
+                                          open, shard.eligible, h, slot_tick)
+                          : rebuilt_request(feed, voq, retune, guard, open,
+                                            shard.request, h, slot_tick);
+          },
+          [&](std::size_t h) -> core::Rng& { return streams.arbitration(h); },
+          transmit);
+      if (measuring) {
+        shard.collisions += collisions;
+      }
+    }
+  }
+
+  /// Fills `frame` from `shard` at a sampling boundary (feed-locality
+  /// makes the snapshot shard-private).
+  void snapshot(const Shard& shard, const obs::EngineProbes& ids,
+                obs::ProbeRegistry& frame) const {
+    frame.zero();
+    frame.set(ids.offered, shard.offered);
+    frame.set(ids.delivered, shard.delivered);
+    frame.set(ids.transmissions, shard.transmissions);
+    frame.set(ids.collisions, shard.collisions);
+    frame.set(ids.dropped, shard.dropped);
+    detail::observe_occupancy(frame, ids.occupancy, feed, voq,
+                              shard.coupler_begin, shard.coupler_end);
+  }
+};
+
+/// Adds every shard's counters to `metrics` (order-independent); the
+/// run's `last` fold moves the latency samples instead of copying.
+void fold(std::vector<Shard>& shards, RunMetrics& metrics, bool last) {
+  for (Shard& shard : shards) {
+    metrics.offered_packets += shard.offered;
+    metrics.delivered_packets += shard.delivered;
+    metrics.dropped_packets += shard.dropped;
+    metrics.coupler_transmissions += shard.transmissions;
+    metrics.collisions += shard.collisions;
+    metrics.latency.merge(last ? std::move(shard.latency)
+                               : LatencyStats(shard.latency));
   }
 }
 
-/// Throws core::Error unless a restored in-flight arrival names a node
-/// and coupler of a network of `nodes` and `couplers`.
-void require_in_network(const VoqEntry& entry, hypergraph::HyperarcId coupler,
-                        std::int64_t nodes, std::int64_t couplers) {
+/// Charges `shard`'s outboxes -- exactly its sends since their
+/// consumers last drained them -- to the runtime channel.
+void count_sends(const Shard& shard, obs::ShardRuntime& rt) {
+  for (const auto& box : shard.outbox) {
+    rt.mailbox_msgs_sent += static_cast<std::int64_t>(box.size());
+    rt.mailbox_bytes_sent +=
+        static_cast<std::int64_t>(box.size() * sizeof(Mail));
+  }
+}
+
+using Pending = CalendarQueue<Arrival>::Entry;
+
+/// Checkpoint bytes of a pending arrival: its (time, seq) key, then
+/// the payload (re-pushed keyed, the calendar pops it where it was).
+void put_arrival(core::BlobWriter& out, const Pending& event) {
+  out.put_i64(event.time);
+  out.put_u64(event.seq);
+  out.put_i64(event.payload.entry.id);
+  out.put_i64(event.payload.entry.destination);
+  out.put_i64(event.payload.entry.created);
+  out.put_i64(event.payload.entry.hops);
+  out.put_u64(static_cast<std::uint64_t>(event.payload.coupler));
+  out.put_u8(event.payload.measuring ? 1 : 0);
+}
+
+/// Reads what put_arrival wrote. Throws core::Error unless the arrival
+/// names a node and coupler of a network of `nodes` and `couplers`.
+Pending get_arrival(core::BlobReader& in, std::int64_t nodes,
+                    std::int64_t couplers) {
+  Pending event;
+  event.time = in.get_i64();
+  event.seq = in.get_u64();
+  VoqEntry& entry = event.payload.entry;
+  entry.id = in.get_i64();
+  entry.destination = in.get_i64();
+  entry.created = in.get_i64();
+  entry.hops = static_cast<std::int32_t>(in.get_i64());
+  const auto coupler = static_cast<hypergraph::HyperarcId>(in.get_u64());
+  event.payload.coupler = coupler;
+  event.payload.measuring = in.get_u8() != 0;
   OTIS_REQUIRE(entry.destination >= 0 && entry.destination < nodes &&
                    entry.hops >= 0 && coupler >= 0 && coupler < couplers,
                "checkpoint: in-flight arrival outside the network");
+  return event;
 }
 
 }  // namespace
@@ -193,10 +536,11 @@ RunMetrics AsyncEngineT<Routes>::run(
     metrics.latency.use_sketch();
   }
   metrics.latency.reserve(
-      std::min(config_.measure_slots * nodes_, kLatencyReserveCap));
+      std::min(std::min(config_.measure_slots, kLatencyReserveCap) * nodes_,
+               kLatencyReserveCap));
 
   const SimTime horizon = config_.warmup_slots + config_.measure_slots;
-  const SimTime drain_bound = horizon + 1'000'000;
+  const SimTime drain_bound = horizon + kDrainSlots;
   const SimTime warmup_tick = ticks_from_slots(config_.warmup_slots);
   const SimTime guard = timing_.guard();
   const bool open = gates_open();
@@ -207,20 +551,11 @@ RunMetrics AsyncEngineT<Routes>::run(
   voq.init(static_cast<std::size_t>(voq_base_.back()));
   detail::OccupancyMasks masks;
   masks.init(feed_);
-
-  /// An in-flight transmission: coupler -> receivers, landing at the
-  /// event's calendar time. `measuring` is the transmission slot's flag
-  /// (the phased engine accounts deliveries in the slot that carried
-  /// them, so the async engine must too).
-  struct Arrival {
-    VoqEntry entry;
-    hypergraph::HyperarcId coupler = 0;
-    bool measuring = false;
-  };
   CalendarQueue<Arrival> propagations;
 
   // Hoisted scratch, as in the phased engine.
   detail::PickScratch picks;
+  std::vector<Landing> landed;
   std::vector<std::uint64_t> eligible(
       open ? 0 : static_cast<std::size_t>(feed_.mask_base.back()), 0);
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
@@ -273,23 +608,22 @@ RunMetrics AsyncEngineT<Routes>::run(
     }
   };
 
-  /// Receive step of one landed transmission.
-  const auto receive = [&](const Arrival& arrival, SimTime tick) {
-    const hypergraph::Node relay =
-        routes_.relay(arrival.coupler, arrival.entry.destination);
-    if (relay == arrival.entry.destination) {
-      if (arrival.measuring) {
-        ++metrics.delivered_packets;
-        if (arrival.entry.created >= warmup_tick) {
-          metrics.latency.record(latency_slots(tick, arrival.entry.created));
-        }
-      }
-      --inflight;
-    } else {
-      enqueue(detail::queue_of(routes_, voq_base_, relay,
-                               arrival.entry.destination),
-              arrival.entry, relay, tick, arrival.measuring);
-    }
+  /// Lands every arrival due by `until` (a final delivery is counted in
+  /// the slot that carried it).
+  const auto land_due = [&](SimTime until) {
+    land(
+        propagations, until, routes_, voq_base_, voq, landed,
+        [&](const Arrival& arrival, SimTime tick) {
+          if (arrival.measuring) {
+            ++metrics.delivered_packets;
+            if (arrival.entry.created >= warmup_tick) {
+              metrics.latency.record(
+                  latency_slots(tick, arrival.entry.created));
+            }
+          }
+          --inflight;
+        },
+        enqueue);
   };
 
   // Checkpointing (sim/checkpoint.hpp): same "blob = state at the top
@@ -311,17 +645,8 @@ RunMetrics AsyncEngineT<Routes>::run(
     out.put_i64_vec(coupler_success);
     checkpoint_put_voq(out, voq);
     out.put_u64(propagations.pending());
-    propagations.for_each([&](const typename CalendarQueue<Arrival>::Entry&
-                                  event) {
-      out.put_i64(event.time);
-      out.put_u64(event.seq);
-      out.put_i64(event.payload.entry.id);
-      out.put_i64(event.payload.entry.destination);
-      out.put_i64(event.payload.entry.created);
-      out.put_i64(event.payload.entry.hops);
-      out.put_u64(static_cast<std::uint64_t>(event.payload.coupler));
-      out.put_u8(event.payload.measuring ? 1 : 0);
-    });
+    propagations.for_each(
+        [&](const Pending& event) { put_arrival(out, event); });
     out.put_u64(propagations.next_seq());
     std::vector<std::int64_t> traffic_state;
     traffic_.checkpoint_state(traffic_state);
@@ -349,17 +674,9 @@ RunMetrics AsyncEngineT<Routes>::run(
       checkpoint_get_voq(in, voq, nodes_);
       const std::uint64_t pending = in.get_u64();
       for (std::uint64_t i = 0; i < pending; ++i) {
-        const SimTime time = in.get_i64();
-        const std::uint64_t seq = in.get_u64();
-        Arrival arrival;
-        arrival.entry.id = in.get_i64();
-        arrival.entry.destination = in.get_i64();
-        arrival.entry.created = in.get_i64();
-        arrival.entry.hops = static_cast<std::int32_t>(in.get_i64());
-        arrival.coupler = static_cast<hypergraph::HyperarcId>(in.get_u64());
-        arrival.measuring = in.get_u8() != 0;
-        require_in_network(arrival.entry, arrival.coupler, nodes_, couplers_);
-        propagations.push_keyed(time, seq, std::move(arrival));
+        Pending event = get_arrival(in, nodes_, couplers_);
+        propagations.push_keyed(event.time, event.seq,
+                                std::move(event.payload));
       }
       propagations.set_next_seq(in.get_u64());
       traffic_.restore_state(in.get_i64_vec());
@@ -387,13 +704,10 @@ RunMetrics AsyncEngineT<Routes>::run(
     const SimTime slot_tick = ticks_from_slots(now);
     const bool measuring = now >= config_.warmup_slots && now < horizon;
 
-    // Receive every transmission that landed by this slot boundary --
-    // the phased engine's phase 3 runs before the next slot's phase 1,
-    // so arrivals at exactly the boundary precede this slot's work.
-    while (!propagations.empty() && propagations.peek().time <= slot_tick) {
-      auto event = propagations.pop();
-      receive(event.payload, event.time);
-    }
+    // Land every transmission due by this slot boundary -- the phased
+    // engine's phase 3 runs before the next slot's phase 1, so arrivals
+    // at exactly the boundary precede this slot's work.
+    land_due(slot_tick);
 
     // Generate (stops at the horizon; drain only afterwards). Compact
     // batch: only the slot's actual senders come back.
@@ -487,10 +801,7 @@ RunMetrics AsyncEngineT<Routes>::run(
 
   // Transmissions of the final slot are still in flight; land them (the
   // phased engine's last phase 3 does the same work inside the slot).
-  while (!propagations.empty()) {
-    auto event = propagations.pop();
-    receive(event.payload, event.time);
-  }
+  land_due(std::numeric_limits<SimTime>::max());
 
   metrics.backlog = inflight;
   if (tel != nullptr) {
@@ -521,67 +832,30 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   metrics.slots = config_.measure_slots;
 
   const SimTime horizon = config_.warmup_slots + config_.measure_slots;
-  const SimTime drain_bound = horizon + 1'000'000;
-  const SimTime warmup_tick = ticks_from_slots(config_.warmup_slots);
-  const SimTime guard = timing_.guard();
-  const bool open = gates_open();
+  const SimTime drain_bound = horizon + kDrainSlots;
   const SimTime lookahead = lookahead_slots();
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const std::int64_t queue_cap = config_.queue_capacity;
-  const Arbitration policy = config_.arbitration;
 
   TimedVoqArena voq;
   voq.init(static_cast<std::size_t>(voq_base_.back()),
            static_cast<std::size_t>(threads));
-
-  struct Arrival {
-    VoqEntry entry;
-    hypergraph::HyperarcId coupler = 0;
-    bool measuring = false;
-  };
-  /// A cross-shard arrival: the consumer replays the producer's
-  /// push_keyed at the window barrier, so the global (time, seq) pop
-  /// order is preserved across the handoff.
-  struct Mail {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    Arrival arrival;
-  };
-
-  struct Shard {
-    std::int64_t node_begin = 0, node_end = 0;
-    std::int64_t offered = 0, delivered = 0, dropped = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    std::int64_t inflight_delta = 0;  ///< since the last window fold
-    std::int64_t events_delta = 0;    ///< calendar pushes - pops, ditto
-    LatencyStats latency;
-    CalendarQueue<Arrival> calendar;
-    std::vector<std::vector<Mail>> outbox;  ///< per consumer shard
-    detail::PickScratch picks;
-    std::vector<std::uint64_t> request;
-    /// Telemetry snapshots per window slot (cumulative deltas).
-    std::vector<std::int64_t> backlog_snap, events_snap;
-  };
-  std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  for (int w = 0; w < threads; ++w) {
-    Shard& shard = shards[static_cast<std::size_t>(w)];
-    shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
-    shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
-    shard.outbox.resize(static_cast<std::size_t>(threads));
+  std::vector<Shard> shards = make_shards(
+      plan, voq_base_, voq,
+      resolve_latency_sketch(config_.latency_mode, nodes_),
+      [&](std::int64_t shard_nodes) {
+        return std::min(
+            std::min(config_.measure_slots, kLatencyReserveCap) * shard_nodes,
+            kLatencyReserveCap);
+      });
+  const ShardSteps<Routes> steps{
+      .routes = routes_, .feed = feed_, .voq_base = voq_base_,
+      .timing = timing_, .config = config_, .plan = plan, .voq = voq,
+      .retune = retune_, .token = token_, .coupler_success = coupler_success,
+      .streams = streams, .open = gates_open(), .masked = false,
+      .warmup_tick = ticks_from_slots(config_.warmup_slots),
+      .workload_ids = 0};
+  for (Shard& shard : shards) {
     shard.backlog_snap.assign(static_cast<std::size_t>(lookahead), 0);
     shard.events_snap.assign(static_cast<std::size_t>(lookahead), 0);
-    if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-      shard.latency.use_sketch();
-    }
-    shard.latency.reserve(
-        std::min(config_.measure_slots * (shard.node_end - shard.node_begin),
-                 kLatencyReserveCap));
-    for (std::int64_t qi =
-             voq_base_[static_cast<std::size_t>(shard.node_begin)];
-         qi < voq_base_[static_cast<std::size_t>(shard.node_end)]; ++qi) {
-      voq.set_pool(static_cast<std::size_t>(qi),
-                   static_cast<std::uint32_t>(w));
-    }
   }
 
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
@@ -651,40 +925,24 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     streams.put(out);
     out.put_i64_vec(token_);
     out.put_i64_vec(retune_);
-    std::int64_t offered = 0, delivered = 0, dropped = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    LatencyStats latency;
-    std::uint64_t events = 0;
-    for (const Shard& shard : shards) {
-      offered += shard.offered;
-      delivered += shard.delivered;
-      dropped += shard.dropped;
-      transmissions += shard.transmissions;
-      collisions += shard.collisions;
-      latency.merge(shard.latency);
-      events += shard.calendar.pending();
-    }
-    out.put_i64(offered);
-    out.put_i64(delivered);
-    out.put_i64(dropped);
-    out.put_i64(transmissions);
-    out.put_i64(collisions);
-    latency.serialize(out);
+    RunMetrics folded;
+    fold(shards, folded, false);
+    out.put_i64(folded.offered_packets);
+    out.put_i64(folded.delivered_packets);
+    out.put_i64(folded.dropped_packets);
+    out.put_i64(folded.coupler_transmissions);
+    out.put_i64(folded.collisions);
+    folded.latency.serialize(out);
     out.put_i64_vec(coupler_success);
     checkpoint_put_voq(out, voq);
+    std::uint64_t events = 0;
+    for (const Shard& shard : shards) {
+      events += shard.calendar.pending();
+    }
     out.put_u64(events);
     for (const Shard& shard : shards) {
       shard.calendar.for_each(
-          [&](const typename CalendarQueue<Arrival>::Entry& event) {
-            out.put_i64(event.time);
-            out.put_u64(event.seq);
-            out.put_i64(event.payload.entry.id);
-            out.put_i64(event.payload.entry.destination);
-            out.put_i64(event.payload.entry.created);
-            out.put_i64(event.payload.entry.hops);
-            out.put_u64(static_cast<std::uint64_t>(event.payload.coupler));
-            out.put_u8(event.payload.measuring ? 1 : 0);
-          });
+          [&](const Pending& event) { put_arrival(out, event); });
     }
     std::vector<std::int64_t> traffic_state;
     traffic_.checkpoint_state(traffic_state);
@@ -722,16 +980,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       checkpoint_get_voq(in, voq, nodes_);
       const std::uint64_t events = in.get_u64();
       for (std::uint64_t i = 0; i < events; ++i) {
-        const SimTime time = in.get_i64();
-        const std::uint64_t seq = in.get_u64();
-        Arrival arrival;
-        arrival.entry.id = in.get_i64();
-        arrival.entry.destination = in.get_i64();
-        arrival.entry.created = in.get_i64();
-        arrival.entry.hops = static_cast<std::int32_t>(in.get_i64());
-        arrival.coupler = static_cast<hypergraph::HyperarcId>(in.get_u64());
-        arrival.measuring = in.get_u8() != 0;
-        require_in_network(arrival.entry, arrival.coupler, nodes_, couplers_);
+        Pending event = get_arrival(in, nodes_, couplers_);
+        const Arrival& arrival = event.payload;
         const hypergraph::Node relay =
             routes_.relay(arrival.coupler, arrival.entry.destination);
         const std::size_t owner =
@@ -739,7 +989,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
                 ? static_cast<std::size_t>(
                       plan.node_owner[static_cast<std::size_t>(relay)])
                 : 0;
-        shards[owner].calendar.push_keyed(time, seq, std::move(arrival));
+        shards[owner].calendar.push_keyed(event.time, event.seq,
+                                          std::move(event.payload));
       }
       traffic_.restore_state(in.get_i64_vec());
       tel_last = checkpoint_get_telemetry(in, tel);
@@ -829,93 +1080,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   std::barrier<decltype(on_window_end)> window_barrier(threads,
                                                        on_window_end);
 
-  /// Queues `entry` on VOQ `qi` of node `at` of `shard` (feed-local:
-  /// `at` is owned by `shard`). Mirrors the serial enqueue, with
-  /// shard-local counters.
-  const auto enqueue = [&](Shard& shard, std::size_t qi, const VoqEntry& entry,
-                           hypergraph::Node at, SimTime tick,
-                           bool measuring) {
-    if (queue_cap > 0 &&
-        static_cast<std::int64_t>(voq.size(qi)) >= queue_cap) {
-      if (measuring) {
-        ++shard.dropped;
-      }
-      --shard.inflight_delta;
-      return;
-    }
-    SimTime ready = tick;
-    if (!open) {
-      ready = tick +
-              timing_.tuning(routes_.next_coupler(at, entry.destination));
-    }
-    voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops, ready});
-  };
-
-  const auto receive = [&](Shard& shard, const Arrival& arrival,
-                           SimTime tick) {
-    const hypergraph::Node relay =
-        routes_.relay(arrival.coupler, arrival.entry.destination);
-    if (relay == arrival.entry.destination) {
-      if (arrival.measuring) {
-        ++shard.delivered;
-        if (arrival.entry.created >= warmup_tick) {
-          shard.latency.record(latency_slots(tick, arrival.entry.created));
-        }
-      }
-      --shard.inflight_delta;
-    } else {
-      enqueue(shard,
-              detail::queue_of(routes_, voq_base_, relay,
-                               arrival.entry.destination),
-              arrival.entry, relay, tick, arrival.measuring);
-    }
-  };
-
-  /// Transmits `pick` in slot `s` from shard w. The global transmission
-  /// order (slot, coupler, winner) is the sequence key: per-queue pop
-  /// order then matches the serial engine's single auto-sequenced
-  /// calendar exactly, whatever shard the event crosses into. Final
-  /// deliveries stay on the transmitter's calendar (only counters are
-  /// touched at the landing).
-  const auto transmit = [&](Shard& shard, int w, const detail::Pick& pick,
-                            SimTime s, bool measuring) {
-    const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
-    const SimTime slot_tick = ticks_from_slots(s);
-    TimedVoqEntry entry = voq.pop_front(pick.qi);
-    if (!open) {
-      retune_[pick.qi] = slot_tick + kTicksPerSlot + timing_.tuning(h);
-    }
-    ++entry.hops;
-    if (measuring) {
-      ++shard.transmissions;
-      ++coupler_success[pick.coupler];
-    }
-    const SimTime at = slot_tick + kTicksPerSlot + timing_.propagation(h);
-    const std::uint64_t seq =
-        (static_cast<std::uint64_t>(s) * static_cast<std::uint64_t>(couplers_) +
-         pick.coupler) *
-            capacity +
-        pick.rank;
-    ++shard.events_delta;
-    const hypergraph::Node relay = routes_.relay(h, entry.destination);
-    const int owner = relay == entry.destination
-                          ? w
-                          : plan.node_owner[static_cast<std::size_t>(relay)];
-    Mail mail{at, seq,
-              Arrival{VoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops},
-                      h, measuring}};
-    if (owner != w) {
-      shard.outbox[static_cast<std::size_t>(owner)].push_back(std::move(mail));
-    } else {
-      shard.calendar.push_keyed(at, seq, std::move(mail.arrival));
-    }
-  };
-
   const auto worker = [&](int w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
-    const auto& my_couplers = plan.couplers[static_cast<std::size_t>(w)];
     obs::ShardRuntime* const rt =
         rt_on ? &rt_shards[static_cast<std::size_t>(w)] : nullptr;
     const std::int64_t loop_start = rt_on ? obs::runtime_now_ns() : 0;
@@ -934,12 +1100,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
         const SimTime slot_tick = ticks_from_slots(s);
         const bool measuring = s >= config_.warmup_slots && s < horizon;
 
-        while (!shard.calendar.empty() &&
-               shard.calendar.peek().time <= slot_tick) {
-          auto event = shard.calendar.pop();
-          --shard.events_delta;
-          receive(shard, event.payload, event.time);
-        }
+        steps.land_due(shard, slot_tick);
 
         if (s < horizon) {
           SenderDemand* const batch = senders.data() + shard.node_begin;
@@ -961,65 +1122,27 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
                 }
                 // Deterministic id without a shared counter (the sharded
                 // phased convention).
-                enqueue(shard, qi,
-                        VoqEntry{s * nodes_ + d.source, d.destination,
-                                 slot_tick, 0},
-                        d.source, slot_tick, measuring);
+                steps.enqueue(shard, qi,
+                              VoqEntry{s * nodes_ + d.source, d.destination,
+                                       slot_tick, 0},
+                              d.source, slot_tick, measuring);
               });
         }
 
-        // Arbitrate the shard's couplers: the request words are rebuilt
-        // locally with the eligibility gate applied (occupied AND tuned
-        // guard ticks before the boundary) -- feed-locality makes every
-        // read shard-private.
-        for_each_coupler_word(my_couplers, [&](std::uint64_t word,
-                                               std::size_t base) {
-          const std::int64_t collisions = detail::pick_then_pop(
-              word, base, feed_, voq, policy, capacity, token_, shard.picks,
-              [&](std::size_t h) {
-                return rebuilt_request(feed_, voq, retune_, guard, open,
-                                       shard.request, h, slot_tick);
-              },
-              [&](std::size_t h) -> core::Rng& {
-                return streams.arbitration(h);
-              },
-              [&](const detail::Pick& pick) {
-                transmit(shard, w, pick, s, measuring);
-              });
-          if (measuring) {
-            shard.collisions += collisions;
-          }
-        });
+        steps.arbitrate(shard, w, s, measuring);
 
         if (tel != nullptr && tel->due(s)) {
           const std::size_t k = static_cast<std::size_t>(s - win_begin);
-          obs::ProbeRegistry& frame =
-              frames[static_cast<std::size_t>(w) *
-                         static_cast<std::size_t>(lookahead) +
-                     k];
-          const obs::EngineProbes& ids = tel->engine_probes();
-          frame.zero();
-          frame.set(ids.offered, shard.offered);
-          frame.set(ids.delivered, shard.delivered);
-          frame.set(ids.transmissions, shard.transmissions);
-          frame.set(ids.collisions, shard.collisions);
-          frame.set(ids.dropped, shard.dropped);
-          for (const hypergraph::HyperarcId h : my_couplers) {
-            detail::observe_occupancy(frame, ids.occupancy, feed_, voq, h,
-                                      h + 1);
-          }
+          steps.snapshot(shard, tel->engine_probes(),
+                         frames[static_cast<std::size_t>(w) *
+                                    static_cast<std::size_t>(lookahead) +
+                                k]);
           shard.backlog_snap[k] = shard.inflight_delta;
           shard.events_snap[k] = shard.events_delta;
         }
       }
       if (rt != nullptr) {
-        // The outboxes hold exactly this window's cross-shard sends
-        // (the previous window's were drained at the last barrier).
-        for (const auto& box : shard.outbox) {
-          rt->mailbox_msgs_sent += static_cast<std::int64_t>(box.size());
-          rt->mailbox_bytes_sent +=
-              static_cast<std::int64_t>(box.size() * sizeof(Mail));
-        }
+        count_sends(shard, *rt);  // drained at the last window barrier
       }
       detail::timed_wait(window_barrier, rt);
       if (!running) {
@@ -1044,7 +1167,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   }
 
   // Land everything still in flight (the last window's barrier already
-  // drained every mailbox onto the calendars). A receive only counts a
+  // drained every mailbox onto the calendars). A landing only counts a
   // delivery or re-enqueues at a relay's VOQ -- it never schedules a
   // new event -- so a full per-shard calendar drain empties the system.
   // Per-queue order inside each shard still follows (time, seq); the
@@ -1053,22 +1176,13 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   // the flush: the checkpoint already captured those events, and the
   // resumed run lands them.
   if (!interrupted) {
-    for (int w = 0; w < threads; ++w) {
-      Shard& shard = shards[static_cast<std::size_t>(w)];
-      while (!shard.calendar.empty()) {
-        auto event = shard.calendar.pop();
-        receive(shard, event.payload, event.time);
-      }
+    for (Shard& shard : shards) {
+      steps.land_due(shard, std::numeric_limits<SimTime>::max());
     }
   }
 
-  for (Shard& shard : shards) {
-    metrics.offered_packets += shard.offered;
-    metrics.delivered_packets += shard.delivered;
-    metrics.dropped_packets += shard.dropped;
-    metrics.coupler_transmissions += shard.transmissions;
-    metrics.collisions += shard.collisions;
-    metrics.latency.merge(shard.latency);
+  fold(shards, metrics, true);
+  for (const Shard& shard : shards) {
     inflight += shard.inflight_delta;
   }
   metrics.backlog = inflight;
@@ -1114,69 +1228,29 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
   // Shared with the phased engines; skew can only defer deliveries by
   // bounded sub-slot amounts, so no extra headroom needed.
   const SimTime bound = detail::workload_slot_bound(load);
-  const SimTime guard = timing_.guard();
   const bool open = gates_open();
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const Arbitration policy = config_.arbitration;
 
   TimedVoqArena voq;
   voq.init(static_cast<std::size_t>(voq_base_.back()),
            static_cast<std::size_t>(threads));
-
-  struct Arrival {
-    VoqEntry entry;
-    hypergraph::HyperarcId coupler = 0;
-  };
-  struct Mail {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    Arrival arrival;
-  };
-
-  struct Shard {
-    std::int64_t node_begin = 0, node_end = 0;
-    std::int64_t coupler_begin = 0, coupler_end = 0;
-    std::int64_t offered = 0, delivered = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    std::int64_t inflight_delta = 0;
-    std::int64_t events_delta = 0;
-    SimTime makespan_tick = 0;
-    LatencyStats latency;
-    CalendarQueue<Arrival> calendar;
-    std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
-    std::vector<std::vector<Mail>> outbox;
-    /// Occupancy of the shard's couplers, kept by the shard alone (every
-    /// push and pop on its queues is its own), and their gated request
-    /// words in the masks' layout.
-    detail::OccupancyMasks masks;
-    std::vector<std::uint64_t> eligible;
-    detail::PickScratch picks;
-  };
-  std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  std::int64_t covered = 0;  ///< end of the previous shard's couplers
-  for (int w = 0; w < threads; ++w) {
-    Shard& shard = shards[static_cast<std::size_t>(w)];
-    const auto& mine = plan.couplers[static_cast<std::size_t>(w)];
-    shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
-    shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
-    shard.coupler_begin = mine.empty() ? covered : mine.front();
-    shard.coupler_end = covered =
-        shard.coupler_begin + static_cast<std::int64_t>(mine.size());
+  std::vector<Shard> shards = make_shards(
+      plan, voq_base_, voq,
+      resolve_latency_sketch(config_.latency_mode, nodes_),
+      [&](std::int64_t) {
+        return std::min(load.packet_count() / threads + 1,
+                        kLatencyReserveCap);
+      });
+  for (Shard& shard : shards) {
     shard.masks.init(feed_, shard.coupler_begin, shard.coupler_end);
     shard.eligible.assign(open ? 0 : shard.masks.request.size(), 0);
-    shard.outbox.resize(static_cast<std::size_t>(threads));
-    if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-      shard.latency.use_sketch();
-    }
-    shard.latency.reserve(
-        std::min(load.packet_count() / threads + 1, kLatencyReserveCap));
-    for (std::int64_t qi =
-             voq_base_[static_cast<std::size_t>(shard.node_begin)];
-         qi < voq_base_[static_cast<std::size_t>(shard.node_end)]; ++qi) {
-      voq.set_pool(static_cast<std::size_t>(qi),
-                   static_cast<std::uint32_t>(w));
-    }
   }
+  // Every slot measures; ids below background_base are the workload's.
+  const ShardSteps<Routes> steps{
+      .routes = routes_, .feed = feed_, .voq_base = voq_base_,
+      .timing = timing_, .config = config_, .plan = plan, .voq = voq,
+      .retune = retune_, .token = token_, .coupler_success = coupler_success,
+      .streams = streams, .open = open, .masked = true, .warmup_tick = 0,
+      .workload_ids = background_base};
 
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
 
@@ -1272,87 +1346,8 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
       threads, on_receives_done);
   std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
 
-  // Queues `entry` at `shard`'s node `at`. queue_capacity is 0 in
-  // workload mode (validated): never drops.
-  const auto enqueue = [&](Shard& shard, const VoqEntry& entry,
-                           hypergraph::Node at, SimTime tick) {
-    const std::size_t qi =
-        detail::queue_of(routes_, voq_base_, at, entry.destination);
-    const std::size_t size = voq.size(qi);
-    SimTime ready = tick;
-    if (!open) {
-      ready = tick +
-              timing_.tuning(routes_.next_coupler(at, entry.destination));
-    }
-    voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops, ready});
-    if (size == 0) {
-      shard.masks.mark_nonempty(feed_, qi);
-    }
-  };
-
-  const auto receive = [&](Shard& shard, const Arrival& arrival,
-                           SimTime tick) {
-    const hypergraph::Node relay =
-        routes_.relay(arrival.coupler, arrival.entry.destination);
-    if (relay == arrival.entry.destination) {
-      ++shard.delivered;
-      shard.latency.record(latency_slots(tick, arrival.entry.created));
-      if (arrival.entry.id < background_base) {
-        shard.delivered_ids.push_back(arrival.entry.id);
-        shard.makespan_tick = std::max(shard.makespan_tick, tick);
-      }
-      --shard.inflight_delta;
-    } else {
-      enqueue(shard, arrival.entry, relay, tick);
-    }
-  };
-
-  /// Transmits `pick` in slot `now` from shard w, keyed as in the
-  /// open-loop sharded mode.
-  const auto transmit = [&](Shard& shard, int w, const detail::Pick& pick) {
-    const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
-    const SimTime slot_tick = ticks_from_slots(now);
-    TimedVoqEntry entry = voq.pop_front(pick.qi);
-    if (voq.empty(pick.qi)) {
-      shard.masks.mark_empty(feed_, pick.qi);
-    }
-    if (!open) {
-      retune_[pick.qi] = slot_tick + kTicksPerSlot + timing_.tuning(h);
-    }
-    ++entry.hops;
-    ++shard.transmissions;
-    ++coupler_success[pick.coupler];
-    const SimTime at = slot_tick + kTicksPerSlot + timing_.propagation(h);
-    const std::uint64_t seq =
-        (static_cast<std::uint64_t>(now) *
-             static_cast<std::uint64_t>(couplers_) +
-         pick.coupler) *
-            capacity +
-        pick.rank;
-    ++shard.events_delta;
-    // One shard owns every relay; more look the relay's owner up.
-    int owner = w;
-    if (threads > 1) {
-      const hypergraph::Node relay = routes_.relay(h, entry.destination);
-      if (relay != entry.destination) {
-        owner = plan.node_owner[static_cast<std::size_t>(relay)];
-      }
-    }
-    Mail mail{at, seq,
-              Arrival{VoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops},
-                      h}};
-    if (owner != w) {
-      shard.outbox[static_cast<std::size_t>(owner)].push_back(std::move(mail));
-    } else {
-      shard.calendar.push_keyed(at, seq, std::move(mail.arrival));
-    }
-  };
-
   const auto worker = [&](int w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
-    detail::OccupancyMasks& masks = shard.masks;
     obs::ShardRuntime* const rt =
         rt_on ? &rt_shards[static_cast<std::size_t>(w)] : nullptr;
     const std::int64_t loop_start = rt_on ? obs::runtime_now_ns() : 0;
@@ -1383,12 +1378,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
             rt->calendar_peak,
             static_cast<std::int64_t>(shard.calendar.pending()));
       }
-      while (!shard.calendar.empty() &&
-             shard.calendar.peek().time <= slot_tick) {
-        auto event = shard.calendar.pop();
-        --shard.events_delta;
-        receive(shard, event.payload, event.time);
-      }
+      steps.land_due(shard, slot_tick);
       if (threads > 1) {
         detail::timed_wait(receive_barrier, rt);
       } else {
@@ -1408,8 +1398,11 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
         }
         ++shard.offered;
         ++shard.inflight_delta;
-        enqueue(shard, VoqEntry{packet.id, packet.destination, slot_tick, 0},
-                packet.source, slot_tick);
+        steps.enqueue(shard,
+                      detail::queue_of(routes_, voq_base_, packet.source,
+                                       packet.destination),
+                      VoqEntry{packet.id, packet.destination, slot_tick, 0},
+                      packet.source, slot_tick, true);
       }
       if (!load_done) {
         SenderDemand* const batch = senders.data() + shard.node_begin;
@@ -1422,49 +1415,24 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
           if (config_.recorder != nullptr) {
             config_.recorder->record(now, d.source, d.destination);
           }
-          enqueue(shard,
-                  VoqEntry{background_base + now * nodes_ + d.source,
-                           d.destination, slot_tick, 0},
-                  d.source, slot_tick);
+          steps.enqueue(shard,
+                        detail::queue_of(routes_, voq_base_, d.source,
+                                         d.destination),
+                        VoqEntry{background_base + now * nodes_ + d.source,
+                                 d.destination, slot_tick, 0},
+                        d.source, slot_tick, true);
         }
       }
 
-      for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
-        shard.collisions += detail::pick_then_pop(
-            masks.active[aw],
-            static_cast<std::size_t>(masks.coupler_begin) + (aw << 6), feed_,
-            voq, policy, capacity, token_, shard.picks,
-            [&](std::size_t h) {
-              return gated_request(feed_, masks, voq, retune_, guard, open,
-                                   shard.eligible, h, slot_tick);
-            },
-            [&](std::size_t h) -> core::Rng& {
-              return streams.arbitration(h);
-            },
-            [&](const detail::Pick& pick) { transmit(shard, w, pick); });
-      }
+      steps.arbitrate(shard, w, now, true);
 
       if (tel != nullptr && tel->due(now)) {
-        // Feed-locality makes the snapshot shard-private, so no extra
-        // visibility barrier is needed.
-        obs::ProbeRegistry& frame = frames[static_cast<std::size_t>(w)];
-        const obs::EngineProbes& ids = tel->engine_probes();
-        frame.zero();
-        frame.set(ids.offered, shard.offered);
-        frame.set(ids.delivered, shard.delivered);
-        frame.set(ids.transmissions, shard.transmissions);
-        frame.set(ids.collisions, shard.collisions);
-        detail::observe_occupancy(frame, ids.occupancy, feed_, voq,
-                                  shard.coupler_begin, shard.coupler_end);
+        // Shard-private, so no extra visibility barrier is needed.
+        steps.snapshot(shard, tel->engine_probes(),
+                       frames[static_cast<std::size_t>(w)]);
       }
       if (rt != nullptr) {
-        // The outboxes hold exactly this slot's phase-B sends (the
-        // consumers cleared them in their phase A).
-        for (const auto& box : shard.outbox) {
-          rt->mailbox_msgs_sent += static_cast<std::int64_t>(box.size());
-          rt->mailbox_bytes_sent +=
-              static_cast<std::int64_t>(box.size() * sizeof(Mail));
-        }
+        count_sends(shard, *rt);  // drained in the consumers' phase A
       }
       if (threads > 1) {
         detail::timed_wait(slot_barrier, rt);
@@ -1488,13 +1456,9 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
   // No final flush: a run the bound cut off leaves undeliverable events
   // pending and reports them as backlog.
   metrics.slots = now;
+  fold(shards, metrics, true);
   SimTime makespan_tick = 0;
-  for (Shard& shard : shards) {
-    metrics.offered_packets += shard.offered;
-    metrics.delivered_packets += shard.delivered;
-    metrics.coupler_transmissions += shard.transmissions;
-    metrics.collisions += shard.collisions;
-    metrics.latency.merge(std::move(shard.latency));
+  for (const Shard& shard : shards) {
     makespan_tick = std::max(makespan_tick, shard.makespan_tick);
   }
   metrics.makespan_slots = (makespan_tick + kTicksPerSlot - 1) / kTicksPerSlot;

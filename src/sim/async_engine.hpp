@@ -25,6 +25,12 @@
 ///   receive    -- the arrival event delivers the packet or re-enqueues
 ///                 it at the relay, where the tune step repeats.
 ///
+/// Every loop lands a slot's arrivals as one batch: it pops all of them
+/// in (time, seq) order, counts final deliveries as it pops, then
+/// enqueues the relays in the same order through the phased engines'
+/// prefetching staged enqueue. A landing never schedules an event, so
+/// this changes no pop and no queue's push order.
+///
 /// VOQs live in the timed structure-of-arrays arena (voq_arena.hpp) with
 /// the phased engines' occupancy bitmasks (occupancy.hpp), so arbitration
 /// scans only couplers with queued packets. When every tuning latency and
@@ -66,6 +72,8 @@
 /// shard keeps occupancy masks over its own couplers and arbitrates
 /// through the eligibility gate, and a one-shard run calls the two
 /// per-slot completion steps directly instead of meeting at barriers.
+/// The sharded open loop shares its steps but rebuilds each coupler's
+/// request words every slot (masks ran 6% slower on one gated shard).
 
 #include <cstdint>
 #include <vector>

@@ -38,11 +38,6 @@ inline constexpr SimTime kTicksPerSlot = SimTime{1} << kSubSlotBits;
   return slots * kTicksPerSlot;
 }
 
-/// Tick -> the slot it falls in (floor).
-[[nodiscard]] constexpr SimTime slot_of_tick(SimTime tick) noexcept {
-  return tick >> kSubSlotBits;
-}
-
 /// A deterministic discrete-event engine.
 class EventQueue {
  public:

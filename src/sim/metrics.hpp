@@ -17,7 +17,8 @@ namespace otis::sim {
 
 /// Cap on up-front LatencyStats reservations (8 MiB of samples). The
 /// engines reserve min(delivery bound, cap): the bound is measure_slots
-/// x nodes (or the workload's packet count), which over-states real
+/// (clamped to the cap, so the product cannot overflow) x nodes (or the
+/// workload's packet count), which over-states real
 /// delivery counts by 1/load or more, so the cap keeps huge cells from
 /// paying for memory they will never touch while still giving the
 /// common case a reallocation-free hot loop.

@@ -111,6 +111,10 @@ void OpsNetworkSim::validate_config() const {
                "OpsNetworkSim: measure_slots must be > 0");
   OTIS_REQUIRE(config_.warmup_slots >= 0,
                "OpsNetworkSim: warmup_slots must be >= 0");
+  OTIS_REQUIRE(config_.measure_slots <= kMaxRunSlots &&
+                   config_.warmup_slots <= kMaxRunSlots - config_.measure_slots,
+               "OpsNetworkSim: warmup_slots + measure_slots must be at most "
+               "2^50");
   OTIS_REQUIRE(config_.queue_capacity >= 0,
                "OpsNetworkSim: queue_capacity must be >= 0");
   config_.timing.validate();
@@ -468,7 +472,7 @@ RunMetrics OpsNetworkSim::run_event_queue() {
     // Generous bound: every in-flight packet can always progress under
     // token/random arbitration; aloha needs slack.
     queue_.run_until(config_.warmup_slots + config_.measure_slots +
-                     1'000'000);
+                     kDrainSlots);
   }
   metrics_.backlog = inflight_;
   return metrics_;

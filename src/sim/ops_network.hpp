@@ -263,6 +263,7 @@ struct RoutingHooks {
 /// Simulator configuration.
 struct SimConfig {
   Arbitration arbitration = Arbitration::kTokenRoundRobin;
+  /// warmup_slots + measure_slots <= kMaxRunSlots (timing_model.hpp).
   std::int64_t warmup_slots = 200;     ///< excluded from metrics; >= 0
   std::int64_t measure_slots = 2000;   ///< measured window; > 0
   std::int64_t queue_capacity = 0;     ///< 0 = unbounded VOQs; >= 0

@@ -355,7 +355,7 @@ RunMetrics PhasedEngineT<Routes>::run(
     warmup = 0;
     horizon = detail::workload_slot_bound(*load) + 1;
   }
-  const SimTime drain_bound = horizon + 1'000'000;
+  const SimTime drain_bound = horizon + kDrainSlots;
 
   // A serial run is one shard drawing from the run stream; sharded and
   // workload runs draw from the per-unit streams.
@@ -365,7 +365,9 @@ RunMetrics PhasedEngineT<Routes>::run(
   SlotShards<Routes> state(
       routes_, feed_, voq_base_, config_, traffic_, token_, coupler_success,
       threads, !sharded && load == nullptr,
-      load != nullptr ? workload_ids : config_.measure_slots * nodes_);
+      load != nullptr
+          ? workload_ids
+          : std::min(config_.measure_slots, kLatencyReserveCap) * nodes_);
   using Shard = typename SlotShards<Routes>::Shard;
   std::vector<Shard>& shards = state.shards;
 

@@ -37,9 +37,11 @@ std::string TimingConfig::label() const {
 }
 
 void TimingConfig::validate() const {
-  OTIS_REQUIRE(tuning_ticks >= 0 && propagation_ticks >= 0 &&
-                   level_skew_ticks >= 0 && guard_ticks >= 0,
-               "TimingConfig: delays must be >= 0 ticks");
+  for (const SimTime delay :
+       {tuning_ticks, propagation_ticks, level_skew_ticks, guard_ticks}) {
+    OTIS_REQUIRE(delay >= 0 && delay <= kMaxDelayTicks,
+                 "TimingConfig: delays must lie in [0, 2^60] ticks");
+  }
   OTIS_REQUIRE(guard_ticks < kTicksPerSlot,
                "TimingConfig: guard band must be smaller than one slot");
   OTIS_REQUIRE(profile != SkewProfile::kNone || is_slot_aligned(),
@@ -82,6 +84,11 @@ TimingModel TimingModel::compile(const hypergraph::StackGraph& network,
         // the groups its base arc connects (a rack-distance proxy).
         const graph::ArcId arc = network.arc_of_coupler(h);
         const SimTime level = std::abs(base.head(arc) - base.tail(arc));
+        OTIS_REQUIRE(config.level_skew_ticks == 0 ||
+                         level <= (kMaxDelayTicks - delay) /
+                                      config.level_skew_ticks,
+                     "TimingModel: a coupler's propagation delay exceeds "
+                     "2^60 ticks");
         delay += level * config.level_skew_ticks;
       }
       model.propagation_[static_cast<std::size_t>(h)] = delay;
@@ -98,8 +105,10 @@ TimingModel TimingModel::from_trace(const hypergraph::StackGraph& network,
                                     SimTime guard_ticks) {
   OTIS_REQUIRE(ticks_per_component >= 0.0,
                "TimingModel: ticks_per_component must be >= 0");
-  OTIS_REQUIRE(tuning_ticks >= 0 && guard_ticks >= 0,
-               "TimingModel: delays must be >= 0 ticks");
+  OTIS_REQUIRE(tuning_ticks >= 0 && guard_ticks >= 0 &&
+                   tuning_ticks <= kMaxDelayTicks &&
+                   guard_ticks <= kMaxDelayTicks,
+               "TimingModel: delays must lie in [0, 2^60] ticks");
   OTIS_REQUIRE(design.processor_count == network.node_count(),
                "TimingModel: design does not realize this network");
   const auto& hg = network.hypergraph();
@@ -124,11 +133,13 @@ TimingModel TimingModel::from_trace(const hypergraph::StackGraph& network,
            optics::trace_from_transmitter(design.netlist, txs[c], loss)) {
         longest = std::max(longest, endpoint.path.size());
       }
+      const double ticks =
+          static_cast<double>(longest) * ticks_per_component;
+      OTIS_REQUIRE(ticks <= static_cast<double>(kMaxDelayTicks),
+                   "TimingModel: a coupler's propagation delay exceeds "
+                   "2^60 ticks");
       auto& delay = model.propagation_[static_cast<std::size_t>(outs[c])];
-      delay = std::max(delay,
-                       static_cast<SimTime>(std::llround(
-                           static_cast<double>(longest) *
-                           ticks_per_component)));
+      delay = std::max(delay, static_cast<SimTime>(std::llround(ticks)));
     }
   }
   model.finalize();

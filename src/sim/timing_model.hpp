@@ -49,6 +49,20 @@ enum class SkewProfile {
 
 [[nodiscard]] const char* skew_profile_name(SkewProfile profile);
 
+/// Slots a drained run may go on past its horizon before it is cut off.
+inline constexpr SimTime kDrainSlots = 1'000'000;
+
+/// Bounds on the inputs that set a run's times: warmup + measure slots
+/// at most kMaxRunSlots, and each delay (tuning, propagation, per-level
+/// skew, guard, and every coupler's compiled propagation) at most
+/// kMaxDelayTicks. Within them every slot and tick an engine forms --
+/// a drained run's last slot boundary plus a slot, a propagation delay,
+/// a tuning latency and a slot of latency rounding -- fits in SimTime.
+inline constexpr SimTime kMaxRunSlots = SimTime{1} << 50;
+inline constexpr SimTime kMaxDelayTicks = SimTime{1} << 60;
+static_assert(ticks_from_slots(kMaxRunSlots + kDrainSlots + 64) <=
+              INT64_MAX - 2 * kMaxDelayTicks - 4 * kTicksPerSlot);
+
 /// Declarative timing knobs carried by SimConfig. All values are
 /// sub-slot ticks (kTicksPerSlot per slot) and must be >= 0.
 struct TimingConfig {
@@ -76,8 +90,8 @@ struct TimingConfig {
   /// cell IDs, so it must stay stable.
   [[nodiscard]] std::string label() const;
 
-  /// Throws core::Error on negative values or a kNone profile that
-  /// carries nonzero delays.
+  /// Throws core::Error on negative values, values past kMaxDelayTicks
+  /// or a kNone profile that carries nonzero delays.
   void validate() const;
 
   [[nodiscard]] bool operator==(const TimingConfig&) const noexcept = default;

@@ -244,6 +244,39 @@ TEST(TimingConfigTest, LabelsAndValidation) {
   EXPECT_THROW(stray_level.validate(), core::Error);
 }
 
+TEST(TimingConfigTest, DelaysPastTheBoundThrow) {
+  hypergraph::Pops pops(2, 2);
+  for (SimTime TimingConfig::*field :
+       {&TimingConfig::tuning_ticks, &TimingConfig::propagation_ticks,
+        &TimingConfig::level_skew_ticks}) {
+    TimingConfig edge;
+    edge.profile = SkewProfile::kPerLevel;
+    edge.*field = kMaxDelayTicks;
+    EXPECT_NO_THROW(edge.validate());
+    TimingConfig past = edge;
+    past.*field = kMaxDelayTicks + 1;
+    EXPECT_THROW(past.validate(), core::Error);
+    SimConfig config;
+    config.engine = Engine::kAsync;
+    config.timing = past;
+    EXPECT_THROW(
+        OpsNetworkSim(pops.stack(), routing::compile_pops_routes(pops),
+                      std::make_unique<SaturationTraffic>(4), config),
+        core::Error);
+  }
+  // Each field fits, but a level-1 coupler's delay would not.
+  hypergraph::StackKautz sk(3, 2, 2);
+  TimingConfig leveled;
+  leveled.profile = SkewProfile::kPerLevel;
+  leveled.propagation_ticks = kMaxDelayTicks;
+  leveled.level_skew_ticks = 1;
+  EXPECT_THROW((void)TimingModel::compile(sk.stack(), leveled), core::Error);
+  const designs::NetworkDesign design = designs::stack_kautz_design(2, 2, 2);
+  hypergraph::StackKautz small(2, 2, 2);
+  EXPECT_THROW((void)TimingModel::from_trace(small.stack(), design, 1e30),
+               core::Error);
+}
+
 TEST(TimingModelTest, CompilesConstantAndPerLevelProfiles) {
   hypergraph::StackKautz sk(3, 2, 2);
   const auto& stack = sk.stack();
@@ -553,6 +586,37 @@ TEST(AsyncEngineSkew, SlottedEnginesRejectSkewedTimingConfigs) {
   EXPECT_NO_THROW(
       OpsNetworkSim(pops.stack(), routing::compile_pops_routes(pops),
                     std::make_unique<SaturationTraffic>(4), config));
+}
+
+TEST(AsyncEngineSkew, RunsAtTheDelayBound) {
+  // Every transmission lands ~2^50 slots after the window: the final
+  // flush counts the deliveries and leaves the relays queued.
+  hypergraph::StackKautz sk(4, 3, 2);
+  const auto run = [&](Engine engine, int threads) {
+    SimConfig config;
+    config.engine = engine;
+    config.threads = threads;
+    config.warmup_slots = 0;
+    config.measure_slots = 40;
+    config.seed = 3;
+    config.timing = constant_timing(0, kMaxDelayTicks, 64);
+    OpsNetworkSim sim(
+        sk.stack(), routing::compile_stack_kautz_routes(sk),
+        std::make_unique<UniformTraffic>(sk.processor_count(), 0.3), config);
+    return sim.run();
+  };
+  for (const Engine engine : {Engine::kAsync, Engine::kAsyncSharded}) {
+    SCOPED_TRACE(engine_name(engine));
+    const RunMetrics m = run(engine, 1);
+    EXPECT_GT(m.delivered_packets, 0);
+    EXPECT_GT(m.backlog, 0);
+    EXPECT_EQ(m.offered_packets,
+              m.delivered_packets + m.dropped_packets + m.backlog);
+    EXPECT_GE(m.latency.max(), kMaxDelayTicks / kTicksPerSlot);
+    if (engine == Engine::kAsyncSharded) {
+      expect_identical(m, run(engine, 3));
+    }
+  }
 }
 
 TEST(AsyncEngineSkew, PacketConservationExactUnderSkew) {

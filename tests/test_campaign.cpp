@@ -191,6 +191,27 @@ TEST(CampaignSpecJson, DefaultsAndErrors) {
       campaign::parse_campaign_spec(
           R"({"topologies": [{"kind": "pops", "t": 2, "g": 3, "s": 4}]})"),
       core::Error);
+  // Slot windows past kMaxRunSlots, or past int64 itself, fail; the
+  // edge parses.
+  const auto window = [](std::int64_t warmup, std::int64_t measure) {
+    return R"json({"topologies": [{"kind": "pops", "t": 2, "g": 2}],
+                   "warmup_slots": )json" +
+           std::to_string(warmup) +
+           ", \"measure_slots\": " + std::to_string(measure) + "}";
+  };
+  EXPECT_NO_THROW(
+      campaign::parse_campaign_spec(window(sim::kMaxRunSlots - 20, 20)));
+  EXPECT_THROW(
+      campaign::parse_campaign_spec(window(sim::kMaxRunSlots - 19, 20)),
+      core::Error);
+  EXPECT_THROW(campaign::parse_campaign_spec(window(0, sim::kMaxRunSlots + 1)),
+               core::Error);
+  EXPECT_THROW(campaign::parse_campaign_spec(window(9223372036854775000, 20)),
+               core::Error);
+  EXPECT_THROW(campaign::parse_campaign_spec(
+                   R"json({"topologies": [{"kind": "pops", "t": 2, "g": 2}],
+                           "warmup_slots": 1e19})json"),
+               core::Error);
 }
 
 TEST(CampaignRunnerTest, OneCompilePerTopology) {
@@ -731,6 +752,21 @@ TEST(CampaignSpecJson, ParsesShapeSweepsAndTimingAxis) {
                    R"json({"topologies": [{"kind": "pops", "t": 2, "g": 3}],
                        "timings": [{"profile": "warp"}]})json"),
                core::Error);
+  // Delays past the bound that keeps every tick in int64
+  // (timing_model.hpp); the edge itself parses. JSON numbers are
+  // doubles, and 2^60 + 256 is the first one past kMaxDelayTicks.
+  for (const char* key : {"tuning", "propagation", "level_skew"}) {
+    SCOPED_TRACE(key);
+    const auto spec = [&](std::int64_t ticks) {
+      return R"json({"topologies": [{"kind": "pops", "t": 2, "g": 3}],
+                     "timings": [{"profile": "level", ")json" +
+             std::string(key) + "\": " + std::to_string(ticks) + "}]}";
+    };
+    EXPECT_NO_THROW(campaign::parse_campaign_spec(spec(sim::kMaxDelayTicks)));
+    EXPECT_THROW(
+        campaign::parse_campaign_spec(spec(sim::kMaxDelayTicks + 256)),
+        core::Error);
+  }
   // Fractional ticks must fail loudly, not truncate into a cell ID
   // that was never simulated.
   EXPECT_THROW(campaign::parse_campaign_spec(

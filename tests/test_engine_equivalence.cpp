@@ -491,6 +491,19 @@ TEST(SimConfigValidation, RejectsDegenerateParameters) {
   SimConfig bad_capacity;
   bad_capacity.queue_capacity = -1;
   EXPECT_THROW(make(bad_capacity), core::Error);
+  // Windows up to kMaxRunSlots keep every slot and tick in int64.
+  const auto window = [](std::int64_t warmup, std::int64_t measure) {
+    SimConfig config;
+    config.warmup_slots = warmup;
+    config.measure_slots = measure;
+    return config;
+  };
+  EXPECT_NO_THROW(make(window(kMaxRunSlots - 20, 20)));
+  EXPECT_NO_THROW(make(window(0, kMaxRunSlots)));
+  EXPECT_THROW(make(window(kMaxRunSlots - 19, 20)), core::Error);
+  EXPECT_THROW(make(window(0, kMaxRunSlots + 1)), core::Error);
+  // warmup + measure would overflow int64 itself.
+  EXPECT_THROW(make(window(9223372036854775000, 20)), core::Error);
 }
 
 }  // namespace

@@ -429,8 +429,10 @@ std::pair<std::uint64_t, std::uint64_t> serial_run_digests(
 }
 
 TEST(Telemetry, SerialRunsMatchFrozenDigests) {
-  // Recorded from the serial loops before they became one-shard runs;
-  // every later loop must reproduce them byte for byte.
+  // Recorded from the serial loops before they became one-shard runs,
+  // and the async open-loop rows before the async loops landed a slot's
+  // arrivals as one batch; every later loop must reproduce them byte
+  // for byte.
   struct Frozen {
     const char* name;
     std::uint64_t timeseries;
@@ -453,6 +455,42 @@ TEST(Telemetry, SerialRunsMatchFrozenDigests) {
        0x6c2e49dcfd7e1af0ULL},
       {"async/gossip/skew", 0xc448cd58f151f572ULL,
        0x2dcca216355bb69dULL},
+      {"async/token/closed", 0x69fa16c8d33fdf1ULL,
+       0x5a45ca22a872ba18ULL},
+      {"async/token/open", 0xcfb1b614320eb4c8ULL,
+       0x56059967a48a1317ULL},
+      {"async/token/level", 0x826a07da8ffe19feULL,
+       0x6066191c029b8502ULL},
+      {"async/random/closed", 0x17149fef9701738cULL,
+       0x145ca7d49063a437ULL},
+      {"async/random/open", 0xb7834f691bc647dcULL,
+       0x42d2103cc30f308eULL},
+      {"async/random/level", 0xb54de0b59e2998a4ULL,
+       0x73acd3987767a413ULL},
+      {"async/aloha/closed", 0xd67cc49bf1887864ULL,
+       0x2bdd996fc724d6aULL},
+      {"async/aloha/open", 0x4c0e67ebcd7b4ULL,
+       0x2fae76ee9059ed1ULL},
+      {"async/aloha/level", 0x147055c4e096decaULL,
+       0x21a40187e10897ddULL},
+      {"async-sharded/token/closed", 0x64df37faeaca0cbbULL,
+       0xa91970b97464c4b8ULL},
+      {"async-sharded/token/open", 0x9870089045d0a54ULL,
+       0x442bd4f81ebf9a78ULL},
+      {"async-sharded/token/level", 0x196e534572c29ad5ULL,
+       0x1ce3f7e80223768dULL},
+      {"async-sharded/random/closed", 0x6ad40f3dd57ba0aaULL,
+       0x8b9f2a62852f2687ULL},
+      {"async-sharded/random/open", 0x4fb89e57c42a73e9ULL,
+       0xc7cd632256b6c911ULL},
+      {"async-sharded/random/level", 0xa1096f3c1538b467ULL,
+       0xe36703bd61b67274ULL},
+      {"async-sharded/aloha/closed", 0x65076bb02f20f365ULL,
+       0xaafecf1897d708e7ULL},
+      {"async-sharded/aloha/open", 0x2a3854ae78354065ULL,
+       0x438bbbdf258d7ba8ULL},
+      {"async-sharded/aloha/level", 0xb03a53c816d697a7ULL,
+       0x1af77b24c0cbd109ULL},
   };
   ScratchDir scratch("frozen");
   std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
@@ -498,6 +536,74 @@ TEST(Telemetry, SerialRunsMatchFrozenDigests) {
   got.emplace_back("async/gossip/skew",
                    serial_run_digests(async, 0.4,
                                       scratch.path() / "async_gossip"));
+
+  // The async open loops under skew: gates closed (tuning, guard and a
+  // 3-slot lookahead), gates open (2-slot propagation only) and the
+  // level profile at W = 2. kAsyncSharded runs at 1 and 3 shards
+  // against one value.
+  struct Skew {
+    const char* name;
+    sim::TimingConfig timing;
+    std::int64_t wavelengths;
+  };
+  const auto timing = [](sim::SkewProfile profile, sim::SimTime tuning,
+                         sim::SimTime propagation, sim::SimTime level,
+                         sim::SimTime guard) {
+    sim::TimingConfig t;
+    t.profile = profile;
+    t.tuning_ticks = tuning;
+    t.propagation_ticks = propagation;
+    t.level_skew_ticks = level;
+    t.guard_ticks = guard;
+    return t;
+  };
+  const Skew skews[] = {
+      {"closed",
+       timing(sim::SkewProfile::kConstant, 256, 3 * sim::kTicksPerSlot + 200,
+              0, 64),
+       1},
+      {"open",
+       timing(sim::SkewProfile::kConstant, 0, 2 * sim::kTicksPerSlot, 0, 0),
+       1},
+      {"level",
+       timing(sim::SkewProfile::kPerLevel, 128, sim::kTicksPerSlot + 100,
+              300, 0),
+       2},
+  };
+  for (const sim::Engine engine :
+       {sim::Engine::kAsync, sim::Engine::kAsyncSharded}) {
+    for (const sim::Arbitration arbitration :
+         {sim::Arbitration::kTokenRoundRobin, sim::Arbitration::kRandomWinner,
+          sim::Arbitration::kSlottedAloha}) {
+      for (const Skew& skew : skews) {
+        sim::SimConfig config;
+        config.warmup_slots = kWarmup;
+        config.measure_slots = kMeasure;
+        config.seed = 7;
+        config.engine = engine;
+        config.arbitration = arbitration;
+        config.wavelengths = skew.wavelengths;
+        config.queue_capacity = 3;
+        config.drain = true;
+        config.timing = skew.timing;
+        const std::string name = std::string(sim::engine_name(engine)) +
+                                 "/" + sim::arbitration_name(arbitration) +
+                                 "/" + skew.name;
+        const std::filesystem::path base =
+            scratch.path() / (std::to_string(got.size()) + "_t");
+        config.threads = 1;
+        const auto one =
+            serial_run_digests(config, 0.35, base.string() + "1");
+        if (engine == sim::Engine::kAsyncSharded) {
+          config.threads = 3;
+          EXPECT_EQ(serial_run_digests(config, 0.35, base.string() + "3"),
+                    one)
+              << name << " at 3 shards";
+        }
+        got.emplace_back(name, one);
+      }
+    }
+  }
 
   ASSERT_EQ(got.size(), std::size(frozen));
   for (std::size_t i = 0; i < got.size(); ++i) {
