@@ -1,6 +1,7 @@
 #include "campaign/spec.hpp"
 
 #include <atomic>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 
@@ -31,6 +32,15 @@ sim::Arbitration parse_arbitration(const std::string& name) {
   }
   throw core::Error("CampaignSpec: unknown arbitration \"" + name +
                     "\" (expected token|random|aloha)");
+}
+
+/// An engine_threads value; throws outside int instead of wrapping.
+int parse_engine_threads(const core::Json& node) {
+  const std::int64_t threads = node.as_int();
+  OTIS_REQUIRE(threads >= std::numeric_limits<int>::min() &&
+                   threads <= std::numeric_limits<int>::max(),
+               "CampaignSpec: engine_threads out of range");
+  return static_cast<int>(threads);
 }
 
 sim::Engine parse_engine(const std::string& name) {
@@ -843,8 +853,9 @@ CampaignSpec spec_from_json(const core::Json& root) {
   spec.measure_slots = root.int_or("measure_slots", spec.measure_slots);
   spec.queue_capacity = root.int_or("queue_capacity", spec.queue_capacity);
   spec.engine = parse_engine(root.string_or("engine", "phased"));
-  spec.engine_threads = static_cast<int>(
-      root.int_or("engine_threads", spec.engine_threads));
+  if (const core::Json* threads = root.find("engine_threads")) {
+    spec.engine_threads = parse_engine_threads(*threads);
+  }
   spec.latency_stats = parse_latency_mode(
       root.string_or("latency_stats", sim::latency_mode_name(
                                           spec.latency_stats)));
@@ -880,7 +891,7 @@ CampaignSpec spec_from_json(const core::Json& root) {
         override.engine = parse_engine(engine->as_string());
       }
       if (const core::Json* threads = node.find("engine_threads")) {
-        override.engine_threads = static_cast<int>(threads->as_int());
+        override.engine_threads = parse_engine_threads(*threads);
       }
       if (const core::Json* routes = node.find("routes")) {
         override.route_table = parse_route_table(routes->as_string());

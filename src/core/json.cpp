@@ -1,6 +1,7 @@
 #include "core/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -307,6 +308,7 @@ class JsonParser {
     while (std::isdigit(static_cast<unsigned char>(peek()))) {
       ++pos_;
     }
+    const std::size_t integer_end = pos_;
     if (peek() == '.') {
       ++pos_;
       if (!std::isdigit(static_cast<unsigned char>(peek()))) {
@@ -331,6 +333,12 @@ class JsonParser {
     Json value;
     value.type_ = Json::Type::kNumber;
     value.number_ = std::strtod(text_.c_str() + start, nullptr);
+    // An integer literal keeps its exact value when it fits in int64 (a
+    // double rounds integers above 2^53).
+    value.integral_ = pos_ == integer_end &&
+                      std::from_chars(text_.data() + start,
+                                      text_.data() + pos_, value.integer_)
+                              .ec == std::errc{};
     return value;
   }
 
@@ -364,12 +372,17 @@ double Json::as_number() const {
 
 std::int64_t Json::as_int() const {
   const double value = as_number();
-  const double rounded = std::nearbyint(value);
-  OTIS_REQUIRE(value == rounded, "Json: expected an integer");
-  // 2^63 is exact as a double; the cast is undefined at and beyond it.
-  OTIS_REQUIRE(rounded >= -0x1p63 && rounded < 0x1p63,
-               "Json: integer out of the int64 range");
-  return static_cast<std::int64_t>(rounded);
+  if (integral_) {
+    return integer_;
+  }
+  OTIS_REQUIRE(value == std::nearbyint(value), "Json: expected an integer");
+  // Past int64, or written with a fraction or exponent: the double is
+  // exact only below 2^53 (2^53 itself may be a rounded 2^53 + 1).
+  OTIS_REQUIRE(std::fabs(value) < 0x1p53,
+               "Json: integer out of range (a fraction or exponent "
+               "form must stay below 2^53 in magnitude; integer literals "
+               "must fit in int64)");
+  return static_cast<std::int64_t>(value);
 }
 
 const std::string& Json::as_string() const {

@@ -9,7 +9,8 @@
 /// byte-level output is under their control).
 ///
 /// Supported: objects, arrays, strings (with the standard escapes and
-/// \uXXXX for the Basic Multilingual Plane), numbers (parsed as double),
+/// \uXXXX for the Basic Multilingual Plane), numbers (parsed as double;
+/// an integer literal that fits in int64 also keeps its exact value),
 /// booleans, null, and arbitrary whitespace. Malformed input throws
 /// core::Error with a line/column position.
 
@@ -56,7 +57,9 @@ class Json {
   /// Typed accessors; wrong-type access throws core::Error.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
-  /// as_number() narrowed; throws if the value is not integral.
+  /// The exact value of an integer literal that fits in int64; any
+  /// other number only when it is integral and below 2^53 in magnitude
+  /// (where every integer is an exact double). Throws otherwise.
   [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<Json>& items() const;
@@ -82,6 +85,9 @@ class Json {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  /// An integer literal's exact value, valid when integral_ is set.
+  std::int64_t integer_ = 0;
+  bool integral_ = false;
   std::string string_;
   std::vector<Json> items_;
   std::vector<Member> members_;

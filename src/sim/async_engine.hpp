@@ -1,6 +1,7 @@
 #pragma once
 /// \file async_engine.hpp
-/// Asynchronous timed-event engine behind Engine::kAsync.
+/// Asynchronous timed-event engine behind Engine::kAsync and
+/// Engine::kAsyncSharded.
 ///
 /// The phased engines treat a slot as indivisible; this engine runs the
 /// same generate / tune / arbitrate / propagate / receive cycle as timed
@@ -25,55 +26,57 @@
 ///   receive    -- the arrival event delivers the packet or re-enqueues
 ///                 it at the relay, where the tune step repeats.
 ///
-/// Every loop lands a slot's arrivals as one batch: it pops all of them
-/// in (time, seq) order, counts final deliveries as it pops, then
-/// enqueues the relays in the same order through the phased engines'
-/// prefetching staged enqueue. A landing never schedules an event, so
-/// this changes no pop and no queue's push order.
+/// One run loop serves kAsync and kAsyncSharded, open loop and workload
+/// alike, over feed-local shards (detail::plan_shards); kAsync is one
+/// shard. Each shard keeps occupancy masks (occupancy.hpp) over its own
+/// couplers, so arbitration scans only couplers with queued packets.
+/// When every tuning latency and the guard are zero the eligibility gate
+/// provably always passes (ready and retune never exceed the
+/// arbitrating boundary), so the engine skips the gate reads -- and the
+/// per-transmission retune bookkeeping -- outright and arbitrates
+/// straight off the masks; otherwise it screens the occupancy bits
+/// through the gate into per-coupler eligibility words. VOQs live in
+/// the timed structure-of-arrays arena (voq_arena.hpp).
 ///
-/// VOQs live in the timed structure-of-arrays arena (voq_arena.hpp) with
-/// the phased engines' occupancy bitmasks (occupancy.hpp), so arbitration
-/// scans only couplers with queued packets. When every tuning latency and
-/// the guard are zero the eligibility gate provably always passes
-/// (ready and retune never exceed the arbitrating boundary), so the
-/// engine skips the gate reads -- and the per-transmission retune
-/// bookkeeping -- outright and arbitrates straight off the occupancy
-/// masks; otherwise it screens the occupancy bits through the gate into
-/// a per-coupler eligibility mask.
+/// Each slot lands its arrivals as one batch: it pops all of them in
+/// (time, seq) order, counts final deliveries as it pops, then enqueues
+/// the relays in the same order through the phased engines' prefetching
+/// staged enqueue. A landing never schedules an event, so this changes
+/// no pop and no queue's push order.
 ///
-/// In the slot-aligned limit (every delay zero) each step degenerates to
-/// its phased counterpart at the same boundary in the same order, with
-/// the same single RNG stream consumed identically -- so the engine is
-/// bit-identical to PhasedEngineT for every seed, topology, arbitration
-/// policy and route-table representation (tests/test_async_engine.cpp).
-/// With nonzero skew the run remains a pure function of the seed and the
-/// timing model.
+/// A kAsync open-loop run draws from the serial phased engine's single
+/// run stream in the same order (a slot's senders, then arbitration in
+/// coupler order). In the slot-aligned limit (every delay zero) each
+/// step degenerates to its phased counterpart at the same boundary in
+/// the same order, so the engine is bit-identical to PhasedEngineT for
+/// every seed, topology, arbitration policy and route-table
+/// representation (tests/test_async_engine.cpp). With nonzero skew the
+/// run remains a pure function of the seed and the timing model.
 ///
 /// Engine::kAsyncSharded runs the same timed cycle as a conservative
-/// parallel discrete-event simulation: nodes are partitioned into
-/// contiguous shard ranges whose cuts never split a coupler's feed set
-/// (so a coupler, its feed VOQs and its retune gates are all owned by
-/// one worker), each shard advances an independent CalendarQueue, and
-/// workers run freely inside windows of `lookahead` slots -- a
-/// transmission in slot t lands no earlier than (t+1) * kTicksPerSlot +
-/// min_propagation, so lookahead = 1 + floor(min_propagation /
-/// kTicksPerSlot) slots of any shard's future are unaffected by the
-/// others (the bounded-window barrier relaxation DARSIM documents for
-/// registered hardware). Cross-shard arrivals travel through per-pair
-/// mailboxes drained at the window barrier; every calendar push carries
-/// an explicit global sequence key ((slot * couplers + coupler) *
-/// wavelengths + winner), so per-queue pop order equals the serial
-/// engine's single-queue order and results are invariant across thread
-/// counts. Open-loop sharded runs draw from the per-node/per-coupler
-/// stream universe (== the sharded phased engine when slot-aligned).
+/// parallel discrete-event simulation: the shard cuts never split a
+/// coupler's feed set (so a coupler, its feed VOQs and its retune gates
+/// are all owned by one worker), each shard advances its own
+/// CalendarQueue, and open-loop workers run freely inside windows of
+/// `lookahead` slots -- a transmission in slot t lands no earlier than
+/// (t+1) * kTicksPerSlot + min_propagation, so lookahead = 1 +
+/// floor(min_propagation / kTicksPerSlot) slots of any shard's future
+/// are unaffected by the others (the bounded-window barrier relaxation
+/// DARSIM documents for registered hardware). Cross-shard arrivals
+/// travel through per-pair mailboxes drained at the window's end; every
+/// calendar push carries an explicit global sequence key ((slot *
+/// couplers + coupler) * wavelengths + winner), so per-queue pop order
+/// is the same at every shard count -- on one shard transmissions
+/// happen in key order, so it is a single auto-sequenced calendar's
+/// order. Sharded runs draw from the per-node/per-coupler stream
+/// universe (== the sharded phased engine when slot-aligned).
 ///
-/// Workload runs of both engines go through one loop, kAsync as one
-/// shard: delivery feedback collapses the window to one slot, each
-/// shard keeps occupancy masks over its own couplers and arbitrates
-/// through the eligibility gate, and a one-shard run calls the two
-/// per-slot completion steps directly instead of meeting at barriers.
-/// The sharded open loop shares its steps but rebuilds each coupler's
-/// request words every slot (masks ran 6% slower on one gated shard).
+/// Every other run's windows are one slot wide: delivery feedback gates
+/// each workload slot (workload runs of both engines draw from the
+/// per-unit streams, which the phased engines share), and a kAsync open
+/// loop ends its drain and writes checkpoints per slot. A one-shard run
+/// calls the feedback and window-end steps directly instead of meeting
+/// at barriers.
 
 #include <cstdint>
 #include <vector>
@@ -91,7 +94,8 @@
 
 namespace otis::sim {
 
-/// Internal engine used by OpsNetworkSim for Engine::kAsync.
+/// Internal engine used by OpsNetworkSim for Engine::kAsync and
+/// Engine::kAsyncSharded.
 /// Single-run object: construct, run() once.
 template <routing::RouteView Routes>
 class AsyncEngineT {
@@ -115,14 +119,13 @@ class AsyncEngineT {
   RunMetrics run(std::vector<std::int64_t>& coupler_success);
 
  private:
-  RunMetrics run_sharded(std::vector<std::int64_t>& coupler_success);
-  RunMetrics run_workload(std::vector<std::int64_t>& coupler_success);
   /// True when no tuning latency and no guard band exist: the
   /// eligibility gate cannot fail, so occupancy alone decides
   /// contention (see file comment).
   [[nodiscard]] bool gates_open() const;
 
-  /// Conservative window width in slots (>= 1; see file comment).
+  /// Conservative window width in slots of sharded open-loop runs
+  /// (>= 1; see file comment).
   [[nodiscard]] SimTime lookahead_slots() const;
 
   const hypergraph::StackGraph& network_;

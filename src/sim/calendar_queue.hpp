@@ -141,13 +141,13 @@ class CalendarQueue {
   }
 
   /// Schedules `payload` at absolute time `at` with a caller-chosen
-  /// sequence key instead of the internal counter. The sharded async
-  /// engine derives `seq` from the global (slot, coupler, winner)
-  /// transmission order, so entries pushed into *different* per-shard
-  /// calendars pop in the same relative order the serial engine's
-  /// single queue would produce. Keys must be unique per (time, seq)
-  /// within one queue; next_seq_ is not advanced, so keyed and
-  /// auto-sequenced pushes should not be mixed in one queue.
+  /// sequence key instead of the internal counter. The async engine
+  /// derives `seq` from the global (slot, coupler, winner) transmission
+  /// order, so entries pushed into *different* per-shard calendars pop
+  /// in the same relative order one auto-sequenced queue would produce.
+  /// Keys must be unique per (time, seq) within one queue; next_seq_ is
+  /// not advanced, so keyed and auto-sequenced pushes should not be
+  /// mixed in one queue.
   void push_keyed(SimTime at, std::uint64_t seq, Payload payload) {
     insert(at, seq, std::move(payload));
   }

@@ -103,30 +103,6 @@ void checkpoint_store(const std::string& path, core::BlobWriter& out) {
   core::write_file_atomic(path, out.bytes());
 }
 
-void checkpoint_put_metrics(core::BlobWriter& out, const RunMetrics& m) {
-  out.put_i64(m.slots);
-  out.put_i64(m.offered_packets);
-  out.put_i64(m.delivered_packets);
-  out.put_i64(m.coupler_transmissions);
-  out.put_i64(m.collisions);
-  out.put_i64(m.dropped_packets);
-  out.put_i64(m.backlog);
-  out.put_i64(m.makespan_slots);
-  m.latency.serialize(out);
-}
-
-void checkpoint_get_metrics(core::BlobReader& in, RunMetrics& m) {
-  m.slots = in.get_i64();
-  m.offered_packets = in.get_i64();
-  m.delivered_packets = in.get_i64();
-  m.coupler_transmissions = in.get_i64();
-  m.collisions = in.get_i64();
-  m.dropped_packets = in.get_i64();
-  m.backlog = in.get_i64();
-  m.makespan_slots = in.get_i64();
-  m.latency.deserialize(in);
-}
-
 void checkpoint_put_telemetry(core::BlobWriter& out, const obs::Telemetry* tel,
                               std::int64_t tel_last) {
   out.put_u8(tel != nullptr ? 1 : 0);

@@ -22,7 +22,6 @@
 
 #include "core/blob.hpp"
 #include "core/error.hpp"
-#include "sim/metrics.hpp"
 #include "sim/voq_arena.hpp"
 
 namespace otis::obs {
@@ -34,7 +33,7 @@ namespace otis::sim {
 struct SimConfig;
 
 /// Blob layout version; bump on any payload format change.
-inline constexpr std::uint64_t kCheckpointVersion = 3;
+inline constexpr std::uint64_t kCheckpointVersion = 4;
 
 /// Appends magic, version and the config fingerprint to `out`. Engines
 /// call this first, then append their payload.
@@ -65,11 +64,6 @@ void checkpoint_write_header(core::BlobWriter& out, const SimConfig& config,
 /// atomically (tmp + rename), so a crash mid-write never corrupts the
 /// previous checkpoint.
 void checkpoint_store(const std::string& path, core::BlobWriter& out);
-
-/// RunMetrics round-trip (the latency representation -- full samples or
-/// sketch -- is part of the encoding).
-void checkpoint_put_metrics(core::BlobWriter& out, const RunMetrics& m);
-void checkpoint_get_metrics(core::BlobReader& in, RunMetrics& m);
 
 /// VOQ arena round-trip. Entries are written head-to-tail per queue and
 /// re-pushed on restore, so the restored arena reproduces every queue's

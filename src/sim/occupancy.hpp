@@ -24,12 +24,11 @@
 ///
 ///  - plan_shards cuts the nodes into feed-local shards: no coupler's
 ///    feed set spans a cut, so a shard owns every VOQ its couplers read.
-///    Both engines run on it. The phased slot loop and the async
-///    workload loop give each shard OccupancyMasks over its own
-///    couplers, maintained by the shard alone (no atomics, no shared
-///    words); only the async-sharded open loop rebuilds a coupler's
-///    request word from the FeedIndex during arbitration, screened by
-///    its eligibility gate.
+///    Both engines run on it, one-shard runs too: each shard keeps
+///    OccupancyMasks over its own couplers, maintained by the shard
+///    alone (no atomics, no shared words); the async engine screens a
+///    coupler's request words through its eligibility gate when
+///    tuning latencies or a guard band exist.
 
 #include <algorithm>
 #include <cstdint>
@@ -101,10 +100,6 @@ struct OccupancyMasks {
   std::vector<std::uint64_t> active;   ///< summary bitmap from coupler_begin
   std::int64_t coupler_begin = 0;
   std::int64_t word_begin = 0;
-
-  void init(const FeedIndex& fi) {
-    init(fi, 0, static_cast<std::int64_t>(fi.coupler_count()));
-  }
 
   void init(const FeedIndex& fi, std::int64_t begin, std::int64_t end) {
     coupler_begin = begin;

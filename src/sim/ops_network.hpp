@@ -40,8 +40,9 @@
 ///  - kAsyncSharded: the async engine as conservative parallel
 ///    discrete-event simulation over the same feed-local shards, with
 ///    lookahead windows and per-pair mailboxes. Thread-count invariant;
-///    == kSharded when slot-aligned. Workload runs of kAsync and
-///    kAsyncSharded share one loop (kAsync as one shard).
+///    == kSharded when slot-aligned. kAsync and kAsyncSharded share one
+///    run loop, open loop and workload (kAsync as one shard on the run
+///    stream, with one-slot windows).
 ///
 /// The simulator works for *any* stack-graph network: POPS, stack-Kautz
 /// and stack-Imase-Itoh differ only in the StackGraph and the routing
@@ -76,12 +77,13 @@ namespace detail {
 /// arbitration streams.
 ///
 /// The run stream interleaves draws across the whole network, so only
-/// a one-shard run can consume it; the kPhased and kAsync open loops
-/// (and the event-queue fixture, which they match bit for bit) use it.
-/// Every other run draws from the per-unit streams, so the partition
-/// can never influence a draw: sharded results hold for every shard
-/// count, and workload runs agree across engines. The tags keep the
-/// three families disjoint.
+/// a one-shard run can consume it: kPhased and kAsync open-loop runs
+/// (and the event-queue fixture, which they match bit for bit) are one
+/// shard drawing from it -- a slot's senders, then arbitration in
+/// coupler order. Every other run draws from the per-unit streams, so
+/// the partition can never influence a draw: sharded results hold for
+/// every shard count, and workload runs agree across engines. The tags
+/// keep the three families disjoint.
 class RunStreams {
  public:
   static constexpr std::uint64_t kRunStream = 0x0715;

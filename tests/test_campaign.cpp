@@ -212,6 +212,46 @@ TEST(CampaignSpecJson, DefaultsAndErrors) {
                    R"json({"topologies": [{"kind": "pops", "t": 2, "g": 2}],
                            "warmup_slots": 1e19})json"),
                core::Error);
+  // Integers parse exactly: a seed above 2^53 stays itself, 2^60 + 1
+  // ticks is past kMaxDelayTicks rather than rounded onto it, and an
+  // exponent form that a double cannot hold exactly fails.
+  EXPECT_EQ(campaign::parse_campaign_spec(
+                R"json({"topologies": [{"kind": "pops", "t": 2, "g": 2}],
+                        "seeds": [9007199254740993]})json")
+                .seeds,
+            std::vector<std::uint64_t>{9007199254740993ULL});
+  EXPECT_THROW(
+      campaign::parse_campaign_spec(
+          R"json({"topologies": [{"kind": "pops", "t": 2, "g": 2}],
+                  "timings": [{"profile": "const",
+                               "propagation": 1152921504606846977}]})json"),
+      core::Error);
+  EXPECT_THROW(campaign::parse_campaign_spec(
+                   R"json({"topologies": [{"kind": "pops", "t": 2, "g": 2}],
+                           "warmup_slots": 9.007199254740993e15})json"),
+               core::Error);
+  // engine_threads must fit in int, at top level and in overrides.
+  EXPECT_THROW(campaign::parse_campaign_spec(
+                   R"json({"topologies": [{"kind": "pops", "t": 2, "g": 2}],
+                           "engine_threads": 4294967298})json"),
+               core::Error);
+  const auto override_threads = [](const std::string& threads) {
+    return R"json({"topologies": [{"kind": "pops", "t": 2, "g": 2}],
+                   "overrides": [{"topology": "POPS(2,2)",
+                                  "engine_threads": )json" +
+           threads + "}]}";
+  };
+  EXPECT_EQ(campaign::parse_campaign_spec(override_threads("3"))
+                .overrides.at(0)
+                .engine_threads,
+            3);
+  EXPECT_THROW(campaign::parse_campaign_spec(override_threads("4294967298")),
+               core::Error);
+  EXPECT_EQ(campaign::parse_campaign_spec(
+                R"json({"topologies": [{"kind": "pops", "t": 2, "g": 2}],
+                        "engine_threads": 2147483647})json")
+                .engine_threads,
+            2147483647);
 }
 
 TEST(CampaignRunnerTest, OneCompilePerTopology) {
@@ -753,8 +793,8 @@ TEST(CampaignSpecJson, ParsesShapeSweepsAndTimingAxis) {
                        "timings": [{"profile": "warp"}]})json"),
                core::Error);
   // Delays past the bound that keeps every tick in int64
-  // (timing_model.hpp); the edge itself parses. JSON numbers are
-  // doubles, and 2^60 + 256 is the first one past kMaxDelayTicks.
+  // (timing_model.hpp); the edge itself parses. Integer literals parse
+  // exactly, so 2^60 + 1 is already past kMaxDelayTicks.
   for (const char* key : {"tuning", "propagation", "level_skew"}) {
     SCOPED_TRACE(key);
     const auto spec = [&](std::int64_t ticks) {
@@ -764,7 +804,7 @@ TEST(CampaignSpecJson, ParsesShapeSweepsAndTimingAxis) {
     };
     EXPECT_NO_THROW(campaign::parse_campaign_spec(spec(sim::kMaxDelayTicks)));
     EXPECT_THROW(
-        campaign::parse_campaign_spec(spec(sim::kMaxDelayTicks + 256)),
+        campaign::parse_campaign_spec(spec(sim::kMaxDelayTicks + 1)),
         core::Error);
   }
   // Fractional ticks must fail loudly, not truncate into a cell ID

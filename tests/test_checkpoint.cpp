@@ -103,6 +103,7 @@ struct RunOptions {
   std::uint64_t seed = 42;
   bool drain = false;
   bool bursty = false;
+  double load = 0.35;
 };
 
 struct RunResult {
@@ -132,7 +133,7 @@ RunResult run_sk(sim::Engine engine, int threads, const RunOptions& o) {
                                                    0.05, 0.2);
   } else {
     traffic =
-        std::make_unique<sim::UniformTraffic>(sk.processor_count(), 0.35);
+        std::make_unique<sim::UniformTraffic>(sk.processor_count(), o.load);
   }
   sim::OpsNetworkSim sim(
       sk.stack(),
@@ -146,28 +147,32 @@ RunResult run_sk(sim::Engine engine, int threads, const RunOptions& o) {
 }
 
 /// The uninterrupted reference, the interrupted (drill) leg, and the
-/// resumed leg for one (engine, threads) cell; compares resume against
-/// reference.
-void expect_resume_parity(sim::Engine engine, int threads,
-                          const std::filesystem::path& blob,
-                          const RunOptions& base = {}) {
+/// resumed leg for one (engine, threads) cell, checkpointing every
+/// `every` slots and stopping at `stop_at`; compares resume against
+/// reference and returns the drill leg's partial result.
+RunResult expect_resume_parity(sim::Engine engine, int threads,
+                               const std::filesystem::path& blob,
+                               const RunOptions& base = {},
+                               std::int64_t every = kEvery,
+                               std::int64_t stop_at = kStopAt) {
   const RunResult reference = run_sk(engine, threads, base);
 
   RunOptions drill = base;
-  drill.every = kEvery;
+  drill.every = every;
   drill.path = blob.string();
-  drill.stop_at = kStopAt;
-  run_sk(engine, threads, drill);  // partial metrics, discarded
-  ASSERT_TRUE(std::filesystem::exists(blob));
+  drill.stop_at = stop_at;
+  const RunResult drilled = run_sk(engine, threads, drill);
+  EXPECT_TRUE(std::filesystem::exists(blob));
 
   RunOptions resume = base;
-  resume.every = kEvery;
+  resume.every = every;
   resume.path = blob.string();
   resume.resume = true;
   const RunResult resumed = run_sk(engine, threads, resume);
 
   expect_identical(reference.metrics, resumed.metrics);
   EXPECT_EQ(reference.coupler_success, resumed.coupler_success);
+  return drilled;
 }
 
 sim::TimingConfig constant_timing(sim::SimTime tuning,
@@ -271,6 +276,29 @@ TEST(Checkpoint, DrainRunsResume) {
                        drain);
   expect_resume_parity(sim::Engine::kSharded, 3,
                        scratch.path() / "drain_sharded.ckpt", drain);
+
+  // Both async engines stopped inside the drain, past the 450-slot
+  // horizon, with closed gates and a 4-slot lookahead: async runs
+  // one-slot windows there, async-sharded lookahead windows.
+  RunOptions skewed = drain;
+  skewed.timing = constant_timing(256, 3 * sim::kTicksPerSlot + 200);
+  skewed.timing.guard_ticks = 64;
+  skewed.load = 0.6;
+  const struct {
+    sim::Engine engine;
+    int threads;
+  } cells[] = {{sim::Engine::kAsync, 1}, {sim::Engine::kAsyncSharded, 3}};
+  for (const auto& cell : cells) {
+    SCOPED_TRACE(sim::engine_name(cell.engine));
+    const RunResult drilled = expect_resume_parity(
+        cell.engine, cell.threads,
+        scratch.path() /
+            ("drain_" + std::string(sim::engine_name(cell.engine)) +
+             ".ckpt"),
+        skewed, 7, kWarmup + kMeasure + 5);
+    EXPECT_TRUE(drilled.metrics.interrupted);
+    EXPECT_GT(drilled.metrics.backlog, 0);
+  }
 }
 
 TEST(Checkpoint, BurstyTrafficStateRoundTrips) {
@@ -576,19 +604,15 @@ TEST(Checkpoint, LatencyBeyondTheElapsedSlotsThrows) {
     const std::int64_t next_slot = in.get_i64();
     (void)in.get_i64();  // in flight
     if (engine == sim::Engine::kAsync) {
-      (void)in.get_i64();  // next packet id
+      (void)in.get_i64();  // pending arrivals
     }
     (void)in.get_rng();
     (void)in.get_i64_vec();  // tokens
     if (engine == sim::Engine::kAsync) {
       (void)in.get_i64_vec();  // re-tune gates
-      for (int i = 0; i < 8; ++i) {
-        (void)in.get_i64();  // the RunMetrics counters
-      }
-    } else {
-      for (int i = 0; i < 5; ++i) {
-        (void)in.get_i64();  // the folded shard counters
-      }
+    }
+    for (int i = 0; i < 5; ++i) {
+      (void)in.get_i64();  // the folded shard counters
     }
     ASSERT_EQ(in.get_u8(), 0) << "full latency samples expected";
     ASSERT_GT(in.get_u64(), 0u) << "the drill must have delivered packets";

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -315,6 +317,27 @@ TEST(Json, SurrogatePairsDecodeToUtf8) {
   EXPECT_THROW(Json::parse(R"("\uD83D")"), Error);   // lone high
   EXPECT_THROW(Json::parse(R"("\uDE00")"), Error);   // lone low
   EXPECT_THROW(Json::parse(R"("\uD83DA")"), Error);  // broken pair
+}
+
+TEST(Json, IntegerLiteralsAreExact) {
+  // Integer literals keep their exact int64 value; a double would round
+  // 2^53 + 1 down to 2^53.
+  EXPECT_EQ(Json::parse("9007199254740993").as_int(), 9007199254740993);
+  EXPECT_EQ(Json::parse("9223372036854775807").as_int(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_DOUBLE_EQ(Json::parse("9007199254740993").as_number(), 0x1p53);
+  EXPECT_THROW((void)Json::parse("9223372036854775808").as_int(), Error);
+  EXPECT_THROW((void)Json::parse("-9223372036854775809").as_int(), Error);
+  // A fraction or exponent converts only below 2^53, where every
+  // integer is an exact double.
+  EXPECT_EQ(Json::parse("1e3").as_int(), 1000);
+  EXPECT_EQ(Json::parse("-2.0").as_int(), -2);
+  EXPECT_EQ(Json::parse("9007199254740991.0").as_int(), 9007199254740991);
+  EXPECT_THROW((void)Json::parse("9.007199254740993e15").as_int(), Error);
+  EXPECT_THROW((void)Json::parse("9007199254740992.0").as_int(), Error);
+  EXPECT_THROW((void)Json::parse("1e19").as_int(), Error);
 }
 
 TEST(Json, RejectsMalformedInput) {

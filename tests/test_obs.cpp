@@ -536,6 +536,18 @@ TEST(Telemetry, SerialRunsMatchFrozenDigests) {
   got.emplace_back("async/gossip/skew",
                    serial_run_digests(async, 0.4,
                                       scratch.path() / "async_gossip"));
+  // kAsyncSharded workload runs reproduce the row at 1 and 3 shards.
+  async.engine = sim::Engine::kAsyncSharded;
+  for (const int threads : {1, 3}) {
+    async.threads = threads;
+    async.workload = gossip();
+    EXPECT_EQ(serial_run_digests(async, 0.4,
+                                 scratch.path() /
+                                     ("async_sharded_gossip_t" +
+                                      std::to_string(threads))),
+              got.back().second)
+        << "async-sharded/gossip/skew at " << threads << " shards";
+  }
 
   // The async open loops under skew: gates closed (tuning, guard and a
   // 3-slot lookahead), gates open (2-slot propagation only) and the
