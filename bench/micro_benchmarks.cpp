@@ -182,20 +182,20 @@ struct HotPhase {
 };
 constexpr HotPhase kHotFunctions[] = {
     {"generate",
-     "\"SlotShards::generate\", \"detail::RunStreams::draw_senders\", "
+     "\"Steps::generate\", \"detail::RunStreams::draw_senders\", "
      "\"TrafficGenerator::demand_batch_senders (compact sender list, "
      "BernoulliThreshold integer gate)\", \"core::Rng::operator()\", "
      "\"detail::staged_enqueue (route row, queue header, tail slot "
      "prefetched ahead)\", \"VoqArenaT::push (one 32-byte record)\""},
     {"arbitrate",
-     "\"SlotShards::arbitrate\", "
+     "\"Steps::arbitrate (slot scheduler, flattened)\", "
      "\"detail::pick_then_pop (a summary word's picks, then its pops)\", "
      "\"detail::pick_single_token (request-mask rotate+ctz scan)\", "
      "\"VoqArenaT::pop_front\", \"RouteView::relay (inline final "
      "deliveries, relays to the owner's outbox)\", "
      "\"OccupancyMasks::mark_empty\""},
     {"receive",
-     "\"SlotShards::receive\", "
+     "\"Steps::receive\", "
      "\"detail::staged_enqueue (relay re-enqueue)\", "
      "\"VoqArenaT::push\", \"OccupancyMasks::mark_nonempty\""},
 };
@@ -412,16 +412,21 @@ otis::sim::SimTime random_span(otis::core::Rng& rng) {
 }
 
 double calendar_hold_seconds_once() {
-  using Queue = otis::sim::CalendarQueue<std::int64_t>;
+  // Pushes keyed by a running counter, like the priority queue's.
+  struct Queue {
+    otis::sim::CalendarQueue<std::int64_t> calendar;
+    std::uint64_t seq = 0;
+  };
   return hold_seconds_once<Queue>(
       [](Queue& queue, otis::core::Rng& rng) {
         for (std::int64_t i = 0; i < kQueuePending; ++i) {
-          queue.push(random_span(rng), i);
+          queue.calendar.push_keyed(random_span(rng), queue.seq++, i);
         }
       },
       [](Queue& queue, otis::core::Rng& rng) {
-        const auto entry = queue.pop();
-        queue.push(entry.time + 1 + random_span(rng), entry.payload);
+        const auto entry = queue.calendar.pop();
+        queue.calendar.push_keyed(entry.time + 1 + random_span(rng),
+                                  queue.seq++, entry.payload);
       });
 }
 

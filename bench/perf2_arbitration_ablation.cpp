@@ -17,7 +17,7 @@
 namespace {
 
 // Topology and routing tables are immutable across trials: build once,
-// share between the sweep's worker threads.
+// share between them.
 struct SharedNetwork {
   SharedNetwork()
       : sk(6, 3, 2),
@@ -57,11 +57,15 @@ int main() {
        {otis::sim::Arbitration::kTokenRoundRobin,
         otis::sim::Arbitration::kRandomWinner,
         otis::sim::Arbitration::kSlottedAloha}) {
-    auto points = otis::sim::run_load_sweep(
-        [policy, &net](double load, std::uint64_t seed) {
-          return run_with(net, policy, load, seed);
-        },
-        loads, 72, 48, seeds);
+    std::vector<otis::sim::SweepPoint> points;
+    for (const double load : loads) {
+      otis::sim::SweepPoint point;
+      for (const std::uint64_t seed : seeds) {
+        point.merge(otis::sim::SweepPoint::from_trial(
+            run_with(net, policy, load, seed), load, 72, 48));
+      }
+      points.push_back(point);
+    }
     for (const auto& p : points) {
       table.add(otis::sim::arbitration_name(policy), p.load,
                 p.throughput_per_node, p.mean_latency, p.p95_latency,

@@ -111,7 +111,7 @@ class BlobReader {
 
   [[nodiscard]] std::vector<std::int64_t> get_i64_vec() {
     const std::uint64_t n = get_u64();
-    OTIS_REQUIRE(pos_ + n * 8 <= size_, "BlobReader: truncated blob");
+    OTIS_REQUIRE(n <= remaining() / 8, "BlobReader: truncated blob");
     std::vector<std::int64_t> v(static_cast<std::size_t>(n));
     for (std::int64_t& x : v) {
       x = get_i64();

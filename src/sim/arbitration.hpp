@@ -91,7 +91,7 @@ namespace otis::sim::detail {
 ///
 /// `request` points at the coupler's `words` request-mask words: bit si
 /// is set iff feed position si contends (its VOQ toward this coupler is
-/// non-empty and, for the async engine, eligible). No bits at or above
+/// non-empty and, for the calendar scheduler, eligible). No bits at or above
 /// `source_count` may be set. `token` is the coupler's round-robin
 /// cursor, advanced just past each winner. `scratch` is caller-owned
 /// scratch (kRandomWinner builds its contender list there). Winners are

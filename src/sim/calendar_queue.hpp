@@ -84,7 +84,7 @@
 /// so the peek-then-pop cycle of the async engine costs one calendar
 /// walk, not two.
 ///
-/// The payload is a template parameter: the AsyncEngine stores plain
+/// The payload is a template parameter: the engines store plain
 /// structs (no per-event std::function allocation), the benchmarks
 /// store integers, and a std::function instantiation would behave like
 /// the classic EventQueue.
@@ -134,22 +134,22 @@ class CalendarQueue {
   /// Time of the most recently popped entry.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `payload` at absolute time `at` (>= now()).
-  void push(SimTime at, Payload payload) {
-    insert(at, next_seq_, std::move(payload));
-    ++next_seq_;
-  }
-
-  /// Schedules `payload` at absolute time `at` with a caller-chosen
-  /// sequence key instead of the internal counter. The async engine
-  /// derives `seq` from the global (slot, coupler, winner) transmission
-  /// order, so entries pushed into *different* per-shard calendars pop
-  /// in the same relative order one auto-sequenced queue would produce.
-  /// Keys must be unique per (time, seq) within one queue; next_seq_ is
-  /// not advanced, so keyed and auto-sequenced pushes should not be
-  /// mixed in one queue.
+  /// Schedules `payload` at absolute time `at` (>= now()) under the
+  /// caller's sequence key, which breaks ties at equal times. The
+  /// engines derive it from the global (slot, coupler, winner)
+  /// transmission order, so entries pushed into *different* per-shard
+  /// calendars pop in the same relative order one calendar would give
+  /// them. (time, seq) pairs must be unique within one queue.
   void push_keyed(SimTime at, std::uint64_t seq, Payload payload) {
-    insert(at, seq, std::move(payload));
+    OTIS_REQUIRE(at >= now_, "CalendarQueue: cannot schedule in the past");
+    if (at > horizon_) {
+      horizon_ = at;
+    }
+    const bool spilled = !raw_push(at, seq, std::move(payload));
+    ++count_;
+    if (spilled) {
+      maybe_rescale();
+    }
   }
 
   /// The earliest (time, seq) entry without removing it. The queue must
@@ -211,11 +211,6 @@ class CalendarQueue {
     }
   }
 
-  /// Auto-sequence counter state, for checkpointing queues that use the
-  /// plain push() path.
-  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
-  void set_next_seq(std::uint64_t seq) noexcept { next_seq_ = seq; }
-
  private:
   /// Fixed entry slots per bucket in the slab. The rescale rule keeps
   /// steady-state occupancy near kTargetOccupancy, so a Poisson day
@@ -258,19 +253,7 @@ class CalendarQueue {
     dirty_[b] = 0;
   }
 
-  void insert(SimTime at, std::uint64_t seq, Payload&& payload) {
-    OTIS_REQUIRE(at >= now_, "CalendarQueue: cannot schedule in the past");
-    if (at > horizon_) {
-      horizon_ = at;
-    }
-    const bool spilled = !raw_push(at, seq, std::move(payload));
-    ++count_;
-    if (spilled) {
-      maybe_rescale();
-    }
-  }
-
-  /// Places an entry without bumping count_ / seq (shared by insert and
+  /// Places an entry without bumping count_ (shared by push_keyed and
   /// rebuild): into its bucket's slab segment, else into its tick's
   /// run, else -- returning false -- into the overflow heap.
   bool raw_push(SimTime at, std::uint64_t seq, Payload payload) {
@@ -531,7 +514,6 @@ class CalendarQueue {
   std::size_t in_runs_ = 0;  ///< pending entries held by runs
   SimTime now_ = 0;
   SimTime horizon_ = 0;  ///< latest time ever pushed
-  std::uint64_t next_seq_ = 0;
   /// Bucket whose segment back is the slab-wide minimum, or -1. The
   /// segment may have gone dirty since caching; peek/pop re-sort it.
   std::int64_t cached_bucket_ = -1;

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <exception>
+#include <utility>
 
 #include "obs/telemetry.hpp"
 #include "sim/ops_network.hpp"
@@ -125,7 +126,10 @@ std::int64_t checkpoint_get_telemetry(core::BlobReader& in,
   }
   const std::int64_t tel_last = in.get_i64();
   const bool header_written = in.get_u8() != 0;
-  tel->restore_sampler(header_written, in.get_i64_vec());
+  std::vector<std::int64_t> prev = in.get_i64_vec();
+  OTIS_REQUIRE(prev.size() == tel->probes().probe_count(),
+               "checkpoint: telemetry sampler state for another probe set");
+  tel->restore_sampler(header_written, std::move(prev));
   return tel_last;
 }
 

@@ -33,7 +33,7 @@ namespace otis::sim {
 struct SimConfig;
 
 /// Blob layout version; bump on any payload format change.
-inline constexpr std::uint64_t kCheckpointVersion = 4;
+inline constexpr std::uint64_t kCheckpointVersion = 5;
 
 /// Appends magic, version and the config fingerprint to `out`. Engines
 /// call this first, then append their payload.

@@ -1,10 +1,6 @@
 #include "sim/experiment.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <thread>
-
-#include "core/error.hpp"
 
 namespace otis::sim {
 
@@ -85,71 +81,6 @@ void SweepPoint::merge(const SweepPoint& other) {
   merge_moments(makespan, makespan_stddev, trials, other.makespan,
                 other.makespan_stddev, other.trials);
   trials += other.trials;
-}
-
-std::vector<SweepPoint> run_load_sweep(
-    const TrialFactory& factory, const std::vector<double>& loads,
-    std::int64_t nodes, std::int64_t couplers,
-    const std::vector<std::uint64_t>& seeds, int threads) {
-  OTIS_REQUIRE(factory != nullptr, "run_load_sweep: factory must be set");
-  OTIS_REQUIRE(!seeds.empty(), "run_load_sweep: need at least one seed");
-
-  struct Trial {
-    std::size_t load_index;
-    std::uint64_t seed;
-    RunMetrics metrics;
-  };
-  std::vector<Trial> trials;
-  for (std::size_t li = 0; li < loads.size(); ++li) {
-    for (std::uint64_t seed : seeds) {
-      trials.push_back(Trial{li, seed, {}});
-    }
-  }
-
-  int worker_count = threads;
-  if (worker_count <= 0) {
-    worker_count = static_cast<int>(std::thread::hardware_concurrency());
-    if (worker_count <= 0) {
-      worker_count = 1;
-    }
-  }
-  worker_count = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(worker_count),
-                            trials.size()));
-
-  std::atomic<std::size_t> cursor{0};
-  auto worker = [&] {
-    while (true) {
-      const std::size_t i = cursor.fetch_add(1);
-      if (i >= trials.size()) {
-        return;
-      }
-      trials[i].metrics =
-          factory(loads[trials[i].load_index], trials[i].seed);
-    }
-  };
-  if (worker_count <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(worker_count));
-    for (int w = 0; w < worker_count; ++w) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-
-  std::vector<SweepPoint> points(loads.size());
-  for (std::size_t li = 0; li < loads.size(); ++li) {
-    points[li].load = loads[li];
-  }
-  for (const Trial& trial : trials) {
-    points[trial.load_index].merge(SweepPoint::from_trial(
-        trial.metrics, loads[trial.load_index], nodes, couplers));
-  }
-  return points;
 }
 
 }  // namespace otis::sim

@@ -1,13 +1,9 @@
 #pragma once
 /// \file experiment.hpp
-/// Multi-trial experiment runner: load sweeps with independent seeds,
-/// fanned out over a thread pool (each trial builds its own simulator,
-/// so trials share nothing and scale embarrassingly).
+/// Multi-trial aggregation: one sweep point's metrics over independent
+/// seeds, folded trial by trial.
 
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
@@ -52,18 +48,5 @@ struct SweepPoint {
   /// unless it has no trials yet.
   void merge(const SweepPoint& other);
 };
-
-/// Builds a fresh simulator for (load, seed). The factory owns nothing;
-/// it is called once per trial, possibly from several threads at once,
-/// and must hand back an independent simulator.
-using TrialFactory =
-    std::function<RunMetrics(double load, std::uint64_t seed)>;
-
-/// Runs `seeds` trials per load and averages. `threads` <= 0 means
-/// hardware concurrency.
-[[nodiscard]] std::vector<SweepPoint> run_load_sweep(
-    const TrialFactory& factory, const std::vector<double>& loads,
-    std::int64_t nodes, std::int64_t couplers,
-    const std::vector<std::uint64_t>& seeds, int threads = 0);
 
 }  // namespace otis::sim

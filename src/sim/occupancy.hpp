@@ -24,11 +24,11 @@
 ///
 ///  - plan_shards cuts the nodes into feed-local shards: no coupler's
 ///    feed set spans a cut, so a shard owns every VOQ its couplers read.
-///    Both engines run on it, one-shard runs too: each shard keeps
-///    OccupancyMasks over its own couplers, maintained by the shard
-///    alone (no atomics, no shared words); the async engine screens a
-///    coupler's request words through its eligibility gate when
-///    tuning latencies or a guard band exist.
+///    The run loop (engine.hpp) runs on it, one-shard runs too: each
+///    shard keeps OccupancyMasks over its own couplers, maintained by
+///    the shard alone (no atomics, no shared words); the calendar
+///    scheduler screens a coupler's request words through its
+///    eligibility gate when tuning latencies or a guard band exist.
 
 #include <algorithm>
 #include <cstdint>

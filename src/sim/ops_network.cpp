@@ -4,8 +4,7 @@
 #include <utility>
 
 #include "core/error.hpp"
-#include "sim/async_engine.hpp"
-#include "sim/phased_engine.hpp"
+#include "sim/engine.hpp"
 
 namespace otis::sim {
 
@@ -279,7 +278,7 @@ OpsNetworkSim::OpsNetworkSim(const hypergraph::StackGraph& network,
 // callbacks per hop. It is the reference implementation the phased
 // engines are bit-compared against, and the baseline the slots/sec
 // benchmarks measure their speedup from. Do not "optimize" it; speed
-// work belongs in phased_engine.cpp. (Sole exception, per the
+// work belongs in engine.cpp. (Sole exception, per the
 // arbitration.hpp contract: the token round-robin cursor below wraps
 // on compare instead of taking a per-step remainder, mirroring the
 // mask arbitration; it visits the identical position sequence.)
@@ -511,34 +510,21 @@ RunMetrics OpsNetworkSim::run() {
          {"couplers",
           std::to_string(network_.hypergraph().hyperarc_count())}});
   }
+  // Only the calendar engines compile (or take) a timing model.
+  std::shared_ptr<const TimingModel> timing;
   if (config_.engine == Engine::kAsync ||
       config_.engine == Engine::kAsyncSharded) {
-    std::shared_ptr<const TimingModel> timing = timing_model_;
+    timing = timing_model_;
     if (timing == nullptr) {
       timing = std::make_shared<const TimingModel>(
           TimingModel::compile(network_, config_.timing));
     }
-    if (compressed_routes_ != nullptr) {
-      AsyncEngineT<routing::CompressedRoutes> engine(
-          network_, *compressed_routes_, *traffic_, config_, *timing);
-      metrics_ = engine.run(coupler_success_);
-    } else {
-      AsyncEngineT<routing::CompiledRoutes> engine(network_, *routes_,
-                                                   *traffic_, config_,
-                                                   *timing);
-      metrics_ = engine.run(coupler_success_);
-    }
-    return metrics_;
   }
-  if (compressed_routes_ != nullptr) {
-    PhasedEngineT<routing::CompressedRoutes> engine(
-        network_, *compressed_routes_, *traffic_, config_);
-    metrics_ = engine.run(coupler_success_);
-  } else {
-    PhasedEngineT<routing::CompiledRoutes> engine(network_, *routes_,
-                                                  *traffic_, config_);
-    metrics_ = engine.run(coupler_success_);
-  }
+  metrics_ = compressed_routes_ != nullptr
+                 ? run_engine(network_, *compressed_routes_, *traffic_,
+                              config_, timing.get(), coupler_success_)
+                 : run_engine(network_, *routes_, *traffic_, config_,
+                              timing.get(), coupler_success_);
   return metrics_;
 }
 

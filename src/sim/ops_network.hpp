@@ -21,28 +21,29 @@
 ///  - kEventQueue: the original per-slot-event loop on the generic
 ///    EventQueue; kept as the seed-faithful reference implementation
 ///    (tests-only fixture since the async layer landed);
-///  - kPhased: the direct three-phase slot loop (generate / arbitrate /
-///    receive; phased_engine.hpp) as one shard drawing from the single
-///    run stream, over packed VOQ records, per-coupler occupancy
-///    bitmasks and compiled route tables. Bit-identical to kEventQueue
-///    for every seed, several times faster;
-///  - kSharded: the same loop over feed-local shards (a shard owns every
-///    processor feeding its couplers), relays handed to their owner
-///    shard through per-consumer outboxes, two barriers per slot, and
-///    RNG drawn from per-node / per-coupler streams so the result is
-///    bit-identical for EVERY thread count (though, by design, a
-///    different -- equally valid -- universe than the serial engines);
-///  - kAsync: the calendar-queue timed-event engine (async_engine.hpp)
-///    honouring SimConfig::timing -- transmitter tuning latencies,
-///    per-coupler propagation skew, slot guard bands in sub-slot ticks.
-///    Bit-identical to kPhased when the timing model is slot-aligned
-///    (every delay zero);
-///  - kAsyncSharded: the async engine as conservative parallel
-///    discrete-event simulation over the same feed-local shards, with
-///    lookahead windows and per-pair mailboxes. Thread-count invariant;
-///    == kSharded when slot-aligned. kAsync and kAsyncSharded share one
-///    run loop, open loop and workload (kAsync as one shard on the run
-///    stream, with one-slot windows).
+///  - kPhased, kSharded, kAsync and kAsyncSharded: one run loop
+///    (engine.hpp) over feed-local shards (a shard owns every processor
+///    feeding its couplers) with packed VOQ records, per-coupler
+///    occupancy bitmasks and compiled route tables, templated on its
+///    scheduler:
+///     - the slot scheduler (kPhased, kSharded) counts final deliveries
+///       inline and re-queues relays within the slot, handing them to
+///       their owner shard through per-consumer outboxes (two barriers
+///       per slot). kPhased is one shard on the single run stream,
+///       bit-identical to kEventQueue for every seed and several times
+///       faster; kSharded draws from per-node / per-coupler streams, so
+///       its result is bit-identical for EVERY thread count (though, by
+///       design, a different -- equally valid -- universe than the
+///       serial engines);
+///     - the calendar scheduler (kAsync, kAsyncSharded) runs the same
+///       cycle as timed events on per-shard calendar queues, honouring
+///       SimConfig::timing -- transmitter tuning latencies, per-coupler
+///       propagation skew, slot guard bands in sub-slot ticks. kAsync is
+///       one shard on the run stream, == kPhased when the timing model
+///       is slot-aligned (every delay zero); kAsyncSharded is
+///       conservative parallel discrete-event simulation with lookahead
+///       windows and per-pair mailboxes, thread-count invariant and
+///       == kSharded when slot-aligned.
 ///
 /// The simulator works for *any* stack-graph network: POPS, stack-Kautz
 /// and stack-Imase-Itoh differ only in the StackGraph and the routing
@@ -79,9 +80,10 @@ namespace detail {
 /// The run stream interleaves draws across the whole network, so only
 /// a one-shard run can consume it: kPhased and kAsync open-loop runs
 /// (and the event-queue fixture, which they match bit for bit) are one
-/// shard drawing from it -- a slot's senders, then arbitration in
-/// coupler order. Every other run draws from the per-unit streams, so
-/// the partition can never influence a draw: sharded results hold for
+/// shard of the run loop (engine.hpp) drawing from it -- a slot's
+/// senders, then arbitration in coupler order -- under either
+/// scheduler. Every other run draws from the per-unit streams, so the
+/// partition can never influence a draw: sharded results hold for
 /// every shard count, and workload runs agree across engines. The tags
 /// keep the three families disjoint.
 class RunStreams {
@@ -133,8 +135,9 @@ inline SimTime workload_slot_bound(const workload::Workload& load) {
 
 /// Refreshes the engine-standard counter/gauge probes from a metrics
 /// snapshot (occupancy and pending_events are engine-specific; see
-/// detail::observe_occupancy in occupancy.hpp). Shared by the phased
-/// and async engines so probe values always mean the same thing.
+/// detail::observe_occupancy in occupancy.hpp). Shared by both
+/// schedulers of the run loop so probe values always mean the same
+/// thing.
 inline void fill_metric_probes(obs::Telemetry& tel, const RunMetrics& m,
                                std::int64_t backlog) {
   obs::ProbeRegistry& reg = tel.probes();
@@ -160,9 +163,9 @@ enum class Arbitration {
 /// Execution engines (see file comment).
 enum class Engine {
   kEventQueue,    ///< seed-faithful event-driven loop (tests-only fixture)
-  kPhased,        ///< direct three-phase slot loop; == kEventQueue bit-for-bit
-  kSharded,       ///< phased loop over N worker threads; thread-count invariant
-  kAsync,         ///< calendar-queue timed events; == kPhased when slot-aligned
+  kPhased,        ///< slot scheduler, one shard; == kEventQueue bit-for-bit
+  kSharded,       ///< slot scheduler over N workers; thread-count invariant
+  kAsync,         ///< calendar scheduler, one shard; == kPhased when aligned
   kAsyncSharded,  ///< conservative-PDES async over N workers; thread-count
                   ///< invariant, == serial kAsync bit-for-bit in workload mode
 };

@@ -10,8 +10,8 @@
 /// fibers from different couplers to their receivers have unequal
 /// lengths (propagation skew). This layer expresses those effects in
 /// fixed-point sub-slot ticks (kTicksPerSlot per slot, event_queue.hpp)
-/// and compiles them into flat per-coupler arrays the AsyncEngine reads
-/// on its hot path.
+/// and compiles them into flat per-coupler arrays the calendar
+/// scheduler of the run loop (engine.hpp) reads on its hot path.
 ///
 /// Three delay sources:
 ///  - constant: one tuning value and one propagation value shared by
@@ -23,8 +23,8 @@
 ///    design (optics/trace.hpp) and scales each coupler's worst-case
 ///    component-chain length into its propagation delay.
 ///
-/// When every delay is zero the model is "slot-aligned" and the
-/// AsyncEngine provably collapses to the phased engine bit-for-bit
+/// When every delay is zero the model is "slot-aligned" and the async
+/// engines provably collapse to the slotted ones metric for metric
 /// (tests/test_async_engine.cpp).
 
 #include <cstdint>

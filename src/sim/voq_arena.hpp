@@ -297,9 +297,9 @@ class VoqArenaT {
   std::vector<Header> queues_;
 };
 
-/// The phased engines' arena.
+/// The slot scheduler's arena (kPhased, kSharded).
 using VoqArena = VoqArenaT<false>;
-/// The async engine's arena (per-entry ready ticks).
+/// The calendar scheduler's arena (per-entry ready ticks).
 using TimedVoqArena = VoqArenaT<true>;
 
 }  // namespace otis::sim

@@ -65,7 +65,7 @@ TEST(CalendarQueueTest, PopsInTimeOrderAcrossBucketsAndYears) {
   // Times spanning several calendar years (bucket wrap-arounds).
   const std::vector<SimTime> times = {37, 2, 18, 5, 90, 2, 41, 0, 17};
   for (std::size_t i = 0; i < times.size(); ++i) {
-    q.push(times[i], static_cast<int>(i));
+    q.push_keyed(times[i], i, static_cast<int>(i));
   }
   EXPECT_EQ(q.pending(), times.size());
   SimTime last = -1;
@@ -99,7 +99,7 @@ TEST(CalendarQueueTest, MatchesEventQueueOrderOnRandomWorkload) {
   for (int round = 0; round < 2000; ++round) {
     const SimTime at =
         now + static_cast<SimTime>(rng.uniform(20 * kTicksPerSlot));
-    calendar.push(at, id);
+    calendar.push_keyed(at, static_cast<std::uint64_t>(id), id);
     reference.push_back(Ref{at, id});
     ++id;
     if (round % 3 == 0 && !calendar.empty()) {
@@ -133,7 +133,7 @@ TEST(CalendarQueueTest, MatchesEventQueueOrderOnRandomWorkload) {
 
 TEST(CalendarQueueTest, FloodsPopInReferenceOrder) {
   // The engines' traffic: a slot's arrivals all land on one tick. 5,000
-  // auto-sequenced pushes on one tick and 500 on a second, interleaved,
+  // pushes keyed in push order on one tick and 500 on a second, interleaved,
   // popped at each slot boundary against a sorted (time, seq) reference.
   // Scattered pushes overflow a multi-tick day into the heap and outgrow
   // the span, so the calendar rescales while both floods are pending;
@@ -147,10 +147,11 @@ TEST(CalendarQueueTest, FloodsPopInReferenceOrder) {
   std::set<std::tuple<SimTime, std::uint64_t, int>> reference;
   int next_id = 0;
   const auto push = [&](SimTime at) {
-    reference.emplace(at, queue.next_seq(), next_id);
-    queue.push(at, next_id);
+    const auto seq = static_cast<std::uint64_t>(next_id);
+    reference.emplace(at, seq, next_id);
+    queue.push_keyed(at, seq, next_id);
     if (restored) {
-      restored->push(at, next_id);
+      restored->push_keyed(at, seq, next_id);
     }
     ++next_id;
   };
@@ -190,7 +191,6 @@ TEST(CalendarQueueTest, FloodsPopInReferenceOrder) {
         queue.for_each([&](const Queue::Entry& entry) {
           restored->push_keyed(entry.time, entry.seq, entry.payload);
         });
-        restored->set_next_seq(queue.next_seq());
         EXPECT_EQ(restored->pending(), queue.pending());
       }
     }
@@ -202,10 +202,10 @@ TEST(CalendarQueueTest, FloodsPopInReferenceOrder) {
 
 TEST(CalendarQueueTest, RejectsPastScheduling) {
   CalendarQueue<int> q;
-  q.push(5 * kTicksPerSlot, 1);
+  q.push_keyed(5 * kTicksPerSlot, 0, 1);
   (void)q.pop();
   EXPECT_EQ(q.now(), 5 * kTicksPerSlot);
-  EXPECT_THROW(q.push(kTicksPerSlot, 2), core::Error);
+  EXPECT_THROW(q.push_keyed(kTicksPerSlot, 1, 2), core::Error);
 }
 
 // --------------------------------------------------------- timing model

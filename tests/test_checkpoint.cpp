@@ -16,8 +16,9 @@
 //    engine changed) is silently ignored -- the run starts fresh;
 //  - a damaged blob (truncated, a flipped byte, a wrong version) never
 //    resumes with different numbers on any engine, and a blob whose
-//    checksum holds but whose queued destination is out of range, or
-//    whose largest latency exceeds its next slot, throws;
+//    checksum holds but whose queued destination or round-robin token
+//    is out of range, or whose largest latency exceeds its next slot,
+//    throws;
 //  - the event-queue engine and path-less checkpoint configs are
 //    rejected at construction.
 
@@ -522,6 +523,18 @@ void skip_header(core::BlobReader& in) {
   }
 }
 
+/// Reads a drill blob of a serial (run-stream) run up to its tokens:
+/// header, next slot (returned), in flight, pending arrivals and the
+/// run stream.
+std::int64_t skip_to_tokens(core::BlobReader& in) {
+  skip_header(in);
+  const std::int64_t next_slot = in.get_i64();
+  (void)in.get_i64();  // in flight
+  (void)in.get_i64();  // pending arrivals
+  (void)in.get_rng();
+  return next_slot;
+}
+
 /// Writes `value` over the i64 at byte `at` of `blob`.
 void overwrite_i64(std::string& blob, std::size_t at, std::int64_t value) {
   for (std::size_t i = 0; i < 8; ++i) {
@@ -542,16 +555,14 @@ TEST(Checkpoint, OutOfRangeQueuedDestinationThrows) {
   run_sk(sim::Engine::kPhased, 1, drill);
   std::string blob = read_bytes(drill.path);
 
-  // Walk the phased payload (the slot loop's save order, a serial run
-  // holding the single run stream) to the first queued entry's
+  // Walk the payload (a serial run holding the single run stream, and
+  // no re-tune gates on the slot path) to the first queued entry's
   // destination field.
   core::BlobReader in(reinterpret_cast<const std::uint8_t*>(blob.data()),
                       blob.size() - 8);
-  skip_header(in);
-  (void)in.get_i64();  // next slot
-  (void)in.get_i64();  // in flight
-  (void)in.get_rng();
+  (void)skip_to_tokens(in);
   (void)in.get_i64_vec();  // tokens
+  ASSERT_TRUE(in.get_i64_vec().empty()) << "slot runs keep no gates";
   for (int i = 0; i < 5; ++i) {
     (void)in.get_i64();  // offered, delivered, dropped, sent, collisions
   }
@@ -580,6 +591,36 @@ TEST(Checkpoint, OutOfRangeQueuedDestinationThrows) {
   EXPECT_THROW(run_sk(sim::Engine::kPhased, 1, resume), core::Error);
 }
 
+TEST(Checkpoint, OutOfRangeTokenThrows) {
+  // A round-robin cursor edited far past its coupler's feeds, with the
+  // checksum recomputed: restore must throw, not let arbitration read
+  // request words at the cursor.
+  ScratchDir scratch("token");
+  for (const sim::Engine engine : {sim::Engine::kPhased, sim::Engine::kAsync}) {
+    SCOPED_TRACE(sim::engine_name(engine));
+    RunOptions drill;
+    drill.every = kEvery;
+    drill.path = (scratch.path() / sim::engine_name(engine)).string();
+    drill.stop_at = kStopAt;
+    run_sk(engine, 1, drill);
+    std::string blob = read_bytes(drill.path);
+
+    core::BlobReader in(reinterpret_cast<const std::uint8_t*>(blob.data()),
+                        blob.size() - 8);
+    (void)skip_to_tokens(in);
+    ASSERT_GT(in.get_u64(), 0u) << "one token per coupler";
+    overwrite_i64(blob, in.position(), std::int64_t{1} << 40);
+    reseal(blob);
+    write_bytes(drill.path, blob);
+
+    RunOptions resume;
+    resume.every = kEvery;
+    resume.path = drill.path;
+    resume.resume = true;
+    EXPECT_THROW(run_sk(engine, 1, resume), core::Error);
+  }
+}
+
 TEST(Checkpoint, LatencyBeyondTheElapsedSlotsThrows) {
   // A packet delivered in slot t < next slot waited at most t + 1
   // slots. A blob whose first latency sample is edited past the next
@@ -600,17 +641,9 @@ TEST(Checkpoint, LatencyBeyondTheElapsedSlotsThrows) {
 
     core::BlobReader in(reinterpret_cast<const std::uint8_t*>(blob.data()),
                         blob.size() - 8);
-    skip_header(in);
-    const std::int64_t next_slot = in.get_i64();
-    (void)in.get_i64();  // in flight
-    if (engine == sim::Engine::kAsync) {
-      (void)in.get_i64();  // pending arrivals
-    }
-    (void)in.get_rng();
+    const std::int64_t next_slot = skip_to_tokens(in);
     (void)in.get_i64_vec();  // tokens
-    if (engine == sim::Engine::kAsync) {
-      (void)in.get_i64_vec();  // re-tune gates
-    }
+    (void)in.get_i64_vec();  // re-tune gates (none on the slot path)
     for (int i = 0; i < 5; ++i) {
       (void)in.get_i64();  // the folded shard counters
     }

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "core/args.hpp"
+#include "core/blob.hpp"
 #include "core/csv.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
@@ -141,6 +142,24 @@ TEST(Rng, SampleWithoutReplacementDistinct) {
 TEST(Rng, SampleRejectsOversizedRequest) {
   Rng rng(25);
   EXPECT_THROW(rng.sample_without_replacement(3, 4), Error);
+}
+
+TEST(Blob, VectorLengthPastTheBlobThrows) {
+  // 2^61 + 1 elements of 8 bytes wrap a 64-bit byte count to 8, which
+  // a check on pos + n * 8 lets through.
+  for (const std::uint64_t n :
+       {(std::uint64_t{1} << 61) + 1, std::uint64_t{2}}) {
+    BlobWriter out;
+    out.put_u64(n);
+    out.put_i64(7);
+    BlobReader in(out.bytes());
+    EXPECT_THROW((void)in.get_i64_vec(), Error) << n;
+  }
+  BlobWriter out;
+  out.put_i64_vec({3, -4});
+  BlobReader in(out.bytes());
+  EXPECT_EQ(in.get_i64_vec(), (std::vector<std::int64_t>{3, -4}));
+  EXPECT_TRUE(in.at_end());
 }
 
 TEST(MathUtil, FloorModMatchesMathConvention) {

@@ -10,9 +10,10 @@
 //  - probe totals equal the RunMetrics they mirror;
 //  - Chrome-trace output is well-formed JSON whose spans strictly nest
 //    per track (round-tripped through core::Json);
-//  - serial runs (phased open loop, phased and async workloads) emit
-//    exactly the timeseries bytes and metrics frozen as FNV-1a-64
-//    digests, so a refactor of the run loops cannot move them;
+//  - serial runs (phased open loop, phased and async workloads) and the
+//    multi-shard slot-aligned runs emit exactly the timeseries bytes and
+//    metrics frozen as FNV-1a-64 digests, so a refactor of the run loop
+//    cannot move them;
 //  - config validation: unknown probe names and the probe-less
 //    event-queue engine are rejected.
 
@@ -430,9 +431,11 @@ std::pair<std::uint64_t, std::uint64_t> serial_run_digests(
 
 TEST(Telemetry, SerialRunsMatchFrozenDigests) {
   // Recorded from the serial loops before they became one-shard runs,
-  // and the async open-loop rows before the async loops landed a slot's
-  // arrivals as one batch; every later loop must reproduce them byte
-  // for byte.
+  // the async open-loop rows before the async loops landed a slot's
+  // arrivals as one batch, and the multi-shard slot rows (sharded and
+  // slot-aligned async-sharded, each at 1 and 3 shards) and the aligned
+  // gossip row before the slot and calendar schedulers shared one run
+  // loop; every later loop must reproduce them byte for byte.
   struct Frozen {
     const char* name;
     std::uint64_t timeseries;
@@ -451,7 +454,21 @@ TEST(Telemetry, SerialRunsMatchFrozenDigests) {
        0x1f69f8e4d001ffa8ULL},
       {"phased/aloha/w2", 0xec54bc58a4e08565ULL,
        0x5008213d08731731ULL},
+      {"sharded/token/w2", 0x263606ac870b5735ULL,
+       0xafe4fde5a5f5fb92ULL},
+      {"sharded/random/w2", 0xddc13f77ff348cc7ULL,
+       0x66dc02bcd19ae54bULL},
+      {"sharded/aloha/w2", 0x661a97a40e0fe786ULL,
+       0x2d4f489d8e93afe5ULL},
+      {"async-sharded/token/aligned", 0x06bded690c1475d8ULL,
+       0xafe4fde5a5f5fb92ULL},
+      {"async-sharded/random/aligned", 0xecb5bd502d9ecbc9ULL,
+       0x66dc02bcd19ae54bULL},
+      {"async-sharded/aloha/aligned", 0xa2f0a784c1c2b124ULL,
+       0x2d4f489d8e93afe5ULL},
       {"phased/gossip/bg0.4", 0xe2c0e2519f21e230ULL,
+       0x6c2e49dcfd7e1af0ULL},
+      {"async/gossip/aligned", 0x3314776c5c1be33eULL,
        0x6c2e49dcfd7e1af0ULL},
       {"async/gossip/skew", 0xc448cd58f151f572ULL,
        0x2dcca216355bb69dULL},
@@ -514,6 +531,39 @@ TEST(Telemetry, SerialRunsMatchFrozenDigests) {
                                           scratch.path() / (policy + w)));
     }
   }
+  // The multi-shard slot path on the W = 2 config: kSharded and
+  // slot-aligned kAsyncSharded at 1 and 3 shards against one value each.
+  // Their metrics agree; their timeseries do not, because the async
+  // rows sample with relays still in flight (pending events, not queue
+  // occupancy).
+  for (const sim::Engine engine :
+       {sim::Engine::kSharded, sim::Engine::kAsyncSharded}) {
+    for (const sim::Arbitration arbitration :
+         {sim::Arbitration::kTokenRoundRobin, sim::Arbitration::kRandomWinner,
+          sim::Arbitration::kSlottedAloha}) {
+      sim::SimConfig config;
+      config.warmup_slots = kWarmup;
+      config.measure_slots = kMeasure;
+      config.seed = 42;
+      config.arbitration = arbitration;
+      config.wavelengths = 2;
+      config.queue_capacity = 3;
+      config.drain = true;
+      config.engine = engine;
+      const std::string name =
+          std::string(sim::engine_name(engine)) + "/" +
+          sim::arbitration_name(arbitration) +
+          (engine == sim::Engine::kSharded ? "/w2" : "/aligned");
+      const std::filesystem::path base =
+          scratch.path() / (std::to_string(got.size()) + "_t");
+      config.threads = 1;
+      const auto one = serial_run_digests(config, 0.35, base.string() + "1");
+      config.threads = 3;
+      EXPECT_EQ(serial_run_digests(config, 0.35, base.string() + "3"), one)
+          << name << " at 3 shards";
+      got.emplace_back(name, one);
+    }
+  }
   hypergraph::StackKautz sk(4, 3, 2);
   const auto gossip = [&] {
     return std::shared_ptr<workload::Workload>(workload::schedule_workload(
@@ -525,6 +575,28 @@ TEST(Telemetry, SerialRunsMatchFrozenDigests) {
   got.emplace_back("phased/gossip/bg0.4",
                    serial_run_digests(phased, 0.4,
                                       scratch.path() / "phased_gossip"));
+  // Workload runs draw from the per-unit streams on every engine:
+  // kSharded reproduces the phased row, and the slot-aligned async
+  // engines its metrics (their timeseries sample relays in flight).
+  phased.engine = sim::Engine::kSharded;
+  phased.threads = 3;
+  phased.workload = gossip();
+  EXPECT_EQ(serial_run_digests(phased, 0.4, scratch.path() / "sharded_gossip"),
+            got.back().second)
+      << "sharded/gossip/bg0.4 at 3 shards";
+  phased.engine = sim::Engine::kAsync;
+  phased.threads = 1;
+  phased.workload = gossip();
+  got.emplace_back("async/gossip/aligned",
+                   serial_run_digests(phased, 0.4,
+                                      scratch.path() / "aligned_gossip"));
+  phased.engine = sim::Engine::kAsyncSharded;
+  phased.threads = 3;
+  phased.workload = gossip();
+  EXPECT_EQ(serial_run_digests(phased, 0.4,
+                               scratch.path() / "aligned_gossip_t3"),
+            got.back().second)
+      << "async-sharded/gossip/aligned at 3 shards";
   sim::SimConfig async;
   async.seed = 99;
   async.engine = sim::Engine::kAsync;

@@ -495,20 +495,29 @@ TEST(OpsNetworkSim, WavelengthsReduceAlohaCollisions) {
   EXPECT_LT(w4.collisions, w1.collisions);
 }
 
+/// One SweepPoint per load folded over POPS(4,2) token trials, load by
+/// load and seed by seed.
+std::vector<SweepPoint> pops_sweep(const std::vector<double>& loads,
+                                   const std::vector<std::uint64_t>& seeds) {
+  std::vector<SweepPoint> points;
+  for (const double load : loads) {
+    SweepPoint point;
+    for (const std::uint64_t seed : seeds) {
+      point.merge(SweepPoint::from_trial(
+          run_pops(4, 2, load, Arbitration::kTokenRoundRobin, seed, 800),
+          load, 8, 4));
+    }
+    points.push_back(point);
+  }
+  return points;
+}
+
 TEST(Experiment, LoadSweepAggregatesAndIsMonotoneAtLowLoad) {
-  TrialFactory factory = [](double load, std::uint64_t seed) {
-    return run_pops(4, 2, load, Arbitration::kTokenRoundRobin, seed, 800);
-  };
-  auto points = run_load_sweep(factory, {0.05, 0.2}, 8, 4, {1, 2, 3}, 2);
+  auto points = pops_sweep({0.05, 0.2}, {1, 2, 3});
   ASSERT_EQ(points.size(), 2u);
   EXPECT_EQ(points[0].trials, 3);
   EXPECT_GT(points[1].throughput_per_node, points[0].throughput_per_node);
   EXPECT_GT(points[0].delivered_fraction, 0.9);
-}
-
-TEST(Experiment, RequiresSeeds) {
-  TrialFactory factory = [](double, std::uint64_t) { return RunMetrics{}; };
-  EXPECT_THROW(run_load_sweep(factory, {0.1}, 8, 4, {}), core::Error);
 }
 
 TEST(Experiment, SweepPointMergeMatchesDirectMoments) {
@@ -548,10 +557,7 @@ TEST(Experiment, SweepPointMergeMatchesDirectMoments) {
 }
 
 TEST(Experiment, LoadSweepReportsStddevAcrossSeeds) {
-  TrialFactory factory = [](double load, std::uint64_t seed) {
-    return run_pops(4, 2, load, Arbitration::kTokenRoundRobin, seed, 800);
-  };
-  auto points = run_load_sweep(factory, {0.3}, 8, 4, {1, 2, 3, 4}, 2);
+  auto points = pops_sweep({0.3}, {1, 2, 3, 4});
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].trials, 4);
   // Different seeds give different trials, so the spread is positive and
