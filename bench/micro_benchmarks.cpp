@@ -183,7 +183,7 @@ struct HotPhase {
 constexpr HotPhase kHotFunctions[] = {
     {"generate",
      "\"Steps::generate\", \"detail::RunStreams::draw_senders\", "
-     "\"TrafficGenerator::demand_batch_senders (compact sender list, "
+     "\"TrafficGenerator::draw_senders (compact sender list, "
      "BernoulliThreshold integer gate)\", \"core::Rng::operator()\", "
      "\"detail::staged_enqueue (route row, queue header, tail slot "
      "prefetched ahead)\", \"VoqArenaT::push (one 32-byte record)\""},

@@ -5,7 +5,8 @@
 namespace otis::campaign {
 
 Manifest::Manifest(const std::string& path, bool resume)
-    : out_(path, resume ? (std::ios::out | std::ios::app)
+    : path_(path),
+      out_(path, resume ? (std::ios::out | std::ios::app)
                         : (std::ios::out | std::ios::trunc)) {
   OTIS_REQUIRE(out_.good(), "Manifest: cannot open " + path);
 }
@@ -28,6 +29,7 @@ std::unordered_set<std::string> Manifest::load(const std::string& path) {
 void Manifest::record(const std::string& cell_id) {
   out_ << cell_id << "\n";
   out_.flush();
+  OTIS_REQUIRE(out_.good(), "Manifest: write to \"" + path_ + "\" failed");
 }
 
 }  // namespace otis::campaign

@@ -28,10 +28,12 @@ class Manifest {
       const std::string& path);
 
   /// Marks one cell complete. Flushes so a kill right after still finds
-  /// the line on the next run.
+  /// the line on the next run; throws core::Error naming the file when
+  /// the line could not be written.
   void record(const std::string& cell_id);
 
  private:
+  std::string path_;
   std::ofstream out_;
 };
 

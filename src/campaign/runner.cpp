@@ -192,10 +192,10 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   // for the whole campaign; every cell's rows and spans are tagged, so
   // concurrent writers interleave without ambiguity.
   const obs::TelemetryConfig& tcfg = spec_.telemetry;
-  std::shared_ptr<obs::TimeSeriesWriter> ts_writer;
+  std::shared_ptr<obs::JsonlWriter> ts_writer;
   std::shared_ptr<obs::ChromeTraceSink> trace_sink;
   if (tcfg.sample_period > 0) {
-    ts_writer = std::make_shared<obs::TimeSeriesWriter>(
+    ts_writer = std::make_shared<obs::JsonlWriter>(
         tcfg.timeseries_path.empty()
             ? std::string()
             : resolve_out_path(options.out_dir, tcfg.timeseries_path));
@@ -213,9 +213,9 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   // The runtime channel: one shared writer for the campaign; each cell
   // gets its own session tagged with the cell id, and the pool's worker
   // rows land under a "campaign" session after the batch.
-  std::shared_ptr<obs::RuntimeStatsWriter> rt_writer;
+  std::shared_ptr<obs::JsonlWriter> rt_writer;
   if (!spec_.runtime_stats_path.empty()) {
-    rt_writer = std::make_shared<obs::RuntimeStatsWriter>(
+    rt_writer = std::make_shared<obs::JsonlWriter>(
         resolve_out_path(options.out_dir, spec_.runtime_stats_path));
   }
 
@@ -311,21 +311,31 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   std::mutex emit_mutex;
   std::map<std::size_t, EmitEntry> ready;
   std::size_t next_emit = 0;
+  bool emit_failed = false;
   std::int64_t interrupted_cells = 0;
   auto emit_ready = [&]() {
-    while (!ready.empty() && ready.begin()->first == next_emit) {
+    while (!emit_failed && !ready.empty() &&
+           ready.begin()->first == next_emit) {
       const EmitEntry& entry = ready.begin()->second;
       if (entry.interrupted) {
         ++interrupted_cells;
       } else {
-        for (const std::shared_ptr<ResultSink>& sink : sinks) {
-          sink->consume(entry.result);
-        }
-        if (manifest != nullptr) {
+        try {
           for (const std::shared_ptr<ResultSink>& sink : sinks) {
-            sink->flush();
+            sink->consume(entry.result);
           }
-          manifest->record(entry.result.cell.id);
+          if (manifest != nullptr) {
+            for (const std::shared_ptr<ResultSink>& sink : sinks) {
+              sink->flush();
+            }
+            manifest->record(entry.result.cell.id);
+          }
+        } catch (...) {
+          // An output failed mid-cell: emit nothing more, so no later
+          // completion writes this cell's rows again and the outputs
+          // stay a prefix of the expansion order.
+          emit_failed = true;
+          throw;
         }
       }
       ready.erase(ready.begin());
@@ -479,19 +489,9 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   if (rt_writer != nullptr) {
     // Pool-level utilization rows under a "campaign" session: one row
     // per worker covering the pool's lifetime (compiles + cells).
-    const std::vector<WorkStealingPool::WorkerStats> pool_stats =
-        pool.stats();
-    std::vector<obs::WorkerRuntime> workers(pool_stats.size());
-    for (std::size_t w = 0; w < pool_stats.size(); ++w) {
-      workers[w].busy_ns = pool_stats[w].busy_ns;
-      workers[w].idle_ns = pool_stats[w].idle_ns;
-      workers[w].steal_ns = pool_stats[w].steal_ns;
-      workers[w].items = pool_stats[w].items;
-      workers[w].steals = pool_stats[w].steals;
-    }
     const std::shared_ptr<obs::RuntimeStats> campaign_rt =
         obs::RuntimeStats::attach(rt_writer, "campaign");
-    campaign_rt->record_workers(pool.stats_wall_ns(), workers);
+    campaign_rt->record_workers(pool.stats_wall_ns(), pool.stats());
     report.runtime_rows = rt_writer->rows();
     rt_writer->close();
   }

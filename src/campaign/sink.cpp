@@ -36,10 +36,18 @@ std::string quoted(const std::string& cell) {
   return out;
 }
 
+/// Flushes `out` and throws unless every row reached `path`.
+void flush_checked(std::ofstream& out, const char* sink,
+                   const std::string& path) {
+  out.flush();
+  OTIS_REQUIRE(out.good(),
+               std::string(sink) + ": write to \"" + path + "\" failed");
+}
+
 }  // namespace
 
 JsonlSink::JsonlSink(const std::string& path, bool append)
-    : out_(path, file_mode(append)) {
+    : path_(path), out_(path, file_mode(append)) {
   OTIS_REQUIRE(out_.good(), "JsonlSink: cannot open " + path);
 }
 
@@ -77,7 +85,7 @@ void JsonlSink::consume(const CellResult& r) {
        << ", \"makespan\": " << m.makespan_slots << "}\n";
 }
 
-void JsonlSink::flush() { out_.flush(); }
+void JsonlSink::flush() { flush_checked(out_, "JsonlSink", path_); }
 
 const std::vector<std::string>& CsvSink::columns() {
   static const std::vector<std::string> kColumns = {
@@ -95,7 +103,7 @@ const std::vector<std::string>& CsvSink::columns() {
 }
 
 CsvSink::CsvSink(const std::string& path, bool append)
-    : out_(path, file_mode(append)) {
+    : path_(path), out_(path, file_mode(append)) {
   OTIS_REQUIRE(out_.good(), "CsvSink: cannot open " + path);
   // Append mode still needs the header when nothing was written yet
   // (e.g. --resume pointed at a fresh directory); a headerless CSV
@@ -134,7 +142,7 @@ void CsvSink::consume(const CellResult& r) {
        << "," << m.makespan_slots << "\n";
 }
 
-void CsvSink::flush() { out_.flush(); }
+void CsvSink::flush() { flush_checked(out_, "CsvSink", path_); }
 
 void AggregateSink::consume(const CellResult& r) {
   fold(r.topology_label, sim::arbitration_name(r.cell.arbitration),
@@ -207,6 +215,8 @@ void AggregateSink::write_csv(const std::string& path) const {
         << num(p.delivered_fraction_stddev) << "," << num(p.makespan) << ","
         << num(p.makespan_stddev) << "\n";
   }
+  out.close();
+  OTIS_REQUIRE(out.good(), "AggregateSink: write to \"" + path + "\" failed");
 }
 
 }  // namespace otis::campaign

@@ -45,7 +45,8 @@ class ResultSink {
   virtual ~ResultSink() = default;
   virtual void consume(const CellResult& result) = 0;
   /// Makes consumed rows durable; the runner calls this before marking
-  /// cells complete in the manifest.
+  /// cells complete in the manifest. File sinks throw core::Error
+  /// naming the file when a row could not be written.
   virtual void flush() {}
   /// Called once after the last cell.
   virtual void close() { flush(); }
@@ -60,6 +61,7 @@ class JsonlSink : public ResultSink {
   void flush() override;
 
  private:
+  std::string path_;
   std::ofstream out_;
 };
 
@@ -75,6 +77,7 @@ class CsvSink : public ResultSink {
   [[nodiscard]] static const std::vector<std::string>& columns();
 
  private:
+  std::string path_;
   std::ofstream out_;
 };
 
@@ -117,7 +120,8 @@ class AggregateSink : public ResultSink {
   }
 
   /// Writes groups as CSV (means + stddevs); used by campaign_runner for
-  /// the end-of-run aggregate.csv.
+  /// the end-of-run aggregate.csv. Throws core::Error naming `path` when
+  /// the file cannot be written.
   void write_csv(const std::string& path) const;
 
  private:

@@ -8,43 +8,7 @@
 
 namespace otis::obs {
 
-RuntimeStatsWriter::RuntimeStatsWriter(std::string path)
-    : path_(std::move(path)) {
-  if (!path_.empty()) {
-    out_.open(path_, std::ios::out | std::ios::trunc);
-    OTIS_REQUIRE(out_.is_open(),
-                 "RuntimeStatsWriter: cannot open " + path_);
-  }
-}
-
-void RuntimeStatsWriter::append(const std::string& line) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (out_.is_open()) {
-    out_ << line << '\n';
-  }
-  ++rows_;
-}
-
-void RuntimeStatsWriter::flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (out_.is_open()) {
-    out_.flush();
-  }
-}
-
-void RuntimeStatsWriter::close() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (out_.is_open()) {
-    out_.close();
-  }
-}
-
-std::int64_t RuntimeStatsWriter::rows() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rows_;
-}
-
-RuntimeStats::RuntimeStats(std::shared_ptr<RuntimeStatsWriter> writer,
+RuntimeStats::RuntimeStats(std::shared_ptr<JsonlWriter> writer,
                            std::string label, bool active, bool owns_writer)
     : label_(std::move(label)),
       active_(active),
@@ -53,16 +17,16 @@ RuntimeStats::RuntimeStats(std::shared_ptr<RuntimeStatsWriter> writer,
 
 std::shared_ptr<RuntimeStats> RuntimeStats::create(
     const RuntimeStatsConfig& config) {
-  std::shared_ptr<RuntimeStatsWriter> writer;
+  std::shared_ptr<JsonlWriter> writer;
   if (config.enabled()) {
-    writer = std::make_shared<RuntimeStatsWriter>(config.path);
+    writer = std::make_shared<JsonlWriter>(config.path);
   }
   return std::shared_ptr<RuntimeStats>(new RuntimeStats(
       std::move(writer), "run", config.enabled(), /*owns_writer=*/true));
 }
 
 std::shared_ptr<RuntimeStats> RuntimeStats::attach(
-    std::shared_ptr<RuntimeStatsWriter> writer, std::string label) {
+    std::shared_ptr<JsonlWriter> writer, std::string label) {
   OTIS_REQUIRE(writer != nullptr, "RuntimeStats: writer must be set");
   return std::shared_ptr<RuntimeStats>(new RuntimeStats(
       std::move(writer), std::move(label), /*active=*/true,
@@ -130,12 +94,13 @@ void RuntimeStats::record_shards(const std::string& engine,
   }
 }
 
-void RuntimeStats::record_workers(std::int64_t wall_ns,
-                                  const std::vector<WorkerRuntime>& workers) {
+void RuntimeStats::record_workers(
+    std::int64_t wall_ns,
+    const std::vector<core::WorkStealingPool::WorkerStats>& workers) {
   std::lock_guard<std::mutex> lock(mutex_);
   ensure_header();
   for (std::size_t w = 0; w < workers.size(); ++w) {
-    const WorkerRuntime& s = workers[w];
+    const core::WorkStealingPool::WorkerStats& s = workers[w];
     std::ostringstream row;
     row << "{\"type\":\"workers\",\"cell\":\"" << detail::json_escaped(label_)
         << "\",\"worker\":" << w << ",\"workers\":" << workers.size()

@@ -29,11 +29,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "core/work_pool.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace otis::obs {
 
@@ -79,33 +81,9 @@ struct ShardRuntime {
   std::int64_t calendar_peak = 0;  ///< max pending calendar events seen
 };
 
-/// One pool worker's lifetime counters (core::WorkStealingPool).
-struct WorkerRuntime {
-  std::int64_t busy_ns = 0;   ///< executing items
-  std::int64_t idle_ns = 0;   ///< blocked waiting for a batch
-  std::int64_t steal_ns = 0;  ///< scanning/locking queues for work
-  std::int64_t items = 0;     ///< items executed
-  std::int64_t steals = 0;    ///< items taken from a victim's deque
-};
-
-/// Thread-safe append-only JSONL stream for runtime rows, shared
-/// across a campaign's cells. An empty path counts rows only.
-class RuntimeStatsWriter {
- public:
-  explicit RuntimeStatsWriter(std::string path);
-
-  void append(const std::string& line);
-  void flush();
-  void close();
-  [[nodiscard]] std::int64_t rows() const;
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-  mutable std::mutex mutex_;
-  std::ofstream out_;
-  std::int64_t rows_ = 0;
-};
+/// The runtime channel's writer: the JSONL writer both channels share
+/// (trace_sink.hpp), under the name perfbench/traced.cpp spells.
+using RuntimeStatsWriter = JsonlWriter;
 
 /// One run's (or one campaign cell's) runtime-stats session. Engines
 /// reach it through `SimConfig::runtime_stats` and call active() once
@@ -120,7 +98,7 @@ class RuntimeStats {
   /// Campaign session sharing one writer across cells; `label` tags
   /// every row (the cell id, or "campaign" for pool-level rows).
   static std::shared_ptr<RuntimeStats> attach(
-      std::shared_ptr<RuntimeStatsWriter> writer, std::string label);
+      std::shared_ptr<JsonlWriter> writer, std::string label);
 
   /// False for default-config sessions: engines collect nothing.
   [[nodiscard]] bool active() const noexcept { return active_; }
@@ -135,8 +113,9 @@ class RuntimeStats {
                      const std::vector<ShardRuntime>& shards);
 
   /// Emits one `workers` row per pool worker.
-  void record_workers(std::int64_t wall_ns,
-                      const std::vector<WorkerRuntime>& workers);
+  void record_workers(
+      std::int64_t wall_ns,
+      const std::vector<core::WorkStealingPool::WorkerStats>& workers);
 
   /// Stall attribution over everything record_shards() has folded in:
   /// a shard's blame is its wait deficit against the slowest-waiting
@@ -161,7 +140,7 @@ class RuntimeStats {
   void close();
 
  private:
-  RuntimeStats(std::shared_ptr<RuntimeStatsWriter> writer, std::string label,
+  RuntimeStats(std::shared_ptr<JsonlWriter> writer, std::string label,
                bool active, bool owns_writer);
 
   void ensure_header();
@@ -174,7 +153,7 @@ class RuntimeStats {
   mutable std::mutex mutex_;
   std::vector<ShardRuntime> folded_;  ///< per-shard totals across runs
   std::int64_t wall_ns_ = 0;
-  std::shared_ptr<RuntimeStatsWriter> writer_;
+  std::shared_ptr<JsonlWriter> writer_;
 };
 
 }  // namespace otis::obs

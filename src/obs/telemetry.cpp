@@ -39,53 +39,13 @@ const std::vector<std::string>& engine_probe_names() {
   return kNames;
 }
 
-// ------------------------------------------------------ TimeSeriesWriter
-
-TimeSeriesWriter::TimeSeriesWriter(std::string path)
-    : path_(std::move(path)) {
-  if (!path_.empty()) {
-    out_.open(path_, std::ios::trunc);
-    OTIS_REQUIRE(out_.good(), "TimeSeriesWriter: cannot open \"" + path_ +
-                                  "\" for writing");
-  }
-}
-
-void TimeSeriesWriter::append(const std::string& line) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++rows_;
-  if (out_.is_open()) {
-    out_ << line << "\n";
-  }
-}
-
-void TimeSeriesWriter::flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (out_.is_open()) {
-    out_.flush();
-  }
-}
-
-void TimeSeriesWriter::close() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (out_.is_open()) {
-    out_.close();
-    OTIS_REQUIRE(out_.good(),
-                 "TimeSeriesWriter: write to \"" + path_ + "\" failed");
-  }
-}
-
-std::int64_t TimeSeriesWriter::rows() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rows_;
-}
-
 // ------------------------------------------------------------- Telemetry
 
 std::shared_ptr<Telemetry> Telemetry::create(const TelemetryConfig& config) {
   config.validate();
-  std::shared_ptr<TimeSeriesWriter> writer;
+  std::shared_ptr<JsonlWriter> writer;
   if (config.sample_period > 0) {
-    writer = std::make_shared<TimeSeriesWriter>(config.timeseries_path);
+    writer = std::make_shared<JsonlWriter>(config.timeseries_path);
   }
   std::shared_ptr<ChromeTraceSink> sink;
   if (!config.trace_path.empty()) {
@@ -96,7 +56,7 @@ std::shared_ptr<Telemetry> Telemetry::create(const TelemetryConfig& config) {
 }
 
 std::shared_ptr<Telemetry> Telemetry::attach(
-    const TelemetryConfig& config, std::shared_ptr<TimeSeriesWriter> writer,
+    const TelemetryConfig& config, std::shared_ptr<JsonlWriter> writer,
     std::shared_ptr<ChromeTraceSink> sink, std::string label,
     std::int32_t tid) {
   config.validate();
@@ -109,7 +69,7 @@ std::shared_ptr<Telemetry> Telemetry::attach(
 }
 
 Telemetry::Telemetry(const TelemetryConfig& config,
-                     std::shared_ptr<TimeSeriesWriter> writer,
+                     std::shared_ptr<JsonlWriter> writer,
                      std::shared_ptr<ChromeTraceSink> sink, std::string label,
                      std::int32_t tid, bool owns_sinks)
     : period_(config.sample_period),

@@ -29,9 +29,7 @@
 ///             their feed VOQs; snapshot, bounds 0,1,2,4,8,16,32,64)
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -75,26 +73,6 @@ struct EngineProbes {
 /// The engine-standard probe names, for allowlist validation in specs.
 [[nodiscard]] const std::vector<std::string>& engine_probe_names();
 
-/// Thread-safe append-only JSONL stream, shared across a campaign's
-/// cells (each row is tagged with its cell id). An empty path counts
-/// rows without writing -- the bench's discard mode.
-class TimeSeriesWriter {
- public:
-  explicit TimeSeriesWriter(std::string path);
-
-  void append(const std::string& line);
-  void flush();
-  void close();
-  [[nodiscard]] std::int64_t rows() const;
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-  mutable std::mutex mutex_;
-  std::ofstream out_;
-  std::int64_t rows_ = 0;
-};
-
 /// One run's telemetry session. Engines reach it through
 /// `SimConfig::telemetry` and touch only probes()/engine_probes(),
 /// due()/sample()/finish(), and trace_sink().
@@ -107,7 +85,7 @@ class Telemetry {
   /// tags every row (the cell id); `tid` is the span track (1 + worker
   /// index by the ChromeTraceSink convention). Either sink may be null.
   static std::shared_ptr<Telemetry> attach(
-      const TelemetryConfig& config, std::shared_ptr<TimeSeriesWriter> writer,
+      const TelemetryConfig& config, std::shared_ptr<JsonlWriter> writer,
       std::shared_ptr<ChromeTraceSink> sink, std::string label,
       std::int32_t tid);
 
@@ -160,7 +138,7 @@ class Telemetry {
 
  private:
   Telemetry(const TelemetryConfig& config,
-            std::shared_ptr<TimeSeriesWriter> writer,
+            std::shared_ptr<JsonlWriter> writer,
             std::shared_ptr<ChromeTraceSink> sink, std::string label,
             std::int32_t tid, bool owns_sinks);
 
@@ -173,7 +151,7 @@ class Telemetry {
   EngineProbes engine_;
   std::vector<bool> emit_;        ///< allowlist mask by ProbeId
   std::vector<std::int64_t> prev_;  ///< previous counter values by ProbeId
-  std::shared_ptr<TimeSeriesWriter> writer_;
+  std::shared_ptr<JsonlWriter> writer_;
   std::shared_ptr<ChromeTraceSink> sink_;
 };
 

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "core/error.hpp"
+#include "core/log.hpp"
 
 namespace otis::obs {
 
@@ -51,13 +52,56 @@ using detail::json_escaped;
 
 }  // namespace
 
+JsonlWriter::JsonlWriter(std::string path) : path_(std::move(path)) {
+  if (!path_.empty()) {
+    out_.open(path_, std::ios::trunc);
+    OTIS_REQUIRE(out_.good(), "JsonlWriter: cannot open \"" + path_ +
+                                  "\" for writing");
+  }
+}
+
+void JsonlWriter::append(const std::string& line) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++rows_;
+  if (out_.is_open()) {
+    out_ << line << "\n";
+  }
+}
+
+void JsonlWriter::flush() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (out_.is_open()) {
+    out_.flush();
+  }
+}
+
+void JsonlWriter::close() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (out_.is_open()) {
+    out_.close();
+    OTIS_REQUIRE(out_.good(),
+                 "JsonlWriter: write to \"" + path_ + "\" failed");
+  }
+}
+
+std::int64_t JsonlWriter::rows() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return rows_;
+}
+
 ChromeTraceSink::ChromeTraceSink(std::string path)
     : path_(std::move(path)), epoch_(std::chrono::steady_clock::now()) {
   OTIS_REQUIRE(!path_.empty(), "ChromeTraceSink: path must be set");
 }
 
 ChromeTraceSink::~ChromeTraceSink() {
-  close();
+  // A destructor must not throw: an explicit close() throws the error,
+  // an implicit one logs it.
+  try {
+    close();
+  } catch (const core::Error& error) {
+    OTIS_LOG_WARN(error.what());
+  }
 }
 
 std::int64_t ChromeTraceSink::now_us() const {
@@ -122,6 +166,9 @@ void ChromeTraceSink::close() {
     out << "}";
   }
   out << "\n]}\n";
+  // Close before checking: a trace smaller than the stream's buffer is
+  // written only when the buffer is flushed.
+  out.close();
   OTIS_REQUIRE(out.good(), "ChromeTraceSink: write to \"" + path_ +
                                "\" failed");
 }

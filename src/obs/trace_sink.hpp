@@ -1,6 +1,7 @@
 #pragma once
 /// \file trace_sink.hpp
-/// Chrome-trace-format span export (chrome://tracing / Perfetto).
+/// Chrome-trace-format span export (chrome://tracing / Perfetto), and
+/// the JSONL writer the timeseries and runtime channels share.
 ///
 /// ChromeTraceSink buffers complete ("ph":"X") events and writes one
 /// `{"traceEvents": [...]}` JSON document on close(), which both the
@@ -22,6 +23,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -31,9 +33,31 @@ namespace otis::obs {
 
 namespace detail {
 /// Minimal JSON string escape (quotes, backslashes, control bytes);
-/// shared by the trace and timeseries writers.
+/// shared by the trace and JSONL writers.
 [[nodiscard]] std::string json_escaped(const std::string& text);
 }  // namespace detail
+
+/// Thread-safe append-only JSONL stream of both observability channels
+/// (timeseries rows and runtime rows), shared across a campaign's cells:
+/// every row carries its cell id. An empty path counts rows without
+/// writing -- the bench's discard mode. close() throws core::Error
+/// naming the file when any row could not be written.
+class JsonlWriter {
+ public:
+  explicit JsonlWriter(std::string path);
+
+  void append(const std::string& line);
+  void flush();
+  void close();
+  [[nodiscard]] std::int64_t rows() const;
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+  mutable std::mutex mutex_;
+  std::ofstream out_;
+  std::int64_t rows_ = 0;
+};
 
 /// One buffered complete event.
 struct TraceEvent {
@@ -48,7 +72,8 @@ struct TraceEvent {
 class ChromeTraceSink {
  public:
   /// Events are written to `path` on close() (and from the destructor
-  /// if close() was never called).
+  /// if close() was never called, which logs a failed write instead of
+  /// throwing it).
   explicit ChromeTraceSink(std::string path);
   ~ChromeTraceSink();
 
@@ -60,7 +85,8 @@ class ChromeTraceSink {
 
   void emit(TraceEvent event);
 
-  /// Sorts, writes, and closes the file; idempotent.
+  /// Sorts, writes, and closes the file; idempotent. Throws core::Error
+  /// naming the file when it cannot be written.
   void close();
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }

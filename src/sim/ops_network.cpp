@@ -183,7 +183,7 @@ OpsNetworkSim::OpsNetworkSim(const hypergraph::StackGraph& network,
   OTIS_REQUIRE(traffic_ != nullptr, "OpsNetworkSim: traffic must be set");
   validate_config();
   if (config_.engine != Engine::kEventQueue) {
-    if (resolve_route_table(config_.route_table, network_.node_count()) ==
+    if (resolve_route_table(RouteTable::kAuto, network_.node_count()) ==
         RouteTable::kCompressed) {
       try {
         compressed_routes_ =
@@ -193,11 +193,7 @@ OpsNetworkSim::OpsNetworkSim(const hypergraph::StackGraph& network,
       } catch (const core::Error&) {
         // kAuto must never change which hook routers are accepted: a
         // router that is not group-factored simply keeps its dense
-        // tables. An explicit kCompressed request still surfaces the
-        // compile error.
-        if (config_.route_table != RouteTable::kAuto) {
-          throw;
-        }
+        // tables.
       }
     }
     if (compressed_routes_ == nullptr) {

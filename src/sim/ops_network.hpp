@@ -102,9 +102,9 @@ class RunStreams {
   /// Draws one slot's senders among nodes [begin, end) into `out`.
   std::size_t draw_senders(TrafficGenerator& traffic, std::int64_t begin,
                            std::int64_t end, SenderDemand* out) {
-    return single() ? traffic.demand_batch_senders(begin, end, arb_[0], out)
-                    : traffic.demand_batch_senders_streams(
-                          begin, end, node_.data(), out);
+    return traffic.draw_senders(begin, end,
+                                single() ? arb_.data() : node_.data(),
+                                !single(), out);
   }
 
   /// Coupler h's arbitration stream (the run stream when single).
@@ -285,13 +285,6 @@ struct SimConfig {
   /// (<= 0 means hardware concurrency). The serial engines ignore it
   /// and run one shard. Results never depend on this value.
   int threads = 1;
-  /// Routing-table representation for simulators constructed from
-  /// RoutingHooks (pre-compiled tables pick their own representation).
-  /// Results never depend on this value; see RouteTable. kAuto falls
-  /// back to dense tables when the hooks are not group-factored, so it
-  /// accepts every router kDense does; only an explicit kCompressed
-  /// requires factoredness (and throws otherwise).
-  RouteTable route_table = RouteTable::kAuto;
   /// Latency-sample representation (LatencyStats full samples vs the
   /// log-bucket sketch). kAuto flips to the sketch at
   /// kAutoLatencySketchNodes so small runs keep exact percentiles and
@@ -372,9 +365,9 @@ class OpsNetworkSim {
  public:
   /// `network` must outlive the simulator. Traffic generator is owned.
   /// The hooks are baked into a routing table at construction unless the
-  /// engine is kEventQueue; `config.route_table` picks dense
-  /// CompiledRoutes or group-factored CompressedRoutes (kAuto decides by
-  /// node count).
+  /// engine is kEventQueue: group-factored CompressedRoutes at
+  /// kAutoRouteTableNodes nodes and above when the router is
+  /// group-factored, dense CompiledRoutes otherwise (RouteTable::kAuto).
   OpsNetworkSim(const hypergraph::StackGraph& network, RoutingHooks routing,
                 std::unique_ptr<TrafficGenerator> traffic, SimConfig config);
 

@@ -38,36 +38,17 @@ std::int64_t uniform_other(std::int64_t node, std::int64_t nodes,
   return dest;
 }
 
-/// The batch loops of the built-in (final) generators: `gen` is a
-/// concrete reference, so the demand() calls devirtualize and inline --
-/// one virtual dispatch per slot instead of one per node. The draw
-/// order is the defining loop of the demand_batch contract verbatim.
-template <class Gen>
-void batch_single(Gen& gen, std::int64_t node_begin, std::int64_t node_end,
-                  core::Rng& rng, TrafficDemand* out) {
-  for (std::int64_t v = node_begin; v < node_end; ++v) {
-    out[v] = gen.demand(v, rng);
-  }
-}
-
-template <class Gen>
-void batch_streams(Gen& gen, std::int64_t node_begin, std::int64_t node_end,
-                   core::Rng* rngs, TrafficDemand* out) {
-  for (std::int64_t v = node_begin; v < node_end; ++v) {
-    out[v] = gen.demand(v, rngs[v]);
-  }
-}
-
-/// Compact-batch loops: the demand_batch loops with the engines'
-/// sender filter fused in, so the per-node "idle this slot" branch is
-/// taken once here instead of again over the dense array.
-template <class Gen>
-std::size_t senders_single(Gen& gen, std::int64_t node_begin,
-                           std::int64_t node_end, core::Rng& rng,
-                           SenderDemand* out) {
+/// The ascending demand() loop of the draw_senders contract, with the
+/// engines' sender filter fused in so the per-node "idle this slot"
+/// branch is taken once here. One instantiation per (generator, stream
+/// mode): for a final `Gen` the demand() calls devirtualize and inline.
+template <bool kPerNode, class Gen>
+std::size_t demand_loop(Gen& gen, std::int64_t node_begin,
+                        std::int64_t node_end, core::Rng* rngs,
+                        SenderDemand* out) {
   std::size_t count = 0;
   for (std::int64_t v = node_begin; v < node_end; ++v) {
-    const TrafficDemand d = gen.demand(v, rng);
+    const TrafficDemand d = gen.demand(v, rngs[kPerNode ? v : 0]);
     if (d.has_packet && d.destination != v) {
       out[count++] = SenderDemand{v, d.destination};
     }
@@ -75,35 +56,30 @@ std::size_t senders_single(Gen& gen, std::int64_t node_begin,
   return count;
 }
 
+/// Picks the stream mode once per call, not once per node.
 template <class Gen>
-std::size_t senders_streams(Gen& gen, std::int64_t node_begin,
-                            std::int64_t node_end, core::Rng* rngs,
-                            SenderDemand* out) {
-  std::size_t count = 0;
-  for (std::int64_t v = node_begin; v < node_end; ++v) {
-    const TrafficDemand d = gen.demand(v, rngs[v]);
-    if (d.has_packet && d.destination != v) {
-      out[count++] = SenderDemand{v, d.destination};
-    }
-  }
-  return count;
+std::size_t demand_senders(Gen& gen, std::int64_t node_begin,
+                           std::int64_t node_end, core::Rng* rngs,
+                           bool per_node, SenderDemand* out) {
+  return per_node ? demand_loop<true>(gen, node_begin, node_end, rngs, out)
+                  : demand_loop<false>(gen, node_begin, node_end, rngs, out);
 }
 
-/// UniformTraffic's compact batch: its demand() loop with the arrival
+/// UniformTraffic's compact loop: its demand() loop with the arrival
 /// gate in threshold form. The load <= 0 / >= 1 arms reproduce
-/// bernoulli()'s no-draw shortcuts; `rng_of(v)` selects the shared or
-/// per-node stream.
-template <class RngOf>
+/// bernoulli()'s no-draw shortcuts.
+template <bool kPerNode>
 std::size_t uniform_senders(std::int64_t nodes, double load,
                             std::int64_t node_begin, std::int64_t node_end,
-                            RngOf rng_of, SenderDemand* out) {
+                            core::Rng* rngs, SenderDemand* out) {
   std::size_t count = 0;
   if (load <= 0.0) {
     return 0;
   }
   if (load >= 1.0) {
     for (std::int64_t v = node_begin; v < node_end; ++v) {
-      const std::int64_t dest = uniform_other(v, nodes, rng_of(v));
+      const std::int64_t dest =
+          uniform_other(v, nodes, rngs[kPerNode ? v : 0]);
       if (dest != v) {
         out[count++] = SenderDemand{v, dest};
       }
@@ -112,7 +88,7 @@ std::size_t uniform_senders(std::int64_t nodes, double load,
   }
   const BernoulliThreshold gate(load);
   for (std::int64_t v = node_begin; v < node_end; ++v) {
-    core::Rng& rng = rng_of(v);
+    core::Rng& rng = rngs[kPerNode ? v : 0];
     if (!gate.draw(rng)) {
       continue;
     }
@@ -126,48 +102,11 @@ std::size_t uniform_senders(std::int64_t nodes, double load,
 
 }  // namespace
 
-void TrafficGenerator::demand_batch(std::int64_t node_begin,
-                                    std::int64_t node_end, core::Rng& rng,
-                                    TrafficDemand* out) {
-  for (std::int64_t v = node_begin; v < node_end; ++v) {
-    out[v] = demand(v, rng);
-  }
-}
-
-void TrafficGenerator::demand_batch_streams(std::int64_t node_begin,
-                                            std::int64_t node_end,
-                                            core::Rng* rngs,
-                                            TrafficDemand* out) {
-  for (std::int64_t v = node_begin; v < node_end; ++v) {
-    out[v] = demand(v, rngs[v]);
-  }
-}
-
-std::size_t TrafficGenerator::demand_batch_senders(std::int64_t node_begin,
-                                                   std::int64_t node_end,
-                                                   core::Rng& rng,
-                                                   SenderDemand* out) {
-  std::size_t count = 0;
-  for (std::int64_t v = node_begin; v < node_end; ++v) {
-    const TrafficDemand d = demand(v, rng);
-    if (d.has_packet && d.destination != v) {
-      out[count++] = SenderDemand{v, d.destination};
-    }
-  }
-  return count;
-}
-
-std::size_t TrafficGenerator::demand_batch_senders_streams(
-    std::int64_t node_begin, std::int64_t node_end, core::Rng* rngs,
-    SenderDemand* out) {
-  std::size_t count = 0;
-  for (std::int64_t v = node_begin; v < node_end; ++v) {
-    const TrafficDemand d = demand(v, rngs[v]);
-    if (d.has_packet && d.destination != v) {
-      out[count++] = SenderDemand{v, d.destination};
-    }
-  }
-  return count;
+std::size_t TrafficGenerator::draw_senders(std::int64_t node_begin,
+                                           std::int64_t node_end,
+                                           core::Rng* rngs, bool per_node,
+                                           SenderDemand* out) {
+  return demand_senders(*this, node_begin, node_end, rngs, per_node, out);
 }
 
 UniformTraffic::UniformTraffic(std::int64_t nodes, double load)
@@ -184,32 +123,14 @@ TrafficDemand UniformTraffic::demand(std::int64_t node, core::Rng& rng) {
   return TrafficDemand{true, uniform_other(node, nodes_, rng)};
 }
 
-void UniformTraffic::demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                                  core::Rng& rng, TrafficDemand* out) {
-  batch_single(*this, node_begin, node_end, rng, out);
-}
-
-void UniformTraffic::demand_batch_streams(std::int64_t node_begin,
-                                          std::int64_t node_end, core::Rng* rngs,
-                                          TrafficDemand* out) {
-  batch_streams(*this, node_begin, node_end, rngs, out);
-}
-
-std::size_t UniformTraffic::demand_batch_senders(std::int64_t node_begin,
-                                                 std::int64_t node_end,
-                                                 core::Rng& rng,
-                                                 SenderDemand* out) {
-  return uniform_senders(
-      nodes_, load_, node_begin, node_end,
-      [&rng](std::int64_t) -> core::Rng& { return rng; }, out);
-}
-
-std::size_t UniformTraffic::demand_batch_senders_streams(
-    std::int64_t node_begin, std::int64_t node_end, core::Rng* rngs,
-    SenderDemand* out) {
-  return uniform_senders(
-      nodes_, load_, node_begin, node_end,
-      [rngs](std::int64_t v) -> core::Rng& { return rngs[v]; }, out);
+std::size_t UniformTraffic::draw_senders(std::int64_t node_begin,
+                                         std::int64_t node_end,
+                                         core::Rng* rngs, bool per_node,
+                                         SenderDemand* out) {
+  return per_node ? uniform_senders<true>(nodes_, load_, node_begin,
+                                          node_end, rngs, out)
+                  : uniform_senders<false>(nodes_, load_, node_begin,
+                                           node_end, rngs, out);
 }
 
 HotspotTraffic::HotspotTraffic(std::int64_t nodes, double load,
@@ -235,30 +156,6 @@ TrafficDemand HotspotTraffic::demand(std::int64_t node, core::Rng& rng) {
   return TrafficDemand{true, uniform_other(node, nodes_, rng)};
 }
 
-void HotspotTraffic::demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                                  core::Rng& rng, TrafficDemand* out) {
-  batch_single(*this, node_begin, node_end, rng, out);
-}
-
-void HotspotTraffic::demand_batch_streams(std::int64_t node_begin,
-                                          std::int64_t node_end, core::Rng* rngs,
-                                          TrafficDemand* out) {
-  batch_streams(*this, node_begin, node_end, rngs, out);
-}
-
-std::size_t HotspotTraffic::demand_batch_senders(std::int64_t node_begin,
-                                                 std::int64_t node_end,
-                                                 core::Rng& rng,
-                                                 SenderDemand* out) {
-  return senders_single(*this, node_begin, node_end, rng, out);
-}
-
-std::size_t HotspotTraffic::demand_batch_senders_streams(
-    std::int64_t node_begin, std::int64_t node_end, core::Rng* rngs,
-    SenderDemand* out) {
-  return senders_streams(*this, node_begin, node_end, rngs, out);
-}
-
 PermutationTraffic::PermutationTraffic(std::int64_t nodes, double load,
                                        std::uint64_t seed)
     : load_(load) {
@@ -282,30 +179,6 @@ TrafficDemand PermutationTraffic::demand(std::int64_t node, core::Rng& rng) {
     return {};
   }
   return TrafficDemand{true, partner_[static_cast<std::size_t>(node)]};
-}
-
-void PermutationTraffic::demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                                      core::Rng& rng, TrafficDemand* out) {
-  batch_single(*this, node_begin, node_end, rng, out);
-}
-
-void PermutationTraffic::demand_batch_streams(std::int64_t node_begin,
-                                              std::int64_t node_end, core::Rng* rngs,
-                                              TrafficDemand* out) {
-  batch_streams(*this, node_begin, node_end, rngs, out);
-}
-
-std::size_t PermutationTraffic::demand_batch_senders(std::int64_t node_begin,
-                                                     std::int64_t node_end,
-                                                     core::Rng& rng,
-                                                     SenderDemand* out) {
-  return senders_single(*this, node_begin, node_end, rng, out);
-}
-
-std::size_t PermutationTraffic::demand_batch_senders_streams(
-    std::int64_t node_begin, std::int64_t node_end, core::Rng* rngs,
-    SenderDemand* out) {
-  return senders_streams(*this, node_begin, node_end, rngs, out);
 }
 
 BurstyTraffic::BurstyTraffic(std::int64_t nodes, double peak_load,
@@ -344,30 +217,6 @@ TrafficDemand BurstyTraffic::demand(std::int64_t node, core::Rng& rng) {
   return TrafficDemand{true, uniform_other(node, nodes_, rng)};
 }
 
-void BurstyTraffic::demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                                 core::Rng& rng, TrafficDemand* out) {
-  batch_single(*this, node_begin, node_end, rng, out);
-}
-
-void BurstyTraffic::demand_batch_streams(std::int64_t node_begin,
-                                         std::int64_t node_end, core::Rng* rngs,
-                                         TrafficDemand* out) {
-  batch_streams(*this, node_begin, node_end, rngs, out);
-}
-
-std::size_t BurstyTraffic::demand_batch_senders(std::int64_t node_begin,
-                                                std::int64_t node_end,
-                                                core::Rng& rng,
-                                                SenderDemand* out) {
-  return senders_single(*this, node_begin, node_end, rng, out);
-}
-
-std::size_t BurstyTraffic::demand_batch_senders_streams(
-    std::int64_t node_begin, std::int64_t node_end, core::Rng* rngs,
-    SenderDemand* out) {
-  return senders_streams(*this, node_begin, node_end, rngs, out);
-}
-
 void BurstyTraffic::checkpoint_state(std::vector<std::int64_t>& out) const {
   out.assign(on_.begin(), on_.end());
 }
@@ -388,28 +237,18 @@ TrafficDemand SaturationTraffic::demand(std::int64_t node, core::Rng& rng) {
   return TrafficDemand{true, uniform_other(node, nodes_, rng)};
 }
 
-void SaturationTraffic::demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                                     core::Rng& rng, TrafficDemand* out) {
-  batch_single(*this, node_begin, node_end, rng, out);
+template <class Gen>
+std::size_t BatchedTraffic<Gen>::draw_senders(std::int64_t node_begin,
+                                              std::int64_t node_end,
+                                              core::Rng* rngs, bool per_node,
+                                              SenderDemand* out) {
+  return demand_senders(static_cast<Gen&>(*this), node_begin, node_end, rngs,
+                        per_node, out);
 }
 
-void SaturationTraffic::demand_batch_streams(std::int64_t node_begin,
-                                             std::int64_t node_end, core::Rng* rngs,
-                                             TrafficDemand* out) {
-  batch_streams(*this, node_begin, node_end, rngs, out);
-}
-
-std::size_t SaturationTraffic::demand_batch_senders(std::int64_t node_begin,
-                                                    std::int64_t node_end,
-                                                    core::Rng& rng,
-                                                    SenderDemand* out) {
-  return senders_single(*this, node_begin, node_end, rng, out);
-}
-
-std::size_t SaturationTraffic::demand_batch_senders_streams(
-    std::int64_t node_begin, std::int64_t node_end, core::Rng* rngs,
-    SenderDemand* out) {
-  return senders_streams(*this, node_begin, node_end, rngs, out);
-}
+template class BatchedTraffic<HotspotTraffic>;
+template class BatchedTraffic<PermutationTraffic>;
+template class BatchedTraffic<BurstyTraffic>;
+template class BatchedTraffic<SaturationTraffic>;
 
 }  // namespace otis::sim

@@ -34,49 +34,24 @@ class TrafficGenerator {
  public:
   virtual ~TrafficGenerator() = default;
 
-  /// Demand of `node` in the current slot. `rng` is the run's generator.
+  /// Demand of `node` in the current slot, drawn from `rng`.
   virtual TrafficDemand demand(std::int64_t node, core::Rng& rng) = 0;
 
-  /// Batched generation: fills `out[v]` for v in [node_begin, node_end)
-  /// drawing from `rng` in ascending node order -- by contract the
-  /// EXACT draw sequence of calling demand() in that loop, which the
-  /// default implementation does literally. The engines call this once
-  /// per slot instead of once per node, so the built-in generators
-  /// override it with a devirtualized inner loop; custom generators
-  /// inherit the loop and stay bit-identical automatically.
-  virtual void demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                            core::Rng& rng, TrafficDemand* out);
-
-  /// Same, but node v draws from `rngs[v]` -- the per-node streams of
-  /// the sharded and workload engines. The per-stream draw sequences
-  /// are identical to per-node demand() calls.
-  virtual void demand_batch_streams(std::int64_t node_begin,
-                                    std::int64_t node_end, core::Rng* rngs,
-                                    TrafficDemand* out);
-
-  /// Compact batched generation: appends one entry to `out` for each
+  /// One slot's compact generation: appends one entry to `out` for each
   /// node v in [node_begin, node_end) whose demand this slot carries a
   /// packet for a destination other than v, in ascending node order,
   /// and returns the entry count. `out` must have room for node_end -
-  /// node_begin entries. Consumes `rng` in the identical sequence as
-  /// demand_batch (by contract: the ascending demand() loop), so the
-  /// engines -- which all consume this form on their generate phase --
-  /// stay bit-identical whichever overload a generator implements; the
-  /// self-destination filter here mirrors the one the engines applied
-  /// to the dense array.
-  virtual std::size_t demand_batch_senders(std::int64_t node_begin,
-                                           std::int64_t node_end,
-                                           core::Rng& rng, SenderDemand* out);
-
-  /// Compact form of demand_batch_streams: node v draws from `rngs[v]`.
-  virtual std::size_t demand_batch_senders_streams(std::int64_t node_begin,
-                                                   std::int64_t node_end,
-                                                   core::Rng* rngs,
-                                                   SenderDemand* out);
-
-  /// True for saturation-style generators that always have a packet
-  /// ready (used to measure saturation throughput).
-  [[nodiscard]] virtual bool is_saturating() const { return false; }
+  /// node_begin entries. Node v draws from `rngs[per_node ? v : 0]`:
+  /// the per-node streams of the sharded and workload runs, or the one
+  /// run stream. By contract this is EXACTLY the draw sequence of
+  /// calling demand() in that ascending loop, which the default
+  /// implementation does literally. The engines call this once per
+  /// slot instead of once per node, so the built-in generators override
+  /// it with a devirtualized inner loop; a custom generator that
+  /// overrides only demand() inherits the loop and stays bit-identical.
+  virtual std::size_t draw_senders(std::int64_t node_begin,
+                                   std::int64_t node_end, core::Rng* rngs,
+                                   bool per_node, SenderDemand* out);
 
   /// Checkpoint hooks: a generator with cross-slot state (BurstyTraffic's
   /// per-node burst flags) exports it as integers so engine checkpoints
@@ -89,22 +64,27 @@ class TrafficGenerator {
   }
 };
 
+/// Base of the built-in generators whose draw_senders() is the default
+/// loop with `Gen::demand` devirtualized (`Gen` is final): one virtual
+/// dispatch per slot instead of one per node. Instantiated for the
+/// generators below in traffic.cpp.
+template <class Gen>
+class BatchedTraffic : public TrafficGenerator {
+ public:
+  std::size_t draw_senders(std::int64_t node_begin, std::int64_t node_end,
+                           core::Rng* rngs, bool per_node,
+                           SenderDemand* out) override;
+};
+
 /// Bernoulli(load) arrivals, destination uniform over the other nodes.
 class UniformTraffic final : public TrafficGenerator {
  public:
   UniformTraffic(std::int64_t nodes, double load);
   TrafficDemand demand(std::int64_t node, core::Rng& rng) override;
-  void demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                    core::Rng& rng, TrafficDemand* out) override;
-  void demand_batch_streams(std::int64_t node_begin, std::int64_t node_end,
-                            core::Rng* rngs, TrafficDemand* out) override;
-  std::size_t demand_batch_senders(std::int64_t node_begin,
-                                   std::int64_t node_end, core::Rng& rng,
-                                   SenderDemand* out) override;
-  std::size_t demand_batch_senders_streams(std::int64_t node_begin,
-                                           std::int64_t node_end,
-                                           core::Rng* rngs,
-                                           SenderDemand* out) override;
+  /// The demand() loop with the arrival gate as an integer threshold.
+  std::size_t draw_senders(std::int64_t node_begin, std::int64_t node_end,
+                           core::Rng* rngs, bool per_node,
+                           SenderDemand* out) override;
 
  private:
   std::int64_t nodes_;
@@ -113,22 +93,11 @@ class UniformTraffic final : public TrafficGenerator {
 
 /// Bernoulli(load) arrivals; with probability `hot_fraction` the packet
 /// goes to `hot_node`, otherwise uniform.
-class HotspotTraffic final : public TrafficGenerator {
+class HotspotTraffic final : public BatchedTraffic<HotspotTraffic> {
  public:
   HotspotTraffic(std::int64_t nodes, double load, std::int64_t hot_node,
                  double hot_fraction);
   TrafficDemand demand(std::int64_t node, core::Rng& rng) override;
-  void demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                    core::Rng& rng, TrafficDemand* out) override;
-  void demand_batch_streams(std::int64_t node_begin, std::int64_t node_end,
-                            core::Rng* rngs, TrafficDemand* out) override;
-  std::size_t demand_batch_senders(std::int64_t node_begin,
-                                   std::int64_t node_end, core::Rng& rng,
-                                   SenderDemand* out) override;
-  std::size_t demand_batch_senders_streams(std::int64_t node_begin,
-                                           std::int64_t node_end,
-                                           core::Rng* rngs,
-                                           SenderDemand* out) override;
 
  private:
   std::int64_t nodes_;
@@ -139,23 +108,12 @@ class HotspotTraffic final : public TrafficGenerator {
 
 /// Bernoulli(load) arrivals to a fixed random permutation partner
 /// (classic adversarial-but-balanced pattern).
-class PermutationTraffic final : public TrafficGenerator {
+class PermutationTraffic final : public BatchedTraffic<PermutationTraffic> {
  public:
   /// The permutation is drawn once from `seed` (derangement-adjusted so
   /// no node targets itself when nodes > 1).
   PermutationTraffic(std::int64_t nodes, double load, std::uint64_t seed);
   TrafficDemand demand(std::int64_t node, core::Rng& rng) override;
-  void demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                    core::Rng& rng, TrafficDemand* out) override;
-  void demand_batch_streams(std::int64_t node_begin, std::int64_t node_end,
-                            core::Rng* rngs, TrafficDemand* out) override;
-  std::size_t demand_batch_senders(std::int64_t node_begin,
-                                   std::int64_t node_end, core::Rng& rng,
-                                   SenderDemand* out) override;
-  std::size_t demand_batch_senders_streams(std::int64_t node_begin,
-                                           std::int64_t node_end,
-                                           core::Rng* rngs,
-                                           SenderDemand* out) override;
 
   [[nodiscard]] const std::vector<std::int64_t>& permutation() const {
     return partner_;
@@ -170,23 +128,12 @@ class PermutationTraffic final : public TrafficGenerator {
 /// traffic. While ON, packets arrive with probability `peak_load`; the
 /// ON->OFF and OFF->ON transition probabilities set burst and idle
 /// lengths. Destinations are uniform.
-class BurstyTraffic final : public TrafficGenerator {
+class BurstyTraffic final : public BatchedTraffic<BurstyTraffic> {
  public:
   /// mean burst length = 1/`exit_on`, mean idle = 1/`enter_on` (slots).
   BurstyTraffic(std::int64_t nodes, double peak_load, double enter_on,
                 double exit_on);
   TrafficDemand demand(std::int64_t node, core::Rng& rng) override;
-  void demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                    core::Rng& rng, TrafficDemand* out) override;
-  void demand_batch_streams(std::int64_t node_begin, std::int64_t node_end,
-                            core::Rng* rngs, TrafficDemand* out) override;
-  std::size_t demand_batch_senders(std::int64_t node_begin,
-                                   std::int64_t node_end, core::Rng& rng,
-                                   SenderDemand* out) override;
-  std::size_t demand_batch_senders_streams(std::int64_t node_begin,
-                                           std::int64_t node_end,
-                                           core::Rng* rngs,
-                                           SenderDemand* out) override;
 
   /// Long-run average load: peak_load * P(on).
   [[nodiscard]] double mean_load() const;
@@ -204,22 +151,10 @@ class BurstyTraffic final : public TrafficGenerator {
 
 /// Every node always has a packet for a uniform random destination:
 /// measures saturation throughput.
-class SaturationTraffic final : public TrafficGenerator {
+class SaturationTraffic final : public BatchedTraffic<SaturationTraffic> {
  public:
   explicit SaturationTraffic(std::int64_t nodes);
   TrafficDemand demand(std::int64_t node, core::Rng& rng) override;
-  void demand_batch(std::int64_t node_begin, std::int64_t node_end,
-                    core::Rng& rng, TrafficDemand* out) override;
-  void demand_batch_streams(std::int64_t node_begin, std::int64_t node_end,
-                            core::Rng* rngs, TrafficDemand* out) override;
-  std::size_t demand_batch_senders(std::int64_t node_begin,
-                                   std::int64_t node_end, core::Rng& rng,
-                                   SenderDemand* out) override;
-  std::size_t demand_batch_senders_streams(std::int64_t node_begin,
-                                           std::int64_t node_end,
-                                           core::Rng* rngs,
-                                           SenderDemand* out) override;
-  [[nodiscard]] bool is_saturating() const override { return true; }
 
  private:
   std::int64_t nodes_;

@@ -386,6 +386,60 @@ TEST(CampaignRunnerTest, ResumeSkipsCompletedCells) {
             full_jsonl);
 }
 
+// An output that cannot be written fails the campaign instead of
+// losing its rows: each of the runner's six outputs in turn is a
+// symlink to /dev/full, where every write fails, and the run must throw
+// an error naming it. Emission stops at the failed cell, so no row
+// reaches results.jsonl twice. campaign_runner's end-of-run aggregate
+// CSV must fail the same way.
+TEST(CampaignRunnerTest, UnwritableOutputFailsTheRun) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this host";
+  }
+  CampaignSpec spec;
+  spec.name = "unwritable";
+  spec.topologies = {TopologySpec::stack_kautz(4, 3, 2)};
+  spec.loads = {0.3};
+  spec.seeds = {1, 2, 3};
+  spec.warmup_slots = 10;
+  spec.measure_slots = 40;
+  spec.telemetry.sample_period = 16;
+  spec.telemetry.timeseries_path = "timeseries.jsonl";
+  spec.telemetry.trace_path = "campaign.trace.json";
+  spec.runtime_stats_path = "runtime.jsonl";
+  for (const std::string file :
+       {CampaignRunner::kJsonlFile, CampaignRunner::kCsvFile,
+        CampaignRunner::kManifestFile, "timeseries.jsonl",
+        "campaign.trace.json", "runtime.jsonl"}) {
+    SCOPED_TRACE(file);
+    ScratchDir dir("unwritable");
+    std::filesystem::create_symlink("/dev/full", dir.path() / file);
+    CampaignOptions options;
+    options.threads = 1;  // cells complete in order, each after a failure
+    options.out_dir = dir.path().string();
+    try {
+      CampaignRunner(spec).run(options);
+      ADD_FAILURE() << "the run did not fail";
+    } catch (const core::Error& error) {
+      EXPECT_NE(std::string(error.what()).find(file), std::string::npos)
+          << error.what();
+    }
+    if (file != CampaignRunner::kJsonlFile) {
+      std::set<std::string> ids;
+      std::istringstream rows(
+          read_file(dir.path() / CampaignRunner::kJsonlFile));
+      for (std::string row; std::getline(rows, row);) {
+        EXPECT_TRUE(
+            ids.insert(core::Json::parse(row).at("cell_id").as_string())
+                .second)
+            << "row written twice: " << row;
+      }
+    }
+  }
+  const campaign::AggregateSink aggregate;
+  EXPECT_THROW(aggregate.write_csv("/dev/full"), core::Error);
+}
+
 TEST(CampaignRunnerTest, ManifestSurvivesSpecGrowth) {
   // IDs are parameter-derived, so enlarging an axis only runs new cells.
   CampaignSpec small;

@@ -297,7 +297,82 @@ TEST(Traffic, SaturationAlwaysHasPacket) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(traffic.demand(i % 5, rng).has_packet);
   }
-  EXPECT_TRUE(traffic.is_saturating());
+}
+
+/// A fresh built-in generator over `nodes` nodes, by name; two calls
+/// with one name give twins that draw identically.
+std::unique_ptr<TrafficGenerator> make_traffic(const std::string& name,
+                                               std::int64_t nodes) {
+  if (name == "hotspot") {
+    return std::make_unique<HotspotTraffic>(nodes, 0.5, 9, 0.4);
+  }
+  if (name == "permutation") {
+    return std::make_unique<PermutationTraffic>(nodes, 0.6, 11);
+  }
+  if (name == "bursty") {
+    return std::make_unique<BurstyTraffic>(nodes, 0.8, 0.2, 0.3);
+  }
+  if (name == "saturation") {
+    return std::make_unique<SaturationTraffic>(nodes);
+  }
+  return std::make_unique<UniformTraffic>(nodes, std::stod(name.substr(8)));
+}
+
+// The compact draw the engines call must be the filtered ascending
+// demand() loop, draw for draw, for every built-in generator on the run
+// stream and on the per-node streams. The loop runs on a twin generator
+// with its own copy of the streams, so neither path can lean on the
+// other's state.
+TEST(Traffic, CompactDrawsMatchTheDemandLoop) {
+  constexpr std::int64_t kNodes = 24;
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {{0, kNodes},
+                                                          {7, 17}};
+  for (const std::string name :
+       {"uniform 0", "uniform 0.3", "uniform 1", "hotspot", "permutation",
+        "bursty", "saturation"}) {
+    for (const bool per_node : {false, true}) {
+      for (const auto& [begin, end] : ranges) {
+        SCOPED_TRACE(name + (per_node ? " per-node [" : " run stream [") +
+                     std::to_string(begin) + ", " + std::to_string(end) +
+                     ")");
+        const std::unique_ptr<TrafficGenerator> compact =
+            make_traffic(name, kNodes);
+        const std::unique_ptr<TrafficGenerator> twin =
+            make_traffic(name, kNodes);
+        std::vector<core::Rng> compact_rngs;
+        for (std::int64_t v = 0; v < (per_node ? kNodes : 1); ++v) {
+          compact_rngs.push_back(
+              core::Rng::stream(41, static_cast<std::uint64_t>(v)));
+        }
+        std::vector<core::Rng> twin_rngs = compact_rngs;
+        std::vector<SenderDemand> got(static_cast<std::size_t>(end - begin));
+        std::int64_t senders = 0;
+        for (int slot = 0; slot < 300; ++slot) {
+          const std::size_t count = compact->draw_senders(
+              begin, end, compact_rngs.data(), per_node, got.data());
+          std::vector<SenderDemand> want;
+          for (std::int64_t v = begin; v < end; ++v) {
+            const TrafficDemand d = twin->demand(
+                v, twin_rngs[per_node ? static_cast<std::size_t>(v) : 0]);
+            if (d.has_packet && d.destination != v) {
+              want.push_back(SenderDemand{v, d.destination});
+            }
+          }
+          ASSERT_EQ(count, want.size()) << "slot " << slot;
+          for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(got[i].source, want[i].source) << "slot " << slot;
+            ASSERT_EQ(got[i].destination, want[i].destination)
+                << "slot " << slot;
+          }
+          senders += static_cast<std::int64_t>(count);
+        }
+        EXPECT_EQ(senders > 0, name != "uniform 0");
+        for (std::size_t i = 0; i < compact_rngs.size(); ++i) {
+          EXPECT_EQ(compact_rngs[i](), twin_rngs[i]()) << "stream " << i;
+        }
+      }
+    }
+  }
 }
 
 /// Helper: build a simulator over POPS(t, g) with uniform traffic on the
