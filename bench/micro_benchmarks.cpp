@@ -4,7 +4,8 @@
 // headline -- the simulator's slot rate per engine.
 //
 // The simulator section times every (topology, arbitration) pair on the
-// legacy event-queue engine, on the phased engine with dense and with
+// seed's event-queue reference (sim/reference.hpp, rows labelled
+// "event-queue"), on the phased engine with dense and with
 // compressed routing tables, and on the async engine in its slot-aligned
 // limit (plus a sharded run), prints slots/sec AND the bytes each route
 // table occupies, and writes the results to BENCH_sim.json so future PRs
@@ -60,6 +61,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -89,6 +91,7 @@
 #include "routing/stack_routing.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/ops_network.hpp"
+#include "sim/reference.hpp"
 #include "topology/imase_itoh.hpp"
 #include "topology/kautz.hpp"
 #include "workload/schedule_workload.hpp"
@@ -130,7 +133,7 @@ struct SimBenchCase {
   std::string topology;
   const otis::hypergraph::StackGraph* stack;
   /// The pre-refactor call pattern: per-packet routing callbacks into
-  /// the real router. Drives the event-queue baseline.
+  /// the real router. Drives the event-queue reference.
   otis::sim::RoutingHooks hooks;
   /// The compiled tables driving the phased/sharded engines.
   std::shared_ptr<const otis::routing::CompiledRoutes> routes;
@@ -217,11 +220,15 @@ enum class TelemetryMode { kOff, kDisabled, kSampling };
 /// (the per-slot accounting's full price, reported but not enforced).
 enum class RuntimeStatsMode { kOff, kDisabled, kCollecting };
 
+/// Stands for the event-queue reference where a bench takes an engine.
+constexpr std::optional<otis::sim::Engine> kEventQueueBaseline;
+
 /// One timed simulator run: construction (route-table sharing, arena
 /// and feed-index setup) happens before the clock starts; only
-/// sim.run() is timed. Returns wall seconds.
+/// sim.run(), or run_reference() for the baseline, is timed. Returns
+/// wall seconds.
 double time_sim_run(const SimBenchCase& c, otis::sim::Arbitration arb,
-                    otis::sim::Engine engine, int threads,
+                    std::optional<otis::sim::Engine> engine, int threads,
                     bool compressed_routes,
                     otis::sim::PhaseBreakdown* breakdown,
                     otis::sim::RunMetrics* metrics_out = nullptr,
@@ -232,7 +239,7 @@ double time_sim_run(const SimBenchCase& c, otis::sim::Arbitration arb,
   config.warmup_slots = 0;
   config.measure_slots = kSimSlots;
   config.seed = 1;
-  config.engine = engine;
+  config.engine = engine.value_or(otis::sim::Engine::kPhased);
   config.threads = threads;
   // Accumulates across reps; callers divide by the accumulated slots.
   config.phase_breakdown = breakdown;
@@ -253,20 +260,21 @@ double time_sim_run(const SimBenchCase& c, otis::sim::Arbitration arb,
   auto traffic =
       std::make_unique<otis::sim::UniformTraffic>(c.nodes, kSimLoad);
   std::unique_ptr<otis::sim::OpsNetworkSim> sim;
-  if (engine == otis::sim::Engine::kEventQueue) {
-    // Baseline: the seed's end-to-end path -- callback routing on the
-    // event-queue loop, no compiled tables anywhere.
-    sim = std::make_unique<otis::sim::OpsNetworkSim>(
-        *c.stack, c.hooks, std::move(traffic), config);
-  } else if (compressed_routes) {
+  if (engine && compressed_routes) {
     sim = std::make_unique<otis::sim::OpsNetworkSim>(
         *c.stack, c.compressed, std::move(traffic), config);
-  } else {
+  } else if (engine) {
     sim = std::make_unique<otis::sim::OpsNetworkSim>(
         *c.stack, c.routes, std::move(traffic), config);
   }
   const auto start = std::chrono::steady_clock::now();
-  const otis::sim::RunMetrics metrics = sim->run();
+  // Baseline: the seed's end-to-end path -- callback routing on the
+  // event-queue reference, no compiled tables anywhere.
+  const otis::sim::RunMetrics metrics =
+      sim != nullptr
+          ? sim->run()
+          : otis::sim::run_reference(*c.stack, c.hooks, *traffic, config)
+                .metrics;
   const auto stop = std::chrono::steady_clock::now();
   if (metrics_out != nullptr) {
     *metrics_out = metrics;
@@ -276,7 +284,8 @@ double time_sim_run(const SimBenchCase& c, otis::sim::Arbitration arb,
 
 SimBenchResult run_sim_bench(const SimBenchCase& c,
                              otis::sim::Arbitration arb,
-                             otis::sim::Engine engine, int threads,
+                             std::optional<otis::sim::Engine> engine,
+                             int threads,
                              bool compressed_routes = false,
                              otis::sim::PhaseBreakdown* breakdown = nullptr) {
   otis::sim::RunMetrics metrics;
@@ -289,7 +298,7 @@ SimBenchResult run_sim_bench(const SimBenchCase& c,
   SimBenchResult r;
   r.topology = c.topology;
   r.arbitration = otis::sim::arbitration_name(arb);
-  r.engine = otis::sim::engine_name(engine);
+  r.engine = engine ? otis::sim::engine_name(*engine) : "event-queue";
   if (engine == otis::sim::Engine::kSharded) {
     r.engine += "(" + std::to_string(threads) + ")";
   }
@@ -301,11 +310,10 @@ SimBenchResult run_sim_bench(const SimBenchCase& c,
   r.packets_per_sec =
       static_cast<double>(metrics.delivered_packets) / seconds;
   r.route_table_bytes =
-      engine == otis::sim::Engine::kEventQueue
-          ? 0
-          : static_cast<std::int64_t>(compressed_routes
-                                          ? c.compressed->memory_bytes()
-                                          : c.routes->memory_bytes());
+      !engine ? 0
+              : static_cast<std::int64_t>(compressed_routes
+                                              ? c.compressed->memory_bytes()
+                                              : c.routes->memory_bytes());
   return r;
 }
 
@@ -1275,9 +1283,9 @@ int main(int argc, char** argv) {
       // The async engine runs its slot-aligned limit here: same results
       // as phased (bit-for-bit), so the row isolates the calendar-queue
       // engine's overhead against the direct slot loop.
-      for (otis::sim::Engine engine : {otis::sim::Engine::kEventQueue,
-                                       otis::sim::Engine::kPhased,
-                                       otis::sim::Engine::kAsync}) {
+      for (std::optional<otis::sim::Engine> engine :
+           {kEventQueueBaseline, std::optional(otis::sim::Engine::kPhased),
+            std::optional(otis::sim::Engine::kAsync)}) {
         record(run_sim_bench(c, arb, engine, 1));
       }
       // The dense-vs-compressed datapoint: same engine, same results,
@@ -1653,8 +1661,7 @@ int main(int argc, char** argv) {
       [&] {
         return time_sim_run(cases[0],
                             otis::sim::Arbitration::kTokenRoundRobin,
-                            otis::sim::Engine::kEventQueue, 1, false,
-                            nullptr);
+                            kEventQueueBaseline, 1, false, nullptr);
       });
   const bool pass = speedup.best >= 6.0;
   write_bench_json(out_path, results, route_tables, queues, collectives,

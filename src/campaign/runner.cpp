@@ -236,8 +236,7 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   }
   auto cell_checkpoint_path = [&](const CampaignCell& cell) -> std::string {
     if (checkpoint_dir.empty() ||
-        cell.workload.kind != WorkloadKind::kNone ||
-        cell.engine == sim::Engine::kEventQueue || trace_sink != nullptr) {
+        cell.workload.kind != WorkloadKind::kNone || trace_sink != nullptr) {
       return {};
     }
     return (checkpoint_dir /
@@ -311,7 +310,9 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   std::mutex emit_mutex;
   std::map<std::size_t, EmitEntry> ready;
   std::size_t next_emit = 0;
-  bool emit_failed = false;
+  // Set under emit_mutex; cells that have not started yet read it
+  // without the lock and skip their simulation.
+  std::atomic<bool> emit_failed{false};
   std::int64_t interrupted_cells = 0;
   auto emit_ready = [&]() {
     while (!emit_failed && !ready.empty() &&
@@ -405,6 +406,11 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   std::exception_ptr run_error;
   try {
     pool.run(pending.size(), [&](std::size_t i, std::size_t worker) {
+      // An output has failed: the run is lost, so the remaining cells
+      // are not simulated (and not counted as done).
+      if (emit_failed.load()) {
+        return;
+      }
       const CampaignCell& cell = *pending[i];
       busy_workers.fetch_add(1, std::memory_order_relaxed);
       // Per-cell telemetry session over the shared sinks; the cell span

@@ -6,10 +6,13 @@
 
 #include "core/error.hpp"
 #include "core/table.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace otis::campaign {
 
 namespace {
+
+using obs::detail::json_escaped;
 
 std::ios_base::openmode file_mode(bool append) {
   return append ? (std::ios::out | std::ios::app)
@@ -53,16 +56,17 @@ JsonlSink::JsonlSink(const std::string& path, bool append)
 
 void JsonlSink::consume(const CellResult& r) {
   const sim::RunMetrics& m = r.metrics;
-  out_ << "{\"cell_id\": \"" << r.cell.id << "\""
-       << ", \"topology\": \"" << r.topology_label << "\""
+  out_ << "{\"cell_id\": \"" << json_escaped(r.cell.id) << "\""
+       << ", \"topology\": \"" << json_escaped(r.topology_label) << "\""
        << ", \"arbitration\": \""
        << sim::arbitration_name(r.cell.arbitration) << "\""
-       << ", \"traffic\": \"" << r.cell.traffic.label() << "\""
+       << ", \"traffic\": \"" << json_escaped(r.cell.traffic.label()) << "\""
        << ", \"load\": " << num(r.cell.load)
        << ", \"wavelengths\": " << r.cell.wavelengths
        << ", \"routes\": \"" << sim::route_table_name(r.cell.routes) << "\""
-       << ", \"timing\": \"" << r.cell.timing.label() << "\""
-       << ", \"workload\": \"" << r.cell.workload.label() << "\""
+       << ", \"timing\": \"" << json_escaped(r.cell.timing.label()) << "\""
+       << ", \"workload\": \"" << json_escaped(r.cell.workload.label())
+       << "\""
        << ", \"seed\": " << r.cell.seed << ", \"nodes\": " << r.nodes
        << ", \"couplers\": " << r.couplers << ", \"slots\": " << m.slots
        << ", \"offered\": " << m.offered_packets

@@ -44,24 +44,15 @@ int parse_engine_threads(const core::Json& node) {
 }
 
 sim::Engine parse_engine(const std::string& name) {
-  if (name == "event-queue") {
-    return sim::Engine::kEventQueue;
+  for (const sim::Engine engine :
+       {sim::Engine::kPhased, sim::Engine::kSharded, sim::Engine::kAsync,
+        sim::Engine::kAsyncSharded}) {
+    if (name == sim::engine_name(engine)) {
+      return engine;
+    }
   }
-  if (name == "phased") {
-    return sim::Engine::kPhased;
-  }
-  if (name == "sharded") {
-    return sim::Engine::kSharded;
-  }
-  if (name == "async") {
-    return sim::Engine::kAsync;
-  }
-  if (name == "async-sharded") {
-    return sim::Engine::kAsyncSharded;
-  }
-  throw core::Error(
-      "CampaignSpec: unknown engine \"" + name +
-      "\" (expected event-queue|phased|sharded|async|async-sharded)");
+  throw core::Error("CampaignSpec: unknown engine \"" + name +
+                    "\" (expected phased|sharded|async|async-sharded)");
 }
 
 /// Misspelled keys must fail loudly (the Args parser sets the repo-wide
@@ -501,9 +492,6 @@ void CampaignSpec::validate() const {
     timing.validate();
   }
   telemetry.validate();
-  OTIS_REQUIRE(!telemetry.enabled() || engine != sim::Engine::kEventQueue,
-               "CampaignSpec: telemetry needs the phased/sharded/async "
-               "engines (the event-queue fixture has no probes)");
   OTIS_REQUIRE(!workloads.empty(),
                "CampaignSpec: workloads must be non-empty");
   for (const WorkloadSpec& load : workloads) {
@@ -521,21 +509,11 @@ void CampaignSpec::validate() const {
                          " (stack-Imase-Itoh) does not have");
       }
     }
-    // Closed-loop runs need unbounded VOQs and delivery feedback,
-    // which the tests-only event-queue fixture does not implement
-    // (see SimConfig::workload) -- refuse up front, not mid-run.
+    // Closed-loop runs need unbounded VOQs (see SimConfig::workload)
+    // -- refuse up front, not mid-run.
     if (load.kind != WorkloadKind::kNone) {
       OTIS_REQUIRE(queue_capacity == 0,
                    "CampaignSpec: workload cells require queue_capacity 0");
-      OTIS_REQUIRE(engine != sim::Engine::kEventQueue,
-                   "CampaignSpec: workload cells cannot run on the "
-                   "event-queue engine (use phased/sharded/async)");
-      for (const CellOverride& override : overrides) {
-        OTIS_REQUIRE(override.engine != sim::Engine::kEventQueue,
-                     "CampaignSpec: override pins \"" + override.topology +
-                         "\" to the event-queue engine, which cannot run "
-                         "the grid's workload cells");
-      }
     }
     // The grid is a full cross product, so a root must be a valid node
     // of EVERY topology -- otherwise the campaign would abort mid-run

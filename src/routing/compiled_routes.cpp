@@ -90,18 +90,6 @@ CompiledRoutes CompiledRoutes::compile(const hypergraph::StackGraph& network,
   return routes;
 }
 
-CompiledRoutes::NextCouplerFn CompiledRoutes::next_coupler_fn() const {
-  return [this](hypergraph::Node node, hypergraph::Node dest) {
-    return next_coupler(node, dest);
-  };
-}
-
-CompiledRoutes::RelayFn CompiledRoutes::relay_fn() const {
-  return [this](hypergraph::HyperarcId coupler, hypergraph::Node dest) {
-    return relay(coupler, dest);
-  };
-}
-
 CompiledRoutes compile_stack_kautz_routes(const hypergraph::StackKautz& network,
                                           core::WorkStealingPool* pool) {
   const StackKautzRouter router(network);

@@ -115,14 +115,6 @@ class CompiledRoutes {
     return (n * n * 2 + h * n) * sizeof(std::int32_t);
   }
 
-  /// The baked tables re-exposed as callbacks, for code that still wants
-  /// the hook interface (e.g. the legacy event-queue engine). The
-  /// callbacks capture `this`: they are valid only while this object
-  /// stays alive and unmoved (hold it via shared_ptr, as OpsNetworkSim
-  /// does, when the callbacks outlive the current scope).
-  [[nodiscard]] NextCouplerFn next_coupler_fn() const;
-  [[nodiscard]] RelayFn relay_fn() const;
-
  private:
   [[nodiscard]] std::size_t index(hypergraph::Node node,
                                   hypergraph::Node dest) const noexcept {

@@ -130,18 +130,6 @@ CompressedRoutes CompressedRoutes::compress(
   return routes;
 }
 
-CompressedRoutes::NextCouplerFn CompressedRoutes::next_coupler_fn() const {
-  return [this](hypergraph::Node node, hypergraph::Node dest) {
-    return next_coupler(node, dest);
-  };
-}
-
-CompressedRoutes::RelayFn CompressedRoutes::relay_fn() const {
-  return [this](hypergraph::HyperarcId coupler, hypergraph::Node dest) {
-    return relay(coupler, dest);
-  };
-}
-
 CompressedRoutes compress_stack_kautz_routes(
     const hypergraph::StackKautz& network, core::WorkStealingPool* pool) {
   const StackKautzRouter router(network);

@@ -127,11 +127,6 @@ class CompressedRoutes {
            sizeof(std::int32_t);
   }
 
-  /// The tables re-exposed as callbacks (event-queue engine, legacy
-  /// call sites). Capture `this`; keep the object alive and unmoved.
-  [[nodiscard]] NextCouplerFn next_coupler_fn() const;
-  [[nodiscard]] RelayFn relay_fn() const;
-
  private:
   [[nodiscard]] std::size_t group_index(hypergraph::Node node,
                                         hypergraph::Node dest) const noexcept {

@@ -3,11 +3,11 @@
 /// Per-coupler winner selection for the phased and async engines, over
 /// the coupler's request-mask words (occupancy.hpp).
 ///
-/// This is a faithful restatement of the event-queue engine's inline
-/// arbitration (ops_network.cpp slot()), including the exact RNG
-/// consumption order. The event-queue copy is deliberately kept as the
-/// seed wrote it -- it is the reference implementation and benchmark
-/// baseline -- so any change here MUST be mirrored there (or rejected);
+/// This is a faithful restatement of the event-queue reference's inline
+/// arbitration (reference.cpp slot()), including the exact RNG
+/// consumption order. The reference copy is deliberately kept as the
+/// seed wrote it -- it is the parity oracle and benchmark baseline --
+/// so any change here MUST be mirrored there (or rejected);
 /// tests/test_engine_equivalence.cpp enforces the bit-for-bit agreement
 /// and will fail on divergence. (The token cursor's wrap-on-compare --
 /// replacing the per-step remainder -- is mirrored there per this

@@ -545,7 +545,8 @@ struct Steps {
 };
 
 /// Adds every shard's counters to `metrics` (order-independent); the
-/// run's `last` fold moves the latency samples instead of copying.
+/// run's `last` fold takes over a shard's latency samples, instead of
+/// copying them, while `metrics` holds none.
 template <class ShardT>
 void fold(std::vector<ShardT>& shards, RunMetrics& metrics, bool last) {
   for (ShardT& shard : shards) {
@@ -554,8 +555,11 @@ void fold(std::vector<ShardT>& shards, RunMetrics& metrics, bool last) {
     metrics.dropped_packets += shard.dropped;
     metrics.coupler_transmissions += shard.transmissions;
     metrics.collisions += shard.collisions;
-    metrics.latency.merge(last ? std::move(shard.latency)
-                               : LatencyStats(shard.latency));
+    if (last && metrics.latency.count() == 0) {
+      metrics.latency = std::move(shard.latency);
+    } else {
+      metrics.latency.merge(shard.latency);
+    }
   }
 }
 
@@ -832,6 +836,8 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
       s0.latency.deserialize(in);
       OTIS_REQUIRE(s0.latency.max() <= win_begin,
                    "checkpoint: a latency exceeds the elapsed slots");
+      OTIS_REQUIRE(s0.latency.count() == 0 || s0.latency.percentile(0.0) >= 1,
+                   "checkpoint: a latency is below one slot");
       coupler_success = in.get_i64_vec();
       OTIS_REQUIRE(
           coupler_success.size() == static_cast<std::size_t>(couplers),

@@ -1,17 +1,10 @@
 #pragma once
 /// \file event_queue.hpp
-/// Generic discrete-event simulation core.
-///
-/// The OPS network simulator is slot-synchronous (single-wavelength
-/// couplers make time naturally slotted), but it is built on this
-/// general event engine so that asynchronous extensions (tuning
-/// latencies, unequal propagation delays) slot in without rework.
-/// Events at equal times fire in schedule order (stable FIFO tie-break),
-/// which keeps runs bit-reproducible.
-///
-/// This priority-queue implementation backs the seed-faithful
-/// Engine::kEventQueue loop (a tests-only fixture since the async layer
-/// landed); the asynchronous extensions themselves run on its O(1)
+/// Generic discrete-event simulation core: the clock type every engine
+/// shares, and the priority-queue EventQueue behind the seed's
+/// event-queue loop (run_reference, reference.hpp). Events at equal
+/// times fire in schedule order (stable FIFO tie-break), which keeps
+/// runs bit-reproducible. The calendar scheduler runs on its O(1)
 /// calendar-queue rewrite, calendar_queue.hpp.
 
 #include <cstdint>
@@ -42,6 +35,11 @@ inline constexpr SimTime kTicksPerSlot = SimTime{1} << kSubSlotBits;
 class EventQueue {
  public:
   using Action = std::function<void()>;
+
+  /// Not copyable or movable: actions capture their owner's `this`.
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedules `action` at absolute time `at` (>= now()).
   void schedule_at(SimTime at, Action action);

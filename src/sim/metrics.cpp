@@ -1,9 +1,9 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/blob.hpp"
+#include "core/error.hpp"
 
 namespace otis::sim {
 
@@ -49,14 +49,6 @@ void LatencyStats::merge(const LatencyStats& other) {
   samples_.reserve(samples_.size() + other.samples_.size());
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
-}
-
-void LatencyStats::merge(LatencyStats&& other) {
-  if (count() == 0 && sketch_ == other.sketch_) {
-    *this = std::move(other);
-    return;
-  }
-  merge(other);
 }
 
 double LatencyStats::mean() const {
@@ -172,10 +164,17 @@ void LatencyStats::deserialize(core::BlobReader& in) {
     sketch_min_ = in.get_i64();
     sketch_max_ = in.get_i64();
     const std::int64_t occupied = in.get_i64();
+    std::int64_t total = 0;
     for (std::int64_t k = 0; k < occupied; ++k) {
       const std::uint64_t i = in.get_u64();
-      buckets_.at(static_cast<std::size_t>(i)) = in.get_i64();
+      const std::int64_t n = in.get_i64();
+      OTIS_REQUIRE(i < kSketchBuckets && n >= 0 && n <= sketch_count_ - total,
+                   "LatencyStats: sketch bucket index or count out of range");
+      buckets_[i] += n;
+      total += n;
     }
+    OTIS_REQUIRE(total == sketch_count_,
+                 "LatencyStats: sketch bucket counts do not sum to the count");
   } else {
     sketch_ = false;
     buckets_.clear();

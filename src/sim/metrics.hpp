@@ -82,9 +82,6 @@ class LatencyStats {
   /// identical for any merge order. Mixed-mode merges promote this
   /// object to a sketch first.
   void merge(const LatencyStats& other);
-  /// Same, taking over `other`'s storage while this holds no samples
-  /// (a one-shard run's final fold then copies nothing).
-  void merge(LatencyStats&& other);
 
   [[nodiscard]] std::int64_t count() const noexcept { return count_impl(); }
   [[nodiscard]] double mean() const;

@@ -17,43 +17,39 @@
 ///    [11]: token round-robin, random winner, or oblivious (collision
 ///    destroys all packets in that coupler-slot; senders retry).
 ///
-/// Five execution engines share this model:
-///  - kEventQueue: the original per-slot-event loop on the generic
-///    EventQueue; kept as the seed-faithful reference implementation
-///    (tests-only fixture since the async layer landed);
-///  - kPhased, kSharded, kAsync and kAsyncSharded: one run loop
-///    (engine.hpp) over feed-local shards (a shard owns every processor
-///    feeding its couplers) with packed VOQ records, per-coupler
-///    occupancy bitmasks and compiled route tables, templated on its
-///    scheduler:
-///     - the slot scheduler (kPhased, kSharded) counts final deliveries
-///       inline and re-queues relays within the slot, handing them to
-///       their owner shard through per-consumer outboxes (two barriers
-///       per slot). kPhased is one shard on the single run stream,
-///       bit-identical to kEventQueue for every seed and several times
-///       faster; kSharded draws from per-node / per-coupler streams, so
-///       its result is bit-identical for EVERY thread count (though, by
-///       design, a different -- equally valid -- universe than the
-///       serial engines);
-///     - the calendar scheduler (kAsync, kAsyncSharded) runs the same
-///       cycle as timed events on per-shard calendar queues, honouring
-///       SimConfig::timing -- transmitter tuning latencies, per-coupler
-///       propagation skew, slot guard bands in sub-slot ticks. kAsync is
-///       one shard on the run stream, == kPhased when the timing model
-///       is slot-aligned (every delay zero); kAsyncSharded is
-///       conservative parallel discrete-event simulation with lookahead
-///       windows and per-pair mailboxes, thread-count invariant and
-///       == kSharded when slot-aligned.
+/// Four execution engines share this model: kPhased, kSharded, kAsync
+/// and kAsyncSharded, one run loop (engine.hpp) over feed-local shards
+/// (a shard owns every processor feeding its couplers) with packed VOQ
+/// records, per-coupler occupancy bitmasks and compiled route tables,
+/// templated on its scheduler:
+///  - the slot scheduler (kPhased, kSharded) counts final deliveries
+///    inline and re-queues relays within the slot, handing them to
+///    their owner shard through per-consumer outboxes (two barriers per
+///    slot). kPhased is one shard on the single run stream,
+///    bit-identical to the seed's event-queue loop (run_reference,
+///    reference.hpp) for every seed and several times faster; kSharded
+///    draws from per-node / per-coupler streams, so its result is
+///    bit-identical for EVERY thread count (though, by design, a
+///    different -- equally valid -- universe than the serial engines);
+///  - the calendar scheduler (kAsync, kAsyncSharded) runs the same cycle
+///    as timed events on per-shard calendar queues, honouring
+///    SimConfig::timing -- transmitter tuning latencies, per-coupler
+///    propagation skew, slot guard bands in sub-slot ticks. kAsync is
+///    one shard on the run stream, == kPhased when the timing model is
+///    slot-aligned (every delay zero); kAsyncSharded is conservative
+///    parallel discrete-event simulation with lookahead windows and
+///    per-pair mailboxes, thread-count invariant and == kSharded when
+///    slot-aligned.
 ///
 /// The simulator works for *any* stack-graph network: POPS, stack-Kautz
 /// and stack-Imase-Itoh differ only in the StackGraph and the routing
 /// handed in.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/blob.hpp"
@@ -63,7 +59,7 @@
 #include "obs/telemetry.hpp"
 #include "routing/compiled_routes.hpp"
 #include "routing/compressed_routes.hpp"
-#include "sim/event_queue.hpp"
+#include "routing/route_view.hpp"
 #include "sim/metrics.hpp"
 #include "sim/timing_model.hpp"
 #include "sim/traffic.hpp"
@@ -79,7 +75,7 @@ namespace detail {
 ///
 /// The run stream interleaves draws across the whole network, so only
 /// a one-shard run can consume it: kPhased and kAsync open-loop runs
-/// (and the event-queue fixture, which they match bit for bit) are one
+/// (and the event-queue reference, which they match bit for bit) are one
 /// shard of the run loop (engine.hpp) drawing from it -- a slot's
 /// senders, then arbitration in coupler order -- under either
 /// scheduler. Every other run draws from the per-unit streams, so the
@@ -162,8 +158,7 @@ enum class Arbitration {
 
 /// Execution engines (see file comment).
 enum class Engine {
-  kEventQueue,    ///< seed-faithful event-driven loop (tests-only fixture)
-  kPhased,        ///< slot scheduler, one shard; == kEventQueue bit-for-bit
+  kPhased,        ///< slot scheduler, one shard; == run_reference bit-for-bit
   kSharded,       ///< slot scheduler over N workers; thread-count invariant
   kAsync,         ///< calendar scheduler, one shard; == kPhased when aligned
   kAsyncSharded,  ///< conservative-PDES async over N workers; thread-count
@@ -242,19 +237,10 @@ struct PhaseBreakdown {
   double receive_seconds = 0.0;
 };
 
-/// A packet in flight.
-struct Packet {
-  std::int64_t id = 0;
-  hypergraph::Node source = 0;
-  hypergraph::Node destination = 0;
-  SimTime created = 0;
-  int hops = 0;
-};
-
 /// Routing callbacks: which coupler a node uses for a destination, and
 /// which member of the coupler's target set relays the packet onward.
-/// The phased engines bake these into CompiledRoutes once at
-/// construction; only the event-queue engine calls them per packet.
+/// OpsNetworkSim bakes these into a route table once at construction;
+/// only the reference (reference.hpp) calls them per packet.
 struct RoutingHooks {
   /// next_coupler(current, destination) -> coupler id.
   std::function<hypergraph::HyperarcId(hypergraph::Node, hypergraph::Node)>
@@ -279,7 +265,7 @@ struct SimConfig {
   /// many senders succeed per coupler-slot. Must be >= 1.
   std::int64_t wavelengths = 1;
   /// Execution engine. kPhased is the default: same results as the
-  /// legacy event queue, several times faster.
+  /// seed's event-queue loop (reference.hpp), several times faster.
   Engine engine = Engine::kPhased;
   /// Worker threads, one shard each, for kSharded and kAsyncSharded
   /// (<= 0 means hardware concurrency). The serial engines ignore it
@@ -297,8 +283,8 @@ struct SimConfig {
   /// checkpoint_path every that-many slots (atomic tmp+rename), and with
   /// checkpoint_resume set it restores from an existing compatible blob
   /// before running -- the resumed run is bit-identical to an
-  /// uninterrupted one. Open-loop runs on the phased/sharded/async/
-  /// async-sharded engines only (no workload, no trace sink).
+  /// uninterrupted one. Open-loop runs only (no workload, no trace
+  /// sink).
   std::int64_t checkpoint_every_slots = 0;
   std::string checkpoint_path;
   bool checkpoint_resume = false;
@@ -325,13 +311,11 @@ struct SimConfig {
   /// bit-identical across phased/sharded/async engines, route tables
   /// and thread counts.
   /// Requires unbounded VOQs (queue_capacity 0: a dropped dependency
-  /// would stall its dependents forever) and a non-event-queue engine.
+  /// would stall its dependents forever).
   std::shared_ptr<workload::Workload> workload;
   /// Optional generation capture: every open-loop packet the engines
   /// generate is recorded as a (slot, source, destination) trace entry
-  /// for bit-identical replay (workload/trace.hpp). Supported by the
-  /// phased, sharded and async engines (not the tests-only event-queue
-  /// fixture).
+  /// for bit-identical replay (workload/trace.hpp).
   std::shared_ptr<workload::TraceRecorder> recorder;
   /// Optional per-phase timing sink (must outlive the run). Honoured by
   /// one-shard phased runs only; see PhaseBreakdown.
@@ -343,8 +327,7 @@ struct SimConfig {
   /// no reordering), so attaching it never changes RunMetrics, and the
   /// sharded engine's per-shard probe frames merge order-independently
   /// at the slot barrier, keeping probe values and timeseries bytes
-  /// identical across thread counts. Supported by the phased, sharded
-  /// and async engines (not the tests-only event-queue fixture).
+  /// identical across thread counts.
   std::shared_ptr<obs::Telemetry> telemetry;
   /// Optional runtime-introspection session (obs/runtime_stats.hpp):
   /// the NONdeterministic channel -- per-shard barrier-wait/advance
@@ -360,38 +343,39 @@ struct SimConfig {
   std::shared_ptr<obs::RuntimeStats> runtime_stats;
 };
 
+/// Throws core::Error unless `config` can run on a network of `nodes`
+/// processors. Shared by OpsNetworkSim and run_reference (reference.hpp).
+void validate_config(const SimConfig& config, std::int64_t nodes);
+
 /// The slot-synchronous multi-OPS network simulator.
 class OpsNetworkSim {
  public:
   /// `network` must outlive the simulator. Traffic generator is owned.
-  /// The hooks are baked into a routing table at construction unless the
-  /// engine is kEventQueue: group-factored CompressedRoutes at
-  /// kAutoRouteTableNodes nodes and above when the router is
-  /// group-factored, dense CompiledRoutes otherwise (RouteTable::kAuto).
-  OpsNetworkSim(const hypergraph::StackGraph& network, RoutingHooks routing,
+  /// The hooks are baked into a routing table at construction:
+  /// group-factored CompressedRoutes at kAutoRouteTableNodes nodes and
+  /// above when the router is group-factored, dense CompiledRoutes
+  /// otherwise (RouteTable::kAuto).
+  OpsNetworkSim(const hypergraph::StackGraph& network,
+                const RoutingHooks& routing,
                 std::unique_ptr<TrafficGenerator> traffic, SimConfig config);
 
-  /// Same, with pre-compiled routes (share one table across many trials
-  /// of a sweep instead of re-baking per simulator).
+  /// Same, with a pre-compiled dense table or group-factored one (the
+  /// O(G^2 + H) representation): share one table across many trials of
+  /// a sweep instead of re-baking per simulator.
   OpsNetworkSim(const hypergraph::StackGraph& network,
                 std::shared_ptr<const routing::CompiledRoutes> routes,
                 std::unique_ptr<TrafficGenerator> traffic, SimConfig config);
-
-  /// Convenience: compiled routes by value.
-  OpsNetworkSim(const hypergraph::StackGraph& network,
-                routing::CompiledRoutes routes,
-                std::unique_ptr<TrafficGenerator> traffic, SimConfig config);
-
-  /// Same, with a pre-compiled group-factored table (the O(G^2 + H)
-  /// representation; share it across trials exactly like dense tables).
   OpsNetworkSim(const hypergraph::StackGraph& network,
                 std::shared_ptr<const routing::CompressedRoutes> routes,
                 std::unique_ptr<TrafficGenerator> traffic, SimConfig config);
 
-  /// Convenience: compressed routes by value.
-  OpsNetworkSim(const hypergraph::StackGraph& network,
-                routing::CompressedRoutes routes,
-                std::unique_ptr<TrafficGenerator> traffic, SimConfig config);
+  /// Convenience: either table by value.
+  template <routing::RouteView Routes>
+  OpsNetworkSim(const hypergraph::StackGraph& network, Routes routes,
+                std::unique_ptr<TrafficGenerator> traffic, SimConfig config)
+      : OpsNetworkSim(network,
+                      std::make_shared<const Routes>(std::move(routes)),
+                      std::move(traffic), std::move(config)) {}
 
   /// Overrides the timing model compiled from SimConfig::timing for
   /// Engine::kAsync runs -- the hook for trace-derived models
@@ -410,34 +394,14 @@ class OpsNetworkSim {
   }
 
  private:
-  void validate_config() const;
-  RunMetrics run_event_queue();
-  void slot();
-  void enqueue(Packet packet, hypergraph::Node at);
-
   const hypergraph::StackGraph& network_;
-  RoutingHooks routing_;
-  /// Exactly one of these is set for the phased engines; the event-queue
-  /// engine routes through routing_ (served from whichever table exists
-  /// when the simulator was built from one).
+  /// Exactly one of these is set.
   std::shared_ptr<const routing::CompiledRoutes> routes_;
   std::shared_ptr<const routing::CompressedRoutes> compressed_routes_;
   std::shared_ptr<const TimingModel> timing_model_;  ///< kAsync override
   std::unique_ptr<TrafficGenerator> traffic_;
   SimConfig config_;
-  core::Rng rng_;
-  EventQueue queue_;
-
-  /// Virtual output queues: per node, per out-coupler slot (indexed by
-  /// position of the coupler in out_hyperarcs(node)). Event-queue engine
-  /// only; the phased engines use a SoA arena (voq_arena.hpp) internally.
-  std::vector<std::vector<std::deque<Packet>>> voq_;
-  std::vector<std::int64_t> token_;  ///< per coupler, round-robin cursor
   std::vector<std::int64_t> coupler_success_;
-  RunMetrics metrics_;
-  bool measuring_ = false;
-  std::int64_t next_packet_id_ = 0;
-  std::int64_t inflight_ = 0;
 };
 
 }  // namespace otis::sim

@@ -440,6 +440,72 @@ TEST(CampaignRunnerTest, UnwritableOutputFailsTheRun) {
   EXPECT_THROW(aggregate.write_csv("/dev/full"), core::Error);
 }
 
+TEST(CampaignRunnerTest, FailedOutputStopsTheGrid) {
+  // Once an output has failed the run is lost, so cells that have not
+  // started are not simulated: on one worker exactly the first cell
+  // runs, and only it samples the timeseries.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this host";
+  }
+  CampaignSpec spec;
+  spec.name = "stop";
+  spec.topologies = {TopologySpec::stack_kautz(4, 3, 2)};
+  spec.loads = {0.3};
+  spec.seeds = {1, 2, 3, 4};
+  spec.warmup_slots = 10;
+  spec.measure_slots = 40;
+  spec.telemetry.sample_period = 16;
+  spec.telemetry.timeseries_path = "timeseries.jsonl";
+  ScratchDir dir("stop");
+  std::filesystem::create_symlink("/dev/full",
+                                  dir.path() / CampaignRunner::kJsonlFile);
+  CampaignOptions options;
+  options.threads = 1;
+  options.out_dir = dir.path().string();
+  EXPECT_THROW(CampaignRunner(spec).run(options), core::Error);
+  std::set<std::string> cells;
+  std::istringstream rows(read_file(dir.path() / "timeseries.jsonl"));
+  for (std::string row; std::getline(rows, row);) {
+    const core::Json json = core::Json::parse(row);
+    if (const core::Json* cell = json.find("cell")) {
+      cells.insert(cell->as_string());
+    }
+  }
+  EXPECT_EQ(cells.size(), 1u);
+}
+
+TEST(CampaignRunnerTest, ResultsJsonlEscapesItsStrings) {
+  // A trace file named with a quote puts the quote into cell_id and
+  // workload; every results.jsonl row must still parse, with its cell's
+  // own id.
+  workload::Trace trace;
+  trace.nodes = 48;  // SK(4,3,2)
+  trace.entries = {{0, 0, 7}, {0, 3, 12}, {1, 5, 2}, {4, 23, 11}};
+  ScratchDir dir("escape");
+  const std::string trace_path = (dir.path() / "we\"ird.trace").string();
+  trace.save_binary(trace_path);
+  CampaignSpec spec;
+  spec.topologies = {TopologySpec::stack_kautz(4, 3, 2)};
+  spec.loads = {0.0};
+  spec.seeds = {1};
+  campaign::WorkloadSpec entry{campaign::WorkloadKind::kTrace};
+  entry.trace_file = trace_path;
+  spec.workloads = {entry};
+  CampaignOptions options;
+  options.out_dir = dir.path().string();
+  CampaignRunner(spec).run(options);
+  const std::vector<campaign::CampaignCell> cells =
+      campaign::expand_grid(spec);
+  std::istringstream rows(read_file(dir.path() / CampaignRunner::kJsonlFile));
+  std::size_t count = 0;
+  for (std::string row; std::getline(rows, row); ++count) {
+    ASSERT_LT(count, cells.size());
+    EXPECT_EQ(core::Json::parse(row).at("cell_id").as_string(),
+              cells[count].id);
+  }
+  EXPECT_EQ(count, cells.size());
+}
+
 TEST(CampaignRunnerTest, ManifestSurvivesSpecGrowth) {
   // IDs are parameter-derived, so enlarging an axis only runs new cells.
   CampaignSpec small;
@@ -1055,17 +1121,29 @@ TEST(CampaignWorkloadTest, ParsesWorkloadsJsonAndRejectsBadSpecs) {
     "topologies": [{"kind": "pops", "t": 4, "g": 6}],
     "workloads": [{"kind": "gather", "root": 64}]})json"),
                core::Error);
-  // The tests-only event-queue fixture has no delivery feedback: a
-  // workload grid pinned to it (spec-level or via override) is refused.
-  EXPECT_THROW(campaign::parse_campaign_spec(R"json({
+}
+
+TEST(CampaignSpecJson, EventQueueIsNoEngine) {
+  // The seed's event-queue loop is a test reference, not an engine: a
+  // spec naming it, at top level or in an override, fails at parse with
+  // the engines it could have named.
+  for (const char* text : {R"json({
     "topologies": [{"kind": "pops", "t": 4, "g": 6}],
-    "engine": "event-queue", "workloads": ["gossip"]})json"),
-               core::Error);
-  EXPECT_THROW(campaign::parse_campaign_spec(R"json({
+    "engine": "event-queue"})json",
+                           R"json({
     "topologies": [{"kind": "pops", "t": 4, "g": 6}],
-    "workloads": ["gossip"],
-    "overrides": [{"topology": "POPS(4,6)", "engine": "event-queue"}]})json"),
-               core::Error);
+    "overrides": [{"topology": "POPS(4,6)", "engine": "event-queue"}]})json"}) {
+    SCOPED_TRACE(text);
+    try {
+      (void)campaign::parse_campaign_spec(text);
+      ADD_FAILURE() << "the spec parsed";
+    } catch (const core::Error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("(expected phased|sharded|async|async-sharded)"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(CampaignWorkloadTest, WorkloadCellsRunToCompletionWithMakespan) {

@@ -19,8 +19,8 @@
 //    checksum holds but whose queued destination or round-robin token
 //    is out of range, or whose largest latency exceeds its next slot,
 //    throws;
-//  - the event-queue engine and path-less checkpoint configs are
-//    rejected at construction.
+//  - path-less checkpoint configs are rejected at construction, and
+//    the event-queue reference refuses checkpointing.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +42,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
+#include "sim/reference.hpp"
 #include "sim/timing_model.hpp"
 #include "sim/traffic.hpp"
 
@@ -105,6 +106,7 @@ struct RunOptions {
   bool drain = false;
   bool bursty = false;
   double load = 0.35;
+  sim::LatencyMode latency = sim::LatencyMode::kAuto;
 };
 
 struct RunResult {
@@ -128,6 +130,7 @@ RunResult run_sk(sim::Engine engine, int threads, const RunOptions& o) {
   config.checkpoint_path = o.path;
   config.checkpoint_resume = o.resume;
   config.checkpoint_stop_at = o.stop_at;
+  config.latency_mode = o.latency;
   std::unique_ptr<sim::TrafficGenerator> traffic;
   if (o.bursty) {
     traffic = std::make_unique<sim::BurstyTraffic>(sk.processor_count(), 0.8,
@@ -622,9 +625,11 @@ TEST(Checkpoint, OutOfRangeTokenThrows) {
 }
 
 TEST(Checkpoint, LatencyBeyondTheElapsedSlotsThrows) {
-  // A packet delivered in slot t < next slot waited at most t + 1
-  // slots. A blob whose first latency sample is edited past the next
-  // slot, with its checksum recomputed, must throw on restore.
+  // A packet delivered in slot t < next slot waited at least one and at
+  // most t + 1 slots. A blob whose first latency sample is edited past
+  // the next slot or below one slot, or whose first sketch bucket index
+  // is edited past the sketch, with its checksum recomputed, must throw
+  // core::Error on restore.
   ScratchDir scratch("latency");
   RunOptions skewed;
   skewed.timing = constant_timing(300, 700);
@@ -632,38 +637,68 @@ TEST(Checkpoint, LatencyBeyondTheElapsedSlotsThrows) {
     SCOPED_TRACE(sim::engine_name(engine));
     const RunOptions base = engine == sim::Engine::kAsync ? skewed
                                                           : RunOptions{};
-    RunOptions drill = base;
-    drill.every = kEvery;
-    drill.path = (scratch.path() / sim::engine_name(engine)).string();
-    drill.stop_at = kStopAt;
-    run_sk(engine, 1, drill);
-    std::string blob = read_bytes(drill.path);
+    // Runs the drill into `blob` and returns a reader just past its
+    // latency mode byte; `next_slot` receives the blob's next slot.
+    std::string blob;
+    const auto drill_to_latency = [&](sim::LatencyMode latency,
+                                      std::int64_t& next_slot) {
+      RunOptions drill = base;
+      drill.every = kEvery;
+      drill.path = (scratch.path() / sim::engine_name(engine)).string();
+      drill.stop_at = kStopAt;
+      drill.latency = latency;
+      run_sk(engine, 1, drill);
+      blob = read_bytes(drill.path);
+      core::BlobReader in(reinterpret_cast<const std::uint8_t*>(blob.data()),
+                          blob.size() - 8);
+      next_slot = skip_to_tokens(in);
+      (void)in.get_i64_vec();  // tokens
+      (void)in.get_i64_vec();  // re-tune gates (none on the slot path)
+      for (int i = 0; i < 5; ++i) {
+        (void)in.get_i64();  // the folded shard counters
+      }
+      EXPECT_EQ(in.get_u8(), latency == sim::LatencyMode::kSketch ? 1 : 0);
+      return in;
+    };
+    RunOptions resume = base;
+    resume.every = kEvery;
+    resume.path = (scratch.path() / sim::engine_name(engine)).string();
+    resume.resume = true;
 
-    core::BlobReader in(reinterpret_cast<const std::uint8_t*>(blob.data()),
-                        blob.size() - 8);
-    const std::int64_t next_slot = skip_to_tokens(in);
-    (void)in.get_i64_vec();  // tokens
-    (void)in.get_i64_vec();  // re-tune gates (none on the slot path)
-    for (int i = 0; i < 5; ++i) {
-      (void)in.get_i64();  // the folded shard counters
-    }
-    ASSERT_EQ(in.get_u8(), 0) << "full latency samples expected";
+    std::int64_t next_slot = 0;
+    core::BlobReader in = drill_to_latency(sim::LatencyMode::kFull, next_slot);
     ASSERT_GT(in.get_u64(), 0u) << "the drill must have delivered packets";
     const std::size_t at = in.position();
     std::string stretched = blob;
     overwrite_i64(stretched, at, next_slot);
     reseal(stretched);
-    write_bytes(drill.path, stretched);
-    RunOptions resume = base;
-    resume.every = kEvery;
-    resume.path = drill.path;
-    resume.resume = true;
+    write_bytes(resume.path, stretched);
     // A latency equal to the next slot is possible; one more is not.
     EXPECT_NO_THROW(run_sk(engine, 1, resume));
     overwrite_i64(blob, at, next_slot + 1);
     reseal(blob);
-    write_bytes(drill.path, blob);
+    write_bytes(resume.path, blob);
     EXPECT_THROW(run_sk(engine, 1, resume), core::Error);
+    // Nor is a latency below one slot.
+    overwrite_i64(blob, at, 0);
+    reseal(blob);
+    write_bytes(resume.path, blob);
+    EXPECT_THROW(run_sk(engine, 1, resume), core::Error);
+
+    // Sketch mode: count, sum, min, max and the occupied-bucket count,
+    // then (index, count) per occupied bucket.
+    in = drill_to_latency(sim::LatencyMode::kSketch, next_slot);
+    for (int i = 0; i < 4; ++i) {
+      (void)in.get_i64();
+    }
+    ASSERT_GT(in.get_i64(), 0) << "the drill must have delivered packets";
+    overwrite_i64(blob, in.position(),
+                  static_cast<std::int64_t>(sim::LatencyStats::kSketchBuckets));
+    reseal(blob);
+    write_bytes(resume.path, blob);
+    RunOptions sketch_resume = resume;
+    sketch_resume.latency = sim::LatencyMode::kSketch;
+    EXPECT_THROW(run_sk(engine, 1, sketch_resume), core::Error);
   }
 }
 
@@ -696,13 +731,20 @@ TEST(Checkpoint, InvalidConfigsAreRejected) {
   config.checkpoint_every_slots = kEvery;
   EXPECT_THROW(make_sim(config), core::Error);
 
-  // The event-queue engine has no checkpoint support.
+  // The event-queue reference has no checkpoint support.
   config.checkpoint_path = "/tmp/otis_ckpt_reject.ckpt";
-  config.engine = sim::Engine::kEventQueue;
-  EXPECT_THROW(make_sim(config), core::Error);
+  sim::RoutingHooks hooks;
+  hooks.next_coupler = [&](hypergraph::Node v, hypergraph::Node d) {
+    return routes->next_coupler(v, d);
+  };
+  hooks.relay_on = [&](hypergraph::HyperarcId h, hypergraph::Node d) {
+    return routes->relay(h, d);
+  };
+  sim::UniformTraffic traffic(sk.processor_count(), 0.3);
+  EXPECT_THROW((void)sim::run_reference(sk.stack(), hooks, traffic, config),
+               core::Error);
 
   // Negative stride.
-  config.engine = sim::Engine::kPhased;
   config.checkpoint_every_slots = -1;
   EXPECT_THROW(make_sim(config), core::Error);
 }

@@ -7,8 +7,8 @@
 //    compile() (O(G^2) router evaluations, the dense table never built)
 //    produce identical tables;
 //  - engine bit-parity: dense and compressed tables give identical
-//    RunMetrics and coupler-success vectors on the phased, sharded (all
-//    thread counts) and event-queue engines;
+//    RunMetrics and coupler-success vectors on the phased and sharded
+//    (all thread counts) engines and on the event-queue reference;
 //  - non-group-factored routers are rejected, not silently compressed;
 //  - the memory model: a >= 10^4-node stack-Kautz compresses to under
 //    1/50 of the dense footprint (the ISSUE acceptance bound).
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/error.hpp"
@@ -27,6 +28,7 @@
 #include "routing/stack_routing.hpp"
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
+#include "sim/reference.hpp"
 #include "sim/traffic.hpp"
 #include "topology/debruijn.hpp"
 
@@ -197,6 +199,19 @@ void expect_identical(const sim::RunMetrics& a, const sim::RunMetrics& b) {
   EXPECT_EQ(a.latency.percentile(0.95), b.latency.percentile(0.95));
 }
 
+/// Hooks answered from a compiled table; `routes` must outlive them.
+template <class Routes>
+sim::RoutingHooks table_hooks(const Routes& routes) {
+  sim::RoutingHooks hooks;
+  hooks.next_coupler = [&routes](hypergraph::Node v, hypergraph::Node d) {
+    return routes.next_coupler(v, d);
+  };
+  hooks.relay_on = [&routes](hypergraph::HyperarcId h, hypergraph::Node d) {
+    return routes.relay(h, d);
+  };
+  return hooks;
+}
+
 struct ParityCase {
   const hypergraph::StackGraph& stack;
   routing::CompiledRoutes dense;
@@ -206,16 +221,27 @@ struct ParityCase {
 };
 
 void expect_engine_parity(const ParityCase& c) {
-  auto run = [&](bool compressed, sim::Engine engine, int threads,
-                 std::vector<std::int64_t>& successes) {
+  // A null engine runs the event-queue reference, its callbacks served
+  // from the chosen table.
+  auto run = [&](bool compressed, std::optional<sim::Engine> engine,
+                 int threads, std::vector<std::int64_t>& successes) {
     sim::SimConfig config;
     config.warmup_slots = 20;
     config.measure_slots = 200;
     config.seed = c.seed;
-    config.engine = engine;
     config.threads = threads;
     config.arbitration = sim::Arbitration::kRandomWinner;
     auto traffic = std::make_unique<sim::UniformTraffic>(c.nodes, 0.4);
+    if (!engine) {
+      sim::ReferenceRun reference =
+          compressed ? sim::run_reference(c.stack, table_hooks(c.compressed),
+                                          *traffic, config)
+                     : sim::run_reference(c.stack, table_hooks(c.dense),
+                                          *traffic, config);
+      successes = std::move(reference.coupler_successes);
+      return reference.metrics;
+    }
+    config.engine = *engine;
     sim::RunMetrics metrics;
     if (compressed) {
       sim::OpsNetworkSim sim(c.stack, c.compressed, std::move(traffic),
@@ -230,10 +256,11 @@ void expect_engine_parity(const ParityCase& c) {
     return metrics;
   };
 
-  // Serial phased and the event-queue engine (whose callbacks are served
-  // from whichever table the simulator was built with).
-  for (sim::Engine engine : {sim::Engine::kPhased, sim::Engine::kEventQueue}) {
-    SCOPED_TRACE(sim::engine_name(engine));
+  // Serial phased and the event-queue reference (its callbacks served
+  // from one table or the other).
+  for (std::optional<sim::Engine> engine :
+       {std::optional(sim::Engine::kPhased), std::optional<sim::Engine>()}) {
+    SCOPED_TRACE(engine ? sim::engine_name(*engine) : "event-queue");
     std::vector<std::int64_t> dense_successes;
     std::vector<std::int64_t> compressed_successes;
     const sim::RunMetrics dense =

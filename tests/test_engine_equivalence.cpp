@@ -1,15 +1,18 @@
 // Engine-equivalence and determinism tests for the phased slot engine:
-//  - the phased engine reproduces the legacy event-queue engine's
-//    RunMetrics bit-for-bit at seed parity (all arbitration policies,
-//    multi-hop and single-hop topologies, finite queues, WDM, drain);
+//  - the phased engine reproduces the seed's event-queue reference
+//    (run_reference) RunMetrics bit-for-bit at seed parity (all
+//    arbitration policies, multi-hop and single-hop topologies, finite
+//    queues, WDM, drain);
 //  - the sharded engine is bit-identical for every thread count;
 //  - CompiledRoutes agrees with the hooks it was baked from;
-//  - packet conservation holds exactly under every (engine, policy);
+//  - packet conservation holds exactly under every (engine, policy),
+//    the reference included;
 //  - SimConfig is validated at construction.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "core/error.hpp"
 #include "hypergraph/pops.hpp"
@@ -21,6 +24,7 @@
 #include "routing/stack_routing.hpp"
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
+#include "sim/reference.hpp"
 #include "sim/traffic.hpp"
 #include "sim/voq_arena.hpp"
 
@@ -54,10 +58,33 @@ RoutingHooks stack_kautz_hooks(const routing::StackKautzRouter& router) {
   return hooks;
 }
 
+/// Hooks answered from a compiled table (dense or compressed); `routes`
+/// must outlive them.
+template <class Routes>
+RoutingHooks table_hooks(const Routes& routes) {
+  RoutingHooks hooks;
+  hooks.next_coupler = [&routes](hypergraph::Node c, hypergraph::Node d) {
+    return routes.next_coupler(c, d);
+  };
+  hooks.relay_on = [&routes](hypergraph::HyperarcId h, hypergraph::Node d) {
+    return routes.relay(h, d);
+  };
+  return hooks;
+}
+
+/// Runs the event-queue reference (run_reference) where a test takes an
+/// engine.
+constexpr std::optional<Engine> kReference;
+
+[[nodiscard]] const char* run_name(std::optional<Engine> engine) {
+  return engine ? engine_name(*engine) : "event-queue";
+}
+
 /// One stack-Kautz run; coupler successes are appended to the metrics
 /// comparison by the caller when needed.
-RunMetrics run_sk(Engine engine, Arbitration arb, std::uint64_t seed,
-                  int threads = 1, std::int64_t queue_capacity = 0,
+RunMetrics run_sk(std::optional<Engine> engine, Arbitration arb,
+                  std::uint64_t seed, int threads = 1,
+                  std::int64_t queue_capacity = 0,
                   std::int64_t wavelengths = 1, bool drain = false) {
   hypergraph::StackKautz sk(4, 3, 2);
   routing::StackKautzRouter router(sk);
@@ -66,14 +93,19 @@ RunMetrics run_sk(Engine engine, Arbitration arb, std::uint64_t seed,
   config.warmup_slots = 50;
   config.measure_slots = 400;
   config.seed = seed;
-  config.engine = engine;
   config.threads = threads;
   config.queue_capacity = queue_capacity;
   config.wavelengths = wavelengths;
   config.drain = drain;
-  OpsNetworkSim sim(
-      sk.stack(), stack_kautz_hooks(router),
-      std::make_unique<UniformTraffic>(sk.processor_count(), 0.35), config);
+  auto traffic = std::make_unique<UniformTraffic>(sk.processor_count(), 0.35);
+  if (!engine) {
+    return run_reference(sk.stack(), stack_kautz_hooks(router), *traffic,
+                         config)
+        .metrics;
+  }
+  config.engine = *engine;
+  OpsNetworkSim sim(sk.stack(), stack_kautz_hooks(router), std::move(traffic),
+                    config);
   return sim.run();
 }
 
@@ -84,7 +116,7 @@ constexpr Arbitration kAllPolicies[] = {Arbitration::kTokenRoundRobin,
 TEST(EngineEquivalence, PhasedMatchesEventQueueOnStackKautz) {
   for (Arbitration arb : kAllPolicies) {
     SCOPED_TRACE(arbitration_name(arb));
-    RunMetrics legacy = run_sk(Engine::kEventQueue, arb, 42);
+    RunMetrics legacy = run_sk(kReference, arb, 42);
     RunMetrics phased = run_sk(Engine::kPhased, arb, 42);
     expect_identical(legacy, phased);
   }
@@ -93,7 +125,7 @@ TEST(EngineEquivalence, PhasedMatchesEventQueueOnStackKautz) {
 TEST(EngineEquivalence, PhasedMatchesEventQueueWithQueuesWdmAndDrain) {
   for (Arbitration arb : kAllPolicies) {
     SCOPED_TRACE(arbitration_name(arb));
-    RunMetrics legacy = run_sk(Engine::kEventQueue, arb, 7, 1,
+    RunMetrics legacy = run_sk(kReference, arb, 7, 1,
                                /*queue_capacity=*/3, /*wavelengths=*/2,
                                /*drain=*/true);
     RunMetrics phased = run_sk(Engine::kPhased, arb, 7, 1, 3, 2, true);
@@ -104,59 +136,79 @@ TEST(EngineEquivalence, PhasedMatchesEventQueueWithQueuesWdmAndDrain) {
 TEST(EngineEquivalence, PhasedMatchesEventQueueOnPops) {
   for (Arbitration arb : kAllPolicies) {
     SCOPED_TRACE(arbitration_name(arb));
-    auto run = [arb](Engine engine) {
+    auto run = [arb](std::optional<Engine> engine) {
       hypergraph::Pops pops(4, 3);
       SimConfig config;
       config.arbitration = arb;
       config.warmup_slots = 30;
       config.measure_slots = 300;
       config.seed = 5;
-      config.engine = engine;
-      OpsNetworkSim sim(pops.stack(),
-                        routing::compile_pops_routes(pops),
-                        std::make_unique<UniformTraffic>(12, 0.4), config);
+      routing::CompiledRoutes routes = routing::compile_pops_routes(pops);
+      auto traffic = std::make_unique<UniformTraffic>(12, 0.4);
+      if (!engine) {
+        return run_reference(pops.stack(), table_hooks(routes), *traffic,
+                             config)
+            .metrics;
+      }
+      config.engine = *engine;
+      OpsNetworkSim sim(pops.stack(), std::move(routes), std::move(traffic),
+                        config);
       return sim.run();
     };
-    expect_identical(run(Engine::kEventQueue), run(Engine::kPhased));
+    expect_identical(run(kReference), run(Engine::kPhased));
   }
 }
 
 TEST(EngineEquivalence, PhasedMatchesEventQueueOnStackImaseItoh) {
-  auto run = [](Engine engine) {
+  auto run = [](std::optional<Engine> engine) {
     hypergraph::StackImaseItoh sii(3, 2, 7);
     SimConfig config;
     config.warmup_slots = 40;
     config.measure_slots = 300;
     config.seed = 11;
     config.arbitration = Arbitration::kRandomWinner;
-    config.engine = engine;
-    OpsNetworkSim sim(
-        sii.stack(), routing::compile_stack_imase_itoh_routes(sii),
-        std::make_unique<UniformTraffic>(sii.processor_count(), 0.25),
-        config);
+    routing::CompiledRoutes routes =
+        routing::compile_stack_imase_itoh_routes(sii);
+    auto traffic =
+        std::make_unique<UniformTraffic>(sii.processor_count(), 0.25);
+    if (!engine) {
+      return run_reference(sii.stack(), table_hooks(routes), *traffic,
+                           config)
+          .metrics;
+    }
+    config.engine = *engine;
+    OpsNetworkSim sim(sii.stack(), std::move(routes), std::move(traffic),
+                      config);
     return sim.run();
   };
-  expect_identical(run(Engine::kEventQueue), run(Engine::kPhased));
+  expect_identical(run(kReference), run(Engine::kPhased));
 }
 
 TEST(EngineEquivalence, PhasedCouplerSuccessesMatchEventQueue) {
   hypergraph::StackKautz sk(4, 3, 2);
   routing::StackKautzRouter router(sk);
-  auto run = [&](Engine engine, std::vector<std::int64_t>& successes) {
+  auto run = [&](std::optional<Engine> engine,
+                 std::vector<std::int64_t>& successes) {
     SimConfig config;
     config.warmup_slots = 50;
     config.measure_slots = 300;
     config.seed = 3;
-    config.engine = engine;
-    OpsNetworkSim sim(
-        sk.stack(), stack_kautz_hooks(router),
-        std::make_unique<UniformTraffic>(sk.processor_count(), 0.5), config);
+    auto traffic = std::make_unique<UniformTraffic>(sk.processor_count(), 0.5);
+    if (!engine) {
+      successes = run_reference(sk.stack(), stack_kautz_hooks(router),
+                                *traffic, config)
+                      .coupler_successes;
+      return;
+    }
+    config.engine = *engine;
+    OpsNetworkSim sim(sk.stack(), stack_kautz_hooks(router),
+                      std::move(traffic), config);
     sim.run();
     successes = sim.coupler_successes();
   };
   std::vector<std::int64_t> legacy;
   std::vector<std::int64_t> phased;
-  run(Engine::kEventQueue, legacy);
+  run(kReference, legacy);
   run(Engine::kPhased, phased);
   EXPECT_EQ(legacy, phased);
 }
@@ -188,8 +240,8 @@ TEST(EngineEquivalence, DrainBitParityAcrossAllEnginesAndThreadCounts) {
                      std::to_string(queue_capacity) + "/w=" +
                      std::to_string(wavelengths));
         const RunMetrics legacy =
-            run_sk(Engine::kEventQueue, arb, 57, 1, queue_capacity,
-                   wavelengths, /*drain=*/true);
+            run_sk(kReference, arb, 57, 1, queue_capacity, wavelengths,
+                   /*drain=*/true);
         const RunMetrics phased = run_sk(Engine::kPhased, arb, 57, 1,
                                          queue_capacity, wavelengths, true);
         const RunMetrics async = run_sk(Engine::kAsync, arb, 57, 1,
@@ -251,17 +303,18 @@ TEST(EngineEquivalence, LargerStackKautzParityAcrossRoutesAndThreads) {
       config.warmup_slots = 30;
       config.measure_slots = 250;
       config.seed = 23;
-      auto run = [&](Engine engine, bool use_compressed, int threads) {
+      auto run = [&](std::optional<Engine> engine, bool use_compressed,
+                     int threads) {
         SimConfig c = config;
-        c.engine = engine;
         c.threads = threads;
         auto traffic = std::make_unique<UniformTraffic>(sk.processor_count(),
                                                         input.load);
-        if (engine == Engine::kEventQueue) {
-          OpsNetworkSim sim(sk.stack(), stack_kautz_hooks(router),
-                            std::move(traffic), c);
-          return sim.run();
+        if (!engine) {
+          return run_reference(sk.stack(), stack_kautz_hooks(router),
+                               *traffic, c)
+              .metrics;
         }
+        c.engine = *engine;
         if (use_compressed) {
           OpsNetworkSim sim(sk.stack(), compressed, std::move(traffic), c);
           return sim.run();
@@ -269,7 +322,7 @@ TEST(EngineEquivalence, LargerStackKautzParityAcrossRoutesAndThreads) {
         OpsNetworkSim sim(sk.stack(), dense, std::move(traffic), c);
         return sim.run();
       };
-      const RunMetrics legacy = run(Engine::kEventQueue, false, 1);
+      const RunMetrics legacy = run(kReference, false, 1);
       for (bool use_compressed : {false, true}) {
         SCOPED_TRACE(use_compressed ? "compressed" : "dense");
         expect_identical(legacy, run(Engine::kPhased, use_compressed, 1));
@@ -309,26 +362,26 @@ TEST(EngineEquivalence, PrefetchingArenaParityOnLargeStackKautz) {
           routing::compress_stack_kautz_routes(sk));
   for (Arbitration arb : kAllPolicies) {
     SCOPED_TRACE(arbitration_name(arb));
-    auto run = [&](Engine engine, int threads) {
+    auto run = [&](std::optional<Engine> engine, int threads) {
       SimConfig c;
       c.arbitration = arb;
       c.wavelengths = 2;
       c.warmup_slots = 10;
       c.measure_slots = 40;
       c.seed = 29;
-      c.engine = engine;
       c.threads = threads;
       auto traffic =
           std::make_unique<UniformTraffic>(sk.processor_count(), 0.4);
-      if (engine == Engine::kEventQueue) {
-        OpsNetworkSim sim(sk.stack(), stack_kautz_hooks(router),
-                          std::move(traffic), c);
-        return sim.run();
+      if (!engine) {
+        return run_reference(sk.stack(), stack_kautz_hooks(router), *traffic,
+                             c)
+            .metrics;
       }
+      c.engine = *engine;
       OpsNetworkSim sim(sk.stack(), compressed, std::move(traffic), c);
       return sim.run();
     };
-    const RunMetrics legacy = run(Engine::kEventQueue, 1);
+    const RunMetrics legacy = run(kReference, 1);
     expect_identical(legacy, run(Engine::kPhased, 1));
     expect_identical(legacy, run(Engine::kAsync, 1));
     const RunMetrics sharded_one = run(Engine::kSharded, 1);
@@ -387,10 +440,11 @@ TEST(EngineEquivalence, ShardedIsDeterministicAndSeedSensitive) {
 TEST(EngineEquivalence, PacketConservationExactUnderAllEnginesAndPolicies) {
   // With no warmup every offered packet is delivered, dropped, or
   // still queued when the run stops -- exactly.
-  for (Engine engine :
-       {Engine::kEventQueue, Engine::kPhased, Engine::kSharded}) {
+  for (std::optional<Engine> engine :
+       {kReference, std::optional(Engine::kPhased),
+        std::optional(Engine::kSharded)}) {
     for (Arbitration arb : kAllPolicies) {
-      SCOPED_TRACE(std::string(engine_name(engine)) + "/" +
+      SCOPED_TRACE(std::string(run_name(engine)) + "/" +
                    arbitration_name(arb));
       hypergraph::StackKautz sk(4, 3, 2);
       routing::StackKautzRouter router(sk);
@@ -399,14 +453,21 @@ TEST(EngineEquivalence, PacketConservationExactUnderAllEnginesAndPolicies) {
       config.warmup_slots = 0;
       config.measure_slots = 600;
       config.seed = 17;
-      config.engine = engine;
       config.threads = 2;
       config.queue_capacity = 4;  // force drops into the balance too
-      OpsNetworkSim sim(
-          sk.stack(), stack_kautz_hooks(router),
-          std::make_unique<UniformTraffic>(sk.processor_count(), 0.6),
-          config);
-      RunMetrics m = sim.run();
+      auto traffic =
+          std::make_unique<UniformTraffic>(sk.processor_count(), 0.6);
+      RunMetrics m;
+      if (engine) {
+        config.engine = *engine;
+        OpsNetworkSim sim(sk.stack(), stack_kautz_hooks(router),
+                          std::move(traffic), config);
+        m = sim.run();
+      } else {
+        m = run_reference(sk.stack(), stack_kautz_hooks(router), *traffic,
+                          config)
+                .metrics;
+      }
       EXPECT_GT(m.offered_packets, 0);
       EXPECT_EQ(m.offered_packets,
                 m.delivered_packets + m.dropped_packets + m.backlog);
@@ -504,6 +565,34 @@ TEST(SimConfigValidation, RejectsDegenerateParameters) {
   EXPECT_THROW(make(window(0, kMaxRunSlots + 1)), core::Error);
   // warmup + measure would overflow int64 itself.
   EXPECT_THROW(make(window(9223372036854775000, 20)), core::Error);
+}
+
+TEST(SimConfigValidation, ReferenceRefusesWhatItNeverImplemented) {
+  // The reference shares OpsNetworkSim's validation, and refuses a trace
+  // recorder and sub-slot timing (workloads, telemetry and checkpointing
+  // are checked beside their engine tests).
+  hypergraph::Pops pops(2, 2);
+  const routing::CompiledRoutes routes = routing::compile_pops_routes(pops);
+  SimConfig base;
+  base.warmup_slots = 10;
+  base.measure_slots = 50;
+  auto run = [&](const SimConfig& config) {
+    SaturationTraffic traffic(4);
+    return run_reference(pops.stack(), table_hooks(routes), traffic, config);
+  };
+  EXPECT_NO_THROW(run(base));
+  SimConfig bad_wavelengths = base;
+  bad_wavelengths.wavelengths = 0;
+  EXPECT_THROW(run(bad_wavelengths), core::Error);
+  SimConfig recorded = base;
+  recorded.recorder =
+      std::make_shared<workload::TraceRecorder>(pops.processor_count());
+  EXPECT_THROW(run(recorded), core::Error);
+  SimConfig skewed = base;
+  skewed.engine = Engine::kAsync;  // passes the shared timing check
+  skewed.timing.profile = SkewProfile::kConstant;
+  skewed.timing.propagation_ticks = 300;
+  EXPECT_THROW(run(skewed), core::Error);
 }
 
 }  // namespace

@@ -14,8 +14,8 @@
 //    multi-shard slot-aligned runs emit exactly the timeseries bytes and
 //    metrics frozen as FNV-1a-64 digests, so a refactor of the run loop
 //    cannot move them;
-//  - config validation: unknown probe names and the probe-less
-//    event-queue engine are rejected.
+//  - config validation: unknown probe names are rejected, and so is
+//    telemetry on the probe-less event-queue reference.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -41,8 +41,10 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace_sink.hpp"
 #include "routing/compiled_routes.hpp"
+#include "routing/stack_routing.hpp"
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
+#include "sim/reference.hpp"
 #include "sim/traffic.hpp"
 #include "sim/timing_model.hpp"
 #include "workload/schedule_workload.hpp"
@@ -228,11 +230,24 @@ TEST(TelemetryConfig, RejectsUnknownProbeNames) {
   EXPECT_THROW(obs::Telemetry::create(config), core::Error);
 }
 
-TEST(TelemetryConfig, EventQueueEngineRejectsTelemetry) {
-  // The seed fixture has no probe points; attaching telemetry to it
+TEST(TelemetryConfig, EventQueueReferenceRejectsTelemetry) {
+  // The seed's loop has no probe points; attaching telemetry to it
   // must fail loudly rather than silently record nothing.
-  EXPECT_THROW(run_sk(sim::Engine::kEventQueue, 1,
-                      obs::Telemetry::create(sampling_config(16))),
+  hypergraph::StackKautz sk(4, 3, 2);
+  routing::StackKautzRouter router(sk);
+  sim::RoutingHooks hooks;
+  hooks.next_coupler = [&](hypergraph::Node c, hypergraph::Node d) {
+    return router.next_coupler(c, d);
+  };
+  hooks.relay_on = [&](hypergraph::HyperarcId h, hypergraph::Node d) {
+    return router.relay_on(h, d);
+  };
+  sim::SimConfig config;
+  config.warmup_slots = kWarmup;
+  config.measure_slots = kMeasure;
+  config.telemetry = obs::Telemetry::create(sampling_config(16));
+  sim::UniformTraffic traffic(sk.processor_count(), 0.35);
+  EXPECT_THROW((void)sim::run_reference(sk.stack(), hooks, traffic, config),
                core::Error);
 }
 

@@ -34,6 +34,7 @@
 #include "routing/compressed_routes.hpp"
 #include "sim/experiment.hpp"
 #include "sim/ops_network.hpp"
+#include "sim/reference.hpp"
 #include "sim/traffic.hpp"
 #include "workload/kernels.hpp"
 #include "workload/schedule_workload.hpp"
@@ -404,9 +405,20 @@ TEST(WorkloadConfigTest, RejectsUnsupportedConfigurations) {
         config);
   };
   {
+    // The event-queue reference has no delivery feedback.
     sim::SimConfig config;
-    config.engine = sim::Engine::kEventQueue;
-    EXPECT_THROW(make(config), core::Error);  // no delivery feedback
+    config.workload = gather_incast(pops.processor_count(), 0);
+    sim::RoutingHooks hooks;
+    hooks.next_coupler = [&](hypergraph::Node v, hypergraph::Node d) {
+      return routes->next_coupler(v, d);
+    };
+    hooks.relay_on = [&](hypergraph::HyperarcId h, hypergraph::Node d) {
+      return routes->relay(h, d);
+    };
+    sim::UniformTraffic traffic(pops.processor_count(), 0.0);
+    EXPECT_THROW(
+        (void)sim::run_reference(pops.stack(), hooks, traffic, config),
+        core::Error);
   }
   {
     sim::SimConfig config;
