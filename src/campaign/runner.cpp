@@ -310,12 +310,13 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   std::mutex emit_mutex;
   std::map<std::size_t, EmitEntry> ready;
   std::size_t next_emit = 0;
-  // Set under emit_mutex; cells that have not started yet read it
-  // without the lock and skip their simulation.
-  std::atomic<bool> emit_failed{false};
+  // Set when a cell or an output fails: the run is lost, so cells that
+  // have not started read it without the lock and skip their simulation,
+  // and nothing more is emitted.
+  std::atomic<bool> stopped{false};
   std::int64_t interrupted_cells = 0;
   auto emit_ready = [&]() {
-    while (!emit_failed && !ready.empty() &&
+    while (!stopped && !ready.empty() &&
            ready.begin()->first == next_emit) {
       const EmitEntry& entry = ready.begin()->second;
       if (entry.interrupted) {
@@ -335,7 +336,7 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
           // An output failed mid-cell: emit nothing more, so no later
           // completion writes this cell's rows again and the outputs
           // stay a prefix of the expansion order.
-          emit_failed = true;
+          stopped = true;
           throw;
         }
       }
@@ -406,9 +407,9 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   std::exception_ptr run_error;
   try {
     pool.run(pending.size(), [&](std::size_t i, std::size_t worker) {
-      // An output has failed: the run is lost, so the remaining cells
-      // are not simulated (and not counted as done).
-      if (emit_failed.load()) {
+      // A cell or an output has failed: the remaining cells are not
+      // simulated (and not counted as done).
+      if (stopped.load()) {
         return;
       }
       const CampaignCell& cell = *pending[i];
@@ -434,9 +435,16 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
         rt = obs::RuntimeStats::attach(rt_writer, cell.id);
       }
       const std::string ckpt_path = cell_checkpoint_path(cell);
-      CellResult result = simulate_cell(
-          spec_, *topologies.at(cell.topology), cell, std::move(tel), rt,
-          ckpt_path, options.resume, options.checkpoint_stop);
+      CellResult result;
+      try {
+        result = simulate_cell(spec_, *topologies.at(cell.topology), cell,
+                               std::move(tel), rt, ckpt_path, options.resume,
+                               options.checkpoint_stop);
+      } catch (...) {
+        stopped = true;
+        busy_workers.fetch_sub(1, std::memory_order_relaxed);
+        throw;
+      }
       if (rt != nullptr) {
         const obs::RuntimeStats::StallSummary stall = rt->stall_summary();
         rt->finish();

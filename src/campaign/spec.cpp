@@ -1,5 +1,6 @@
 #include "campaign/spec.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <sstream>
@@ -13,12 +14,19 @@
 #include "hypergraph/pops.hpp"
 #include "hypergraph/stack_imase_itoh.hpp"
 #include "hypergraph/stack_kautz.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace otis::campaign {
 
 namespace {
 
 std::atomic<std::int64_t> g_compile_count{0};
+
+/// `path` without its directories.
+std::string trace_basename(const std::string& path) {
+  const std::size_t sep = path.find_last_of("/\\");
+  return sep == std::string::npos ? path : path.substr(sep + 1);
+}
 
 sim::Arbitration parse_arbitration(const std::string& name) {
   if (name == "token") {
@@ -375,16 +383,10 @@ std::string WorkloadSpec::label() const {
     case WorkloadKind::kGather:
       os << "gather(r" << root << ")";
       return os.str();
-    case WorkloadKind::kTrace: {
+    case WorkloadKind::kTrace:
       // Basename only: the ID must not change when the campaign's
       // working directory does.
-      const std::size_t sep = trace_file.find_last_of("/\\");
-      os << "trace("
-         << (sep == std::string::npos ? trace_file
-                                      : trace_file.substr(sep + 1))
-         << ")";
-      return os.str();
-    }
+      return "trace(" + trace_basename(trace_file) + ")";
   }
   return workload_kind_name(kind);
 }
@@ -397,6 +399,16 @@ void WorkloadSpec::validate() const {
   if (kind == WorkloadKind::kTrace) {
     OTIS_REQUIRE(!trace_file.empty(),
                  "WorkloadSpec: trace workloads need a file");
+    // The basename goes into cell ids, which manifest.txt keeps one per
+    // line.
+    const std::string base = trace_basename(trace_file);
+    OTIS_REQUIRE(std::none_of(base.begin(), base.end(),
+                              [](unsigned char c) {
+                                return c < 0x20 || c == 0x7f;
+                              }),
+                 "WorkloadSpec: trace file name \"" +
+                     obs::detail::json_escaped(trace_file) +
+                     "\" holds a control character");
   }
 }
 

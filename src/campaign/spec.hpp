@@ -225,7 +225,7 @@ struct WorkloadSpec {
   [[nodiscard]] std::string label() const;
 
   /// Throws core::Error on out-of-range shape values (kTrace requires a
-  /// non-empty file).
+  /// non-empty file whose basename holds no control character).
   void validate() const;
 
   [[nodiscard]] bool operator==(const WorkloadSpec&) const noexcept = default;

@@ -181,14 +181,13 @@ struct Shard : Sched::ShardState {
 
 /// The shards of `plan`: masks over their own couplers (plus gated
 /// request words when `gated`), one outbox per shard, snapshots for
-/// `window` slots, latency buffers sized for an even share of
-/// `delivery_bound` samples, and each shard's queues growing in its
-/// own pool of `voq`.
+/// `window` slots, sketch latency stats when `sketch`, and each shard's
+/// queues growing in its own pool of `voq`.
 template <class Sched>
 std::vector<Shard<Sched>> make_shards(
     const detail::ShardPlan& plan, const detail::FeedIndex& feed,
     const std::vector<std::int64_t>& voq_base, typename Sched::Arena& voq,
-    bool sketch, std::int64_t delivery_bound, bool gated, SimTime window) {
+    bool sketch, bool gated, SimTime window) {
   const std::size_t threads = plan.couplers.size();
   std::vector<Shard<Sched>> shards(threads);
   std::int64_t covered = 0;  ///< end of the previous shard's couplers
@@ -210,9 +209,6 @@ std::vector<Shard<Sched>> make_shards(
     if (sketch) {
       shard.latency.use_sketch();
     }
-    shard.latency.reserve(std::min(
-        delivery_bound / static_cast<std::int64_t>(threads) + 1,
-        kLatencyReserveCap));
     for (std::int64_t qi =
              voq_base[static_cast<std::size_t>(shard.node_begin)];
          qi < voq_base[static_cast<std::size_t>(shard.node_end)]; ++qi) {
@@ -544,22 +540,16 @@ struct Steps {
   }
 };
 
-/// Adds every shard's counters to `metrics` (order-independent); the
-/// run's `last` fold takes over a shard's latency samples, instead of
-/// copying them, while `metrics` holds none.
+/// Adds every shard's counters to `metrics` (order-independent).
 template <class ShardT>
-void fold(std::vector<ShardT>& shards, RunMetrics& metrics, bool last) {
-  for (ShardT& shard : shards) {
+void fold(const std::vector<ShardT>& shards, RunMetrics& metrics) {
+  for (const ShardT& shard : shards) {
     metrics.offered_packets += shard.offered;
     metrics.delivered_packets += shard.delivered;
     metrics.dropped_packets += shard.dropped;
     metrics.coupler_transmissions += shard.transmissions;
     metrics.collisions += shard.collisions;
-    if (last && metrics.latency.count() == 0) {
-      metrics.latency = std::move(shard.latency);
-    } else {
-      metrics.latency.merge(shard.latency);
-    }
+    metrics.latency.merge(shard.latency);
   }
 }
 
@@ -666,11 +656,7 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
            static_cast<std::size_t>(threads));
   std::vector<ShardT> shards = make_shards<Sched>(
       plan, feed, voq_base, voq,
-      resolve_latency_sketch(config.latency_mode, nodes),
-      load != nullptr
-          ? workload_ids
-          : std::min(config.measure_slots, kLatencyReserveCap) * nodes,
-      gated, window);
+      resolve_latency_sketch(config.latency_mode, nodes), gated, window);
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes));
   const Steps<Routes, Sched> steps{
       .routes = routes, .feed = feed, .voq_base = voq_base,
@@ -766,7 +752,7 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
     out.put_i64_vec(token);
     out.put_i64_vec(retune);
     RunMetrics folded;
-    fold(shards, folded, false);
+    fold(shards, folded);
     out.put_i64(folded.offered_packets);
     out.put_i64(folded.delivered_packets);
     out.put_i64(folded.dropped_packets);
@@ -838,6 +824,8 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
                    "checkpoint: a latency exceeds the elapsed slots");
       OTIS_REQUIRE(s0.latency.count() == 0 || s0.latency.percentile(0.0) >= 1,
                    "checkpoint: a latency is below one slot");
+      OTIS_REQUIRE(s0.latency.count() <= s0.delivered,
+                   "checkpoint: more latencies than deliveries");
       coupler_success = in.get_i64_vec();
       OTIS_REQUIRE(
           coupler_success.size() == static_cast<std::size_t>(couplers),
@@ -1134,7 +1122,7 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
 
   RunMetrics metrics;
   metrics.slots = load != nullptr ? win_begin : config.measure_slots;
-  fold(shards, metrics, true);
+  fold(shards, metrics);
   SimTime makespan_tick = 0;
   for (const ShardT& shard : shards) {
     makespan_tick = std::max(makespan_tick, shard.makespan_tick);

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <vector>
 
 namespace otis::core {
@@ -15,28 +16,27 @@ class BlobReader;
 
 namespace otis::sim {
 
-/// Cap on up-front LatencyStats reservations (8 MiB of samples). The
-/// engines reserve min(delivery bound, cap): the bound is measure_slots
-/// (clamped to the cap, so the product cannot overflow) x nodes (or the
-/// workload's packet count), which over-states real
-/// delivery counts by 1/load or more, so the cap keeps huge cells from
-/// paying for memory they will never touch while still giving the
-/// common case a reallocation-free hot loop.
-inline constexpr std::int64_t kLatencyReserveCap = std::int64_t{1} << 20;
+/// Exact sum of int64 latencies: no multiset of at most 2^63 of them
+/// overflows it.
+__extension__ typedef __int128 LatencySum;
 
-/// Online latency statistics: full-sample percentiles by default, or a
-/// fixed-footprint HDR-style sketch when use_sketch() is called.
+/// Online latency statistics: a count per bucket key, exact by default,
+/// or a fixed-footprint HDR-style sketch once use_sketch() is called.
+/// The two modes differ only in how a value maps to its key.
 ///
-/// Full mode stores every sample -- O(delivered packets) memory, exact
-/// percentiles. Sketch mode keeps log-spaced buckets with
-/// kSketchSubBits sub-buckets per octave: values below 2^kSketchSubBits
-/// land in exact unit buckets, larger values share a bucket with
-/// relative width 2^-kSketchSubBits, so percentile() answers within a
-/// 1/32 relative error bound in ~15 KiB regardless of how many packets
-/// were delivered (the 10^6-node cells' requirement). The count, sum
-/// (hence mean), min and max are tracked exactly in both modes, and
-/// merge() stays an order-independent fold, so the sharded engines'
-/// per-worker stats fold identically whichever mode is active.
+/// Exact mode keys a value by itself. Keys in [0, kDenseKeys) are counted
+/// in a dense array that grows to the largest one seen; any other value
+/// (negative, or 2^16 slots and more) goes to a sorted sparse map. So
+/// every int64 multiset is kept exactly, in O(min(max latency, 2^16) +
+/// distinct outliers) memory whatever the number of deliveries. Sketch
+/// mode keys a value by its log-spaced bucket, kSketchSubBits sub-buckets
+/// per octave: values below 2^kSketchSubBits land in exact unit buckets,
+/// larger values share a bucket with relative width 2^-kSketchSubBits,
+/// so percentile() answers within a 1/32 relative error bound in at most
+/// ~15 KiB (the 10^6-node cells' requirement). The count, sum (hence
+/// mean), min and max are tracked exactly in both modes, and merge() is
+/// an order-independent fold, so the sharded engines' per-worker stats
+/// fold identically whichever mode is active.
 class LatencyStats {
  public:
   /// Sub-bucket resolution: 2^5 = 32 sub-buckets per octave, bounding
@@ -48,65 +48,70 @@ class LatencyStats {
       std::size_t{64 - kSketchSubBits} << kSketchSubBits;
   /// The sketch's worst-case relative percentile error.
   static constexpr double kSketchRelativeError = 1.0 / 32.0;
+  /// Exact-mode values in [0, kDenseKeys) are counted in the dense array.
+  static constexpr std::int64_t kDenseKeys = std::int64_t{1} << 16;
 
   /// Inline: called once per delivered packet in every engine hot loop
-  /// (one predictable mode branch).
+  /// (one predictable mode branch and, once the array has grown, one
+  /// predictable range branch).
   void record(std::int64_t latency_slots) {
-    if (sketch_) {
-      record_sketch(latency_slots);
-      return;
-    }
-    samples_.push_back(latency_slots);
+    add(sketch_ ? static_cast<std::int64_t>(bucket_index(latency_slots))
+                : latency_slots,
+        1);
+    ++count_;
+    sum_ += latency_slots;
+    min_ = std::min(min_, latency_slots);
+    max_ = std::max(max_, latency_slots);
   }
 
-  /// Switches to sketch mode (idempotent). Any samples recorded so far
-  /// are folded into the buckets; engines call this before recording.
+  /// Switches to sketch mode (idempotent). Any values recorded so far
+  /// are re-keyed into the buckets; engines call this before recording.
   void use_sketch();
 
   [[nodiscard]] bool sketch() const noexcept { return sketch_; }
 
-  /// Pre-sizes the sample buffer so the hot loop's record() never
-  /// reallocates mid-run; engines call this once with their delivery
-  /// bound clamped to kLatencyReserveCap. A no-op in sketch mode (the
-  /// buckets are the whole footprint).
-  void reserve(std::int64_t samples) {
-    if (!sketch_ && samples > 0) {
-      samples_.reserve(static_cast<std::size_t>(samples));
-    }
-  }
-
   /// Folds `other` into this (used to fold per-shard stats). Every
   /// statistic below depends only on the recorded multiset -- the mean
-  /// is an exact integer sum, full-mode percentiles select, sketch-mode
-  /// percentiles walk cumulative bucket counts -- so merged results are
-  /// identical for any merge order. Mixed-mode merges promote this
-  /// object to a sketch first.
+  /// is an exact integer sum, percentiles walk cumulative counts -- so
+  /// merged results are identical for any merge order. Mixed-mode
+  /// merges promote this object to a sketch first.
   void merge(const LatencyStats& other);
 
-  [[nodiscard]] std::int64_t count() const noexcept { return count_impl(); }
+  [[nodiscard]] std::int64_t count() const noexcept { return count_; }
   [[nodiscard]] double mean() const;
   [[nodiscard]] std::int64_t max() const;
-  /// q in [0, 1]; nearest-rank percentile. 0 samples -> 0. Full mode
-  /// answers in linear time (nth_element over the samples, which it may
-  /// reorder; min/max scans at q <= 0 and q >= 1), so emitting a cell
-  /// never sorts its whole delivery record. In sketch mode the result is
-  /// the containing bucket's lower bound clamped to [min, max]: never
-  /// above the exact value, and within kSketchRelativeError of it
-  /// relative.
+  /// q in [0, 1]; nearest-rank percentile (rank round(q * (count - 1))
+  /// of the sorted values, min at q <= 0, max at q >= 1). 0 values -> 0.
+  /// A walk over the cumulative counts that changes nothing. In sketch
+  /// mode the result is the containing bucket's lower bound clamped to
+  /// [min, max]: never above the exact value, and within
+  /// kSketchRelativeError of it relative.
   [[nodiscard]] std::int64_t percentile(double q) const;
 
-  /// Checkpoint support: byte-stable state round-trip (mode included).
+  /// Checkpoint support: mode byte, count, sum (low then high word),
+  /// min, max, then the occupied keys' count and (key, count) pairs in
+  /// ascending key order. deserialize() throws core::Error on a payload
+  /// no sequence of record() calls could have left.
   void serialize(core::BlobWriter& out) const;
   void deserialize(core::BlobReader& in);
 
  private:
-  void record_sketch(std::int64_t v) {
-    ++buckets_[bucket_index(v)];
-    ++sketch_count_;
-    sketch_sum_ += v;
-    sketch_min_ = std::min(sketch_min_, v);
-    sketch_max_ = std::max(sketch_max_, v);
+  void add(std::int64_t key, std::int64_t n) {
+    const auto at = static_cast<std::uint64_t>(key);
+    if (at < dense_.size()) {
+      dense_[at] += n;
+      return;
+    }
+    add_outside(key, n);
   }
+
+  /// Grows the dense array to cover `key`, or counts it in the sparse map.
+  void add_outside(std::int64_t key, std::int64_t n);
+
+  /// Calls visit(key, count) for every occupied key in ascending order
+  /// until it returns true.
+  template <class Visit>
+  void for_each_key(Visit&& visit) const;
 
   /// Log-linear bucket of nonnegative `v` (negatives clamp to 0):
   /// exact below 2^kSketchSubBits, then kSketchSubBits mantissa bits.
@@ -134,18 +139,13 @@ class LatencyStats {
         (static_cast<std::uint64_t>(off) << (block - 1)));
   }
 
-  [[nodiscard]] std::int64_t count_impl() const noexcept {
-    return sketch_ ? sketch_count_
-                   : static_cast<std::int64_t>(samples_.size());
-  }
-
-  mutable std::vector<std::int64_t> samples_;  ///< order is unspecified
   bool sketch_ = false;
-  std::vector<std::int64_t> buckets_;  ///< kSketchBuckets when sketching
-  std::int64_t sketch_count_ = 0;
-  std::int64_t sketch_sum_ = 0;
-  std::int64_t sketch_min_ = std::numeric_limits<std::int64_t>::max();
-  std::int64_t sketch_max_ = std::numeric_limits<std::int64_t>::min();
+  std::vector<std::int64_t> dense_;  ///< count per key in [0, size)
+  std::map<std::int64_t, std::int64_t> sparse_;  ///< exact mode's outliers
+  std::int64_t count_ = 0;
+  LatencySum sum_ = 0;
+  std::int64_t min_ = std::numeric_limits<std::int64_t>::max();
+  std::int64_t max_ = std::numeric_limits<std::int64_t>::min();
 };
 
 /// Aggregate counters of one simulation run.

@@ -249,16 +249,11 @@ RunMetrics OpsNetworkSim::run() {
           TimingModel::compile(network_, config_.timing));
     }
   }
-  const RunMetrics metrics =
-      compressed_routes_ != nullptr
-          ? run_engine(network_, *compressed_routes_, *traffic_, config_,
-                       timing.get(), coupler_success_)
-          : run_engine(network_, *routes_, *traffic_, config_, timing.get(),
-                       coupler_success_);
-  // A copy sizes the latency samples to the deliveries: the engine's
-  // buffer, reserved for the delivery bound, is freed here and never
-  // held by the results a campaign keeps until it emits.
-  return RunMetrics(metrics);
+  return compressed_routes_ != nullptr
+             ? run_engine(network_, *compressed_routes_, *traffic_, config_,
+                          timing.get(), coupler_success_)
+             : run_engine(network_, *routes_, *traffic_, config_,
+                          timing.get(), coupler_success_);
 }
 
 }  // namespace otis::sim

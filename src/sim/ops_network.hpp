@@ -196,24 +196,21 @@ inline constexpr std::int64_t kAutoRouteTableNodes = 2048;
   return table;
 }
 
-/// How per-packet latency samples are stored (see LatencyStats). Both
-/// modes report identical count/sum/mean/min/max; percentiles from the
-/// sketch carry a bounded relative error (<= LatencyStats::
+/// How packet latencies are counted (see LatencyStats). Both modes
+/// report identical count/sum/mean/min/max; percentiles from the sketch
+/// carry a bounded relative error (<= LatencyStats::
 /// kSketchRelativeError) instead of being exact.
 enum class LatencyMode {
-  kFull,    ///< every sample retained; exact percentiles; O(delivered) memory
+  kFull,    ///< exact histogram; memory O(min(max latency, 2^16) + outliers)
   kSketch,  ///< log-spaced bucket sketch; O(1) memory per cell
   kAuto,    ///< sketch at/above kAutoLatencySketchNodes nodes, else full
 };
 
 [[nodiscard]] const char* latency_mode_name(LatencyMode mode);
 
-/// Node count at which LatencyMode::kAuto flips from full samples to the
-/// sketch. Below it a measured window's samples are a few MB at most and
-/// exact percentiles are worth keeping (and existing outputs stay
-/// byte-identical); above it sample storage scales with delivered
-/// packets -- hundreds of MB per cell at N ~ 10^5 -- while the sketch
-/// stays at a fixed ~15 KiB.
+/// Node count at which LatencyMode::kAuto flips from the exact histogram
+/// to the sketch. Cells from this size up keep the sketch's percentiles,
+/// so their outputs stay byte-identical to the runs that recorded them.
 inline constexpr std::int64_t kAutoLatencySketchNodes = 32768;
 
 /// True when `mode` resolved against a concrete node count selects the
@@ -271,11 +268,9 @@ struct SimConfig {
   /// (<= 0 means hardware concurrency). The serial engines ignore it
   /// and run one shard. Results never depend on this value.
   int threads = 1;
-  /// Latency-sample representation (LatencyStats full samples vs the
+  /// Latency representation (LatencyStats' exact histogram vs the
   /// log-bucket sketch). kAuto flips to the sketch at
-  /// kAutoLatencySketchNodes so small runs keep exact percentiles and
-  /// byte-identical outputs while N ~ 10^5+ cells stop scaling memory
-  /// with delivered-packet count. Never changes which packets are
+  /// kAutoLatencySketchNodes. Never changes which packets are
   /// simulated -- only how their latencies are aggregated.
   LatencyMode latency_mode = LatencyMode::kAuto;
   /// Intra-run checkpointing (sim/checkpoint.hpp): when

@@ -474,6 +474,37 @@ TEST(CampaignRunnerTest, FailedOutputStopsTheGrid) {
   EXPECT_EQ(cells.size(), 1u);
 }
 
+TEST(CampaignRunnerTest, FailedCellStopsTheGrid) {
+  // A 48-node trace cannot run on POPS(6,12)'s 72 nodes, so its first
+  // cell throws. The run is lost: on one worker no SK(4,3,2) cell after
+  // it is simulated, so none samples the timeseries.
+  workload::Trace trace;
+  trace.nodes = 48;  // SK(4,3,2)
+  trace.entries = {{0, 0, 7}, {0, 3, 12}, {1, 5, 2}, {4, 23, 11}};
+  ScratchDir dir("cell-throws");
+  const std::string trace_path = (dir.path() / "sk.trace").string();
+  trace.save_binary(trace_path);
+  CampaignSpec spec;
+  spec.name = "cell-throws";
+  spec.topologies = {TopologySpec::pops(6, 12),
+                     TopologySpec::stack_kautz(4, 3, 2)};
+  spec.loads = {0.0};
+  spec.seeds = {1, 2, 3, 4, 5, 6};
+  campaign::WorkloadSpec entry{campaign::WorkloadKind::kTrace};
+  entry.trace_file = trace_path;
+  spec.workloads = {entry};
+  spec.telemetry.sample_period = 1;
+  spec.telemetry.timeseries_path = "timeseries.jsonl";
+  CampaignOptions options;
+  options.threads = 1;
+  options.out_dir = dir.path().string();
+  EXPECT_THROW(CampaignRunner(spec).run(options), core::Error);
+  std::istringstream rows(read_file(dir.path() / "timeseries.jsonl"));
+  for (std::string row; std::getline(rows, row);) {
+    EXPECT_EQ(row.find("SK(4,3,2)"), std::string::npos) << row;
+  }
+}
+
 TEST(CampaignRunnerTest, ResultsJsonlEscapesItsStrings) {
   // A trace file named with a quote puts the quote into cell_id and
   // workload; every results.jsonl row must still parse, with its cell's
@@ -1105,6 +1136,24 @@ TEST(CampaignWorkloadTest, ParsesWorkloadsJsonAndRejectsBadSpecs) {
     "topologies": [{"kind": "pops", "t": 4, "g": 6}],
     "workloads": [{"kind": "trace"}]})json"),
                core::Error);
+  // A control character in the file's basename would split the cell's
+  // manifest.txt line, so --resume could not find it; the error names
+  // the file.
+  try {
+    (void)campaign::parse_campaign_spec(R"json({
+      "topologies": [{"kind": "pops", "t": 4, "g": 6}],
+      "workloads": [{"kind": "trace", "file": "a\nb.trace"}]})json");
+    ADD_FAILURE() << "a newline in a trace file name was accepted";
+  } catch (const core::Error& error) {
+    EXPECT_NE(std::string(error.what()).find("a\\nb.trace"),
+              std::string::npos)
+        << error.what();
+  }
+  campaign::WorkloadSpec control{campaign::WorkloadKind::kTrace};
+  control.trace_file = "dir\x01/ok\x7f.trace";
+  EXPECT_THROW(control.validate(), core::Error);
+  control.trace_file = "dir\x01/ok.trace";  // directories may hold them
+  EXPECT_NO_THROW(control.validate());
   // Schedule kernels cannot run on stack-Imase-Itoh topologies.
   EXPECT_THROW(campaign::parse_campaign_spec(R"json({
     "topologies": [{"kind": "stack_imase_itoh", "s": 4, "d": 2, "n": 12}],

@@ -17,8 +17,8 @@
 //  - a damaged blob (truncated, a flipped byte, a wrong version) never
 //    resumes with different numbers on any engine, and a blob whose
 //    checksum holds but whose queued destination or round-robin token
-//    is out of range, or whose largest latency exceeds its next slot,
-//    throws;
+//    is out of range, or whose latencies exceed its next slot or its
+//    deliveries, throws;
 //  - path-less checkpoint configs are rejected at construction, and
 //    the event-queue reference refuses checkpointing.
 
@@ -31,6 +31,7 @@
 #include <sstream>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "core/blob.hpp"
@@ -624,10 +625,65 @@ TEST(Checkpoint, OutOfRangeTokenThrows) {
   }
 }
 
+/// The latency payload of a blob, after its mode byte: count, sum (low
+/// then high word), min, max, then (key, count) pairs.
+struct LatencyPayload {
+  std::int64_t count = 0;
+  sim::LatencySum sum = 0;
+  std::int64_t min = 0;
+  std::int64_t max = 0;
+  std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
+
+  explicit LatencyPayload(core::BlobReader& in) {
+    count = in.get_i64();
+    sum = static_cast<sim::LatencySum>(in.get_u64());
+    sum += sim::LatencySum{in.get_i64()} << 64;
+    min = in.get_i64();
+    max = in.get_i64();
+    pairs.resize(in.get_u64());
+    for (auto& [key, n] : pairs) {
+      key = in.get_i64();
+      n = in.get_i64();
+    }
+  }
+
+  /// Exact mode: the sum and range of the pairs.
+  void recount() {
+    sum = 0;
+    for (const auto& [key, n] : pairs) {
+      sum += sim::LatencySum{key} * n;
+    }
+    min = pairs.front().first;
+    max = pairs.back().first;
+  }
+
+  /// `blob` with the payload at [at, end) replaced by this one, resealed.
+  [[nodiscard]] std::string spliced(const std::string& blob, std::size_t at,
+                                    std::size_t end) const {
+    core::BlobWriter out;
+    out.put_i64(count);
+    out.put_u64(static_cast<std::uint64_t>(sum));
+    out.put_i64(static_cast<std::int64_t>(sum >> 64));
+    out.put_i64(min);
+    out.put_i64(max);
+    out.put_u64(pairs.size());
+    for (const auto& [key, n] : pairs) {
+      out.put_i64(key);
+      out.put_i64(n);
+    }
+    std::string edited = blob.substr(0, at);
+    edited.append(out.bytes().begin(), out.bytes().end());
+    edited += blob.substr(end);
+    reseal(edited);
+    return edited;
+  }
+};
+
 TEST(Checkpoint, LatencyBeyondTheElapsedSlotsThrows) {
   // A packet delivered in slot t < next slot waited at least one and at
-  // most t + 1 slots. A blob whose first latency sample is edited past
-  // the next slot or below one slot, or whose first sketch bucket index
+  // most t + 1 slots. A blob whose largest latency is edited past the
+  // next slot, or whose smallest is edited below one slot, or that claims
+  // more latencies than deliveries, or whose largest sketch bucket index
   // is edited past the sketch, with its checksum recomputed, must throw
   // core::Error on restore.
   ScratchDir scratch("latency");
@@ -667,35 +723,41 @@ TEST(Checkpoint, LatencyBeyondTheElapsedSlotsThrows) {
 
     std::int64_t next_slot = 0;
     core::BlobReader in = drill_to_latency(sim::LatencyMode::kFull, next_slot);
-    ASSERT_GT(in.get_u64(), 0u) << "the drill must have delivered packets";
     const std::size_t at = in.position();
-    std::string stretched = blob;
-    overwrite_i64(stretched, at, next_slot);
-    reseal(stretched);
-    write_bytes(resume.path, stretched);
+    const LatencyPayload drilled(in);
+    const std::size_t end = in.position();
+    ASSERT_FALSE(drilled.pairs.empty())
+        << "the drill must have delivered packets";
+    const auto resume_with = [&](LatencyPayload payload) {
+      payload.recount();
+      write_bytes(resume.path, payload.spliced(blob, at, end));
+      (void)run_sk(engine, 1, resume);
+    };
     // A latency equal to the next slot is possible; one more is not.
-    EXPECT_NO_THROW(run_sk(engine, 1, resume));
-    overwrite_i64(blob, at, next_slot + 1);
-    reseal(blob);
-    write_bytes(resume.path, blob);
-    EXPECT_THROW(run_sk(engine, 1, resume), core::Error);
+    LatencyPayload edited = drilled;
+    edited.pairs.back().first = next_slot;
+    EXPECT_NO_THROW(resume_with(edited));
+    edited.pairs.back().first = next_slot + 1;
+    EXPECT_THROW(resume_with(edited), core::Error);
     // Nor is a latency below one slot.
-    overwrite_i64(blob, at, 0);
-    reseal(blob);
-    write_bytes(resume.path, blob);
-    EXPECT_THROW(run_sk(engine, 1, resume), core::Error);
+    edited = drilled;
+    edited.pairs.front().first = 0;
+    EXPECT_THROW(resume_with(edited), core::Error);
+    // Nor 2^62 latencies of one slot, whose payload is consistent.
+    edited = drilled;
+    edited.count = std::int64_t{1} << 62;
+    edited.pairs = {{1, edited.count}};
+    EXPECT_THROW(resume_with(edited), core::Error);
 
-    // Sketch mode: count, sum, min, max and the occupied-bucket count,
-    // then (index, count) per occupied bucket.
+    // Sketch mode: the same layout, keyed by bucket index.
     in = drill_to_latency(sim::LatencyMode::kSketch, next_slot);
-    for (int i = 0; i < 4; ++i) {
-      (void)in.get_i64();
-    }
-    ASSERT_GT(in.get_i64(), 0) << "the drill must have delivered packets";
-    overwrite_i64(blob, in.position(),
-                  static_cast<std::int64_t>(sim::LatencyStats::kSketchBuckets));
-    reseal(blob);
-    write_bytes(resume.path, blob);
+    const std::size_t sketch_at = in.position();
+    LatencyPayload sketch(in);
+    ASSERT_FALSE(sketch.pairs.empty())
+        << "the drill must have delivered packets";
+    sketch.pairs.back().first =
+        static_cast<std::int64_t>(sim::LatencyStats::kSketchBuckets);
+    write_bytes(resume.path, sketch.spliced(blob, sketch_at, in.position()));
     RunOptions sketch_resume = resume;
     sketch_resume.latency = sim::LatencyMode::kSketch;
     EXPECT_THROW(run_sk(engine, 1, sketch_resume), core::Error);

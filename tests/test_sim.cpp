@@ -145,9 +145,9 @@ std::int64_t sorted_nearest_rank(std::vector<std::int64_t> values, double q) {
   return values[std::min(rank, values.size() - 1)];
 }
 
-/// Full-mode percentile() selects instead of sorting and reorders the
-/// samples as it goes; every answer must still be the sorted nearest
-/// rank, whatever was queried, recorded or merged before it.
+/// Exact-mode percentile() walks a histogram instead of sorting; every
+/// answer must still be the sorted nearest rank, whatever was queried,
+/// recorded or merged before it.
 TEST(LatencyStats, FullModePercentileIsSortedNearestRank) {
   const double quantiles[] = {0.0, 0.05, 0.5, 0.95, 1.0};
   core::Rng rng(2026);
@@ -162,8 +162,7 @@ TEST(LatencyStats, FullModePercentileIsSortedNearestRank) {
                               const std::vector<std::int64_t>& values) {
     ASSERT_EQ(stats.count(), static_cast<std::int64_t>(values.size()));
     EXPECT_EQ(stats.max(), *std::max_element(values.begin(), values.end()));
-    // Forward, then backward: each query starts from the order the
-    // previous selection left behind.
+    // Forward, then backward: no query may disturb the next.
     for (const double q : quantiles) {
       EXPECT_EQ(stats.percentile(q), sorted_nearest_rank(values, q))
           << "q=" << q;
