@@ -38,7 +38,9 @@ growth within its KiB budget). An async_parallel_pass or
 route_compile_pass of null means the host could not judge the 8-thread
 bar (too few cores); a memory_pass of null means /proc/self/status was
 unavailable -- null verdicts only warn. Exit status is also 1 when the
-*current* file is missing/unreadable.
+*current* file is missing, unreadable, not a JSON object or nested
+deeper than Python's parser recurses; a previous file in that state
+counts as no previous results.
 """
 
 import argparse
@@ -47,8 +49,16 @@ import sys
 
 
 def load_doc(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON object in `path`; ValueError when the file is not one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except RecursionError as exc:
+        raise ValueError(f"nested too deeply ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"top level is a JSON {type(doc).__name__}, "
+                         "not an object")
+    return doc
 
 
 def host_label(doc):
@@ -61,10 +71,11 @@ def host_label(doc):
 
 
 def results_by_key(doc):
-    return {
-        (r["topology"], r["arbitration"], r["engine"]): r
-        for r in doc.get("results", [])
-    }
+    rows = doc.get("results", [])
+    if not isinstance(rows, list) or not all(isinstance(r, dict)
+                                             for r in rows):
+        raise ValueError("\"results\" is not a list of objects")
+    return {(r["topology"], r["arbitration"], r["engine"]): r for r in rows}
 
 
 def overhead_contradictions(doc):
@@ -224,15 +235,16 @@ def main():
         current_doc = load_doc(args.current)
         current = results_by_key(current_doc)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"compare_bench: cannot read current results: {exc}")
+        print(f"compare_bench: cannot read current results from "
+              f"{args.current}: {exc}")
         return 1
 
     try:
         previous_doc = load_doc(args.previous)
         previous = results_by_key(previous_doc)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"compare_bench: no previous results ({exc}); "
-              "nothing to compare -- first run on this branch?")
+        print(f"compare_bench: no previous results in {args.previous} "
+              f"({exc}); nothing to compare -- first run on this branch?")
         return enforce_acceptance(current_doc)
 
     # Wall-clock and memory rows only mean something between runs on one

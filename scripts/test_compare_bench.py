@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Tests for compare_bench.py's host matching, on small hand-made files.
+"""Tests for compare_bench.py's host matching and its refusal of
+malformed files, on small hand-made files.
 
 Run: python3 scripts/test_compare_bench.py (ctest runs it as
 test_compare_bench).
@@ -75,6 +76,43 @@ class CompareBenchHosts(unittest.TestCase):
             self.assertIn("an unknown host", out)
             self.assertNotIn("title=Perf regression", out)
             self.assertNotIn("title=Memory regression", out)
+
+
+class CompareBenchMalformedFiles(unittest.TestCase):
+    """A file that is no BENCH document ends in a message naming it,
+    never a traceback: exit 1 as the current file, and "no previous
+    results" as the previous one."""
+
+    MALFORMED = {
+        "deep.json": "[" * 200_000 + "]" * 200_000,
+        "list.json": json.dumps([bench(HOST_A, 1000, 100, 5)]),
+    }
+
+    def run_script(self, previous, current):
+        return subprocess.run([sys.executable, str(SCRIPT), previous, current],
+                              capture_output=True, text=True, check=False)
+
+    def test_malformed_files_fail_with_a_message_naming_them(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            good = Path(tmp) / "good.json"
+            good.write_text(json.dumps(bench(HOST_A, 1000, 100, 5)),
+                            encoding="utf-8")
+            for name, text in self.MALFORMED.items():
+                with self.subTest(name):
+                    bad = Path(tmp) / name
+                    bad.write_text(text, encoding="utf-8")
+                    as_current = self.run_script(str(good), str(bad))
+                    out = as_current.stdout + as_current.stderr
+                    self.assertEqual(as_current.returncode, 1, out)
+                    self.assertIn(f"cannot read current results from {bad}",
+                                  out)
+                    self.assertNotIn("Traceback", out)
+
+                    as_previous = self.run_script(str(bad), str(good))
+                    out = as_previous.stdout + as_previous.stderr
+                    self.assertEqual(as_previous.returncode, 0, out)
+                    self.assertIn(f"no previous results in {bad}", out)
+                    self.assertNotIn("Traceback", out)
 
 
 if __name__ == "__main__":

@@ -489,13 +489,6 @@ void CampaignSpec::validate() const {
                "CampaignSpec: queue_capacity must be >= 0");
   OTIS_REQUIRE(checkpoint_every >= 0,
                "CampaignSpec: checkpoint_every must be >= 0");
-  OTIS_REQUIRE(hotspot_node >= 0, "CampaignSpec: hotspot_node must be >= 0");
-  OTIS_REQUIRE(hotspot_fraction >= 0.0 && hotspot_fraction <= 1.0,
-               "CampaignSpec: hotspot_fraction must lie in [0, 1]");
-  OTIS_REQUIRE(bursty_enter_on > 0.0 && bursty_enter_on <= 1.0,
-               "CampaignSpec: bursty_enter_on must lie in (0, 1]");
-  OTIS_REQUIRE(bursty_exit_on > 0.0 && bursty_exit_on <= 1.0,
-               "CampaignSpec: bursty_exit_on must lie in (0, 1]");
   for (const TrafficSpec& traffic : traffics) {
     traffic.validate();
   }
@@ -588,16 +581,12 @@ std::vector<T> number_or_sweep(const core::Json& node, const std::string& key,
   return values;
 }
 
-/// One "traffic" entry: a plain family name (shapes from the spec-level
-/// defaults) or a structured object whose shape values may be sweep
+/// One "traffic" entry: a plain family name (TrafficSpec's default
+/// shapes) or a structured object whose shape values may be sweep
 /// arrays -- each combination becomes its own axis entry.
-void parse_traffic_entry(const core::Json& node, const CampaignSpec& defaults,
+void parse_traffic_entry(const core::Json& node,
                          std::vector<TrafficSpec>& out) {
   TrafficSpec base;
-  base.hotspot_node = defaults.hotspot_node;
-  base.hotspot_fraction = defaults.hotspot_fraction;
-  base.bursty_enter_on = defaults.bursty_enter_on;
-  base.bursty_exit_on = defaults.bursty_exit_on;
   if (node.is_string()) {
     base.kind = parse_traffic_kind(node.as_string());
     out.push_back(base);
@@ -750,9 +739,7 @@ CampaignSpec spec_from_json(const core::Json& root) {
   reject_unknown_keys(root,
                       {"name", "topologies", "arbitrations", "traffic",
                        "loads", "wavelengths", "routes", "timings",
-                       "workloads", "seeds", "hotspot_node",
-                       "hotspot_fraction", "bursty_enter_on",
-                       "bursty_exit_on", "warmup_slots", "measure_slots",
+                       "workloads", "seeds", "warmup_slots", "measure_slots",
                        "queue_capacity", "engine", "engine_threads",
                        "latency_stats", "checkpoint_every",
                        "telemetry", "overrides"},
@@ -770,24 +757,15 @@ CampaignSpec spec_from_json(const core::Json& root) {
       spec.arbitrations.push_back(parse_arbitration(node.as_string()));
     }
   }
-  // Spec-level shape defaults must exist before traffic entries parse:
-  // plain-string entries inherit them.
-  spec.hotspot_node = root.int_or("hotspot_node", spec.hotspot_node);
-  spec.hotspot_fraction =
-      root.number_or("hotspot_fraction", spec.hotspot_fraction);
-  spec.bursty_enter_on =
-      root.number_or("bursty_enter_on", spec.bursty_enter_on);
-  spec.bursty_exit_on = root.number_or("bursty_exit_on", spec.bursty_exit_on);
-
   // "traffic" accepts one name, an array of names, and structured
   // objects with per-entry (sweepable) shape values.
   if (const core::Json* traffic = root.find("traffic")) {
     spec.traffics.clear();
     if (traffic->is_string()) {
-      parse_traffic_entry(*traffic, spec, spec.traffics);
+      parse_traffic_entry(*traffic, spec.traffics);
     } else {
       for (const core::Json& node : traffic->items()) {
-        parse_traffic_entry(node, spec, spec.traffics);
+        parse_traffic_entry(node, spec.traffics);
       }
     }
   }

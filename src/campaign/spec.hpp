@@ -273,14 +273,6 @@ struct CampaignSpec {
   std::vector<sim::TimingConfig> timings{sim::TimingConfig{}};
   std::vector<std::uint64_t> seeds{1};
 
-  /// Default shapes applied to traffic entries given as plain strings
-  /// in the JSON form ("traffic": ["hotspot"]); structured entries
-  /// carry their own shape values.
-  std::int64_t hotspot_node = 0;
-  double hotspot_fraction = 0.2;
-  double bursty_enter_on = 0.05;
-  double bursty_exit_on = 0.2;
-
   /// Per-cell simulator window (see SimConfig).
   std::int64_t warmup_slots = 200;
   std::int64_t measure_slots = 1000;
@@ -358,8 +350,6 @@ struct CampaignSpec {
 ///                 {"kind": "gather", "root": 0},
 ///                 {"kind": "trace", "file": "uniform.trace"}],
 ///   "seeds": [1, 2, 3],
-///   "hotspot_node": 0, "hotspot_fraction": 0.2,
-///   "bursty_enter_on": 0.05, "bursty_exit_on": 0.2,
 ///   "warmup_slots": 200, "measure_slots": 1000, "queue_capacity": 0,
 ///   "engine": "phased", "engine_threads": 1,
 ///   "latency_stats": "auto", "checkpoint_every": 0,

@@ -95,9 +95,16 @@ class JsonParser {
     skip_whitespace();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // Each level recurses once: bound it before the stack does.
+        if (++depth_ > Json::kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+               " levels");
+        }
+        Json value = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"':
         return parse_string_value();
       case 't':
@@ -344,6 +351,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 Json Json::parse(const std::string& text) {
@@ -355,7 +363,11 @@ Json Json::parse_file(const std::string& path) {
   OTIS_REQUIRE(in.good(), "Json::parse_file: cannot open " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return parse(buffer.str());
+  try {
+    return parse(buffer.str());
+  } catch (const Error& error) {
+    throw Error(path + ": " + error.what());
+  }
 }
 
 bool Json::as_bool() const {

@@ -11,7 +11,8 @@
 /// Supported: objects, arrays, strings (with the standard escapes and
 /// \uXXXX for the Basic Multilingual Plane), numbers (parsed as double;
 /// an integer literal that fits in int64 also keeps its exact value),
-/// booleans, null, and arbitrary whitespace. Malformed input throws
+/// booleans, null, and arbitrary whitespace. Malformed input, and
+/// arrays and objects nested deeper than Json::kMaxDepth, throw
 /// core::Error with a line/column position.
 
 #include <cstdint>
@@ -30,12 +31,16 @@ class Json {
   /// below return the first occurrence).
   using Member = std::pair<std::string, Json>;
 
+  /// Deepest nesting of arrays and objects a document may have.
+  static constexpr int kMaxDepth = 512;
+
   Json() = default;
 
   /// Parses a complete JSON document; trailing garbage is an error.
   [[nodiscard]] static Json parse(const std::string& text);
 
-  /// Reads and parses `path`; missing/unreadable files throw core::Error.
+  /// Reads and parses `path`; missing/unreadable files throw core::Error,
+  /// and so does malformed JSON, with `path` in the message.
   [[nodiscard]] static Json parse_file(const std::string& path);
 
   [[nodiscard]] Type type() const noexcept { return type_; }

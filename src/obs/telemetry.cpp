@@ -8,10 +8,34 @@ namespace otis::obs {
 
 namespace {
 
-/// Occupancy histogram bounds: couplers bucketed by queued packets.
-const std::vector<std::int64_t> kOccupancyBounds = {0, 1, 2, 4, 8, 16, 32, 64};
+/// "a,b,c" for `values`.
+template <class Values>
+std::string joined(const Values& values) {
+  std::string out;
+  for (const std::int64_t value : values) {
+    if (!out.empty()) {
+      out += ",";
+    }
+    out += std::to_string(value);
+  }
+  return out;
+}
 
 }  // namespace
+
+EngineSample& EngineSample::operator+=(const EngineSample& other) {
+  offered += other.offered;
+  delivered += other.delivered;
+  transmissions += other.transmissions;
+  collisions += other.collisions;
+  dropped += other.dropped;
+  backlog += other.backlog;
+  pending_events += other.pending_events;
+  for (std::size_t i = 0; i < occupancy.size(); ++i) {
+    occupancy[i] += other.occupancy[i];
+  }
+  return *this;
+}
 
 void TelemetryConfig::validate() const {
   OTIS_REQUIRE(sample_period >= 0,
@@ -78,29 +102,22 @@ Telemetry::Telemetry(const TelemetryConfig& config,
       owns_sinks_(owns_sinks),
       writer_(std::move(writer)),
       sink_(std::move(sink)) {
-  engine_.offered = probes_.counter("offered");
-  engine_.delivered = probes_.counter("delivered");
-  engine_.transmissions = probes_.counter("transmissions");
-  engine_.collisions = probes_.counter("collisions");
-  engine_.dropped = probes_.counter("dropped");
-  engine_.backlog = probes_.gauge("backlog");
-  engine_.pending_events = probes_.gauge("pending_events");
-  engine_.occupancy = probes_.histogram("occupancy", kOccupancyBounds);
-  emit_.assign(probes_.probe_count(), config.probes.empty());
+  const std::vector<std::string>& names = engine_probe_names();
+  emit_.assign(names.size(), config.probes.empty());
   for (const std::string& name : config.probes) {
-    for (ProbeId id = 0; id < probes_.probe_count(); ++id) {
-      if (probes_.name(id) == name) {
-        emit_[id] = true;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (names[i] == name) {
+        emit_[i] = true;
       }
     }
   }
-  prev_.assign(probes_.probe_count(), 0);
 }
 
 void Telemetry::sample(std::int64_t slot) {
   if (writer_ == nullptr) {
     return;
   }
+  const std::vector<std::string>& names = engine_probe_names();
   if (!header_written_) {
     header_written_ = true;
     std::string header = "{\"type\":\"schema\"";
@@ -110,26 +127,18 @@ void Telemetry::sample(std::int64_t slot) {
     header += ",\"sample_period\":" + std::to_string(period_);
     header += ",\"probes\":[";
     bool first = true;
-    for (ProbeId id = 0; id < probes_.probe_count(); ++id) {
-      if (!emit_[id]) {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (!emit_[i]) {
         continue;
       }
       if (!first) {
         header += ",";
       }
       first = false;
-      header += "\"" + probes_.name(id) + "\"";
+      header += "\"" + names[i] + "\"";
     }
-    header += "],\"occupancy_bounds\":[";
-    const std::vector<std::int64_t>& bounds =
-        probes_.bounds(engine_.occupancy);
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      if (i > 0) {
-        header += ",";
-      }
-      header += std::to_string(bounds[i]);
-    }
-    header += "]}";
+    header += "],\"occupancy_bounds\":[" +
+              joined(EngineSample::kOccupancyBounds) + "]}";
     writer_->append(header);
   }
   std::string row = "{\"type\":\"sample\"";
@@ -137,34 +146,25 @@ void Telemetry::sample(std::int64_t slot) {
     row += ",\"cell\":\"" + detail::json_escaped(label_) + "\"";
   }
   row += ",\"slot\":" + std::to_string(slot);
-  for (ProbeId id = 0; id < probes_.probe_count(); ++id) {
-    if (!emit_[id]) {
+  // Field i of the row is names[i]: the counters as deltas, then the
+  // two gauges, then the occupancy buckets.
+  const EngineSample::Counters counters = probes_.counters();
+  const std::array<std::int64_t, 2> gauges = {probes_.backlog,
+                                              probes_.pending_events};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (!emit_[i]) {
       continue;
     }
-    row += ",\"" + probes_.name(id) + "\":";
-    switch (probes_.kind(id)) {
-      case ProbeKind::kCounter: {
-        const std::int64_t value = probes_.value(id);
-        row += std::to_string(value - prev_[id]);
-        prev_[id] = value;
-        break;
-      }
-      case ProbeKind::kGauge:
-        row += std::to_string(probes_.value(id));
-        break;
-      case ProbeKind::kHistogram: {
-        row += "[";
-        for (std::size_t b = 0; b < probes_.bucket_count(id); ++b) {
-          if (b > 0) {
-            row += ",";
-          }
-          row += std::to_string(probes_.bucket(id, b));
-        }
-        row += "]";
-        break;
-      }
+    row += ",\"" + names[i] + "\":";
+    if (i < counters.size()) {
+      row += std::to_string(counters[i] - prev_[i]);
+    } else if (i < counters.size() + gauges.size()) {
+      row += std::to_string(gauges[i - counters.size()]);
+    } else {
+      row += "[" + joined(probes_.occupancy) + "]";
     }
   }
+  prev_ = counters;
   row += "}";
   writer_->append(row);
 }

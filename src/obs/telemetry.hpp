@@ -1,7 +1,7 @@
 #pragma once
 /// \file telemetry.hpp
-/// Run-scoped telemetry: probe registry + time-series sampler + span
-/// tracing, attached to a simulation through one nullable pointer.
+/// Run-scoped telemetry: engine probe record + time-series sampler +
+/// span tracing, attached to a simulation through one nullable pointer.
 ///
 /// Cost model: `SimConfig::telemetry` is a shared_ptr that defaults to
 /// null, and every engine guards its instrumentation behind a single
@@ -13,7 +13,7 @@
 ///
 /// Determinism: probe values and timeseries rows are derived from
 /// simulation state only (no RNG draws, no clocks), and the sharded
-/// engine fills per-shard ProbeRegistry clones that are folded with
+/// engine fills one EngineSample per shard that the run folds with
 /// order-independent integer addition at the slot barrier -- so for a
 /// fixed seed the merged probe values and the timeseries bytes are
 /// identical for every thread count. Chrome-trace spans use wall-clock
@@ -28,12 +28,12 @@
 ///   histogram occupancy (couplers bucketed by queued packets across
 ///             their feed VOQs; snapshot, bounds 0,1,2,4,8,16,32,64)
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/probe.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace otis::obs {
@@ -58,24 +58,52 @@ struct TelemetryConfig {
   void validate() const;
 };
 
-/// Ids of the engine-standard probes (registered by Telemetry).
-struct EngineProbes {
-  ProbeId offered = 0;
-  ProbeId delivered = 0;
-  ProbeId transmissions = 0;
-  ProbeId collisions = 0;
-  ProbeId dropped = 0;
-  ProbeId backlog = 0;
-  ProbeId pending_events = 0;
-  ProbeId occupancy = 0;
+/// The engine-standard probes at one instant. A shard fills its own
+/// record and the run folds them with `+=`, element-wise integer
+/// addition: order-independent, so the folded record is identical for
+/// every shard partition. That needs every field to be
+/// partition-additive: counters and buckets sum naturally, and a gauge
+/// holds the part of its quantity the shard owns (its nodes' backlog).
+struct EngineSample {
+  /// Bucket i of `occupancy` counts couplers holding at most
+  /// kOccupancyBounds[i] packets; the last bucket counts the rest.
+  static constexpr std::array<std::int64_t, 8> kOccupancyBounds = {
+      0, 1, 2, 4, 8, 16, 32, 64};
+  /// The counters, in engine_probe_names() order.
+  using Counters = std::array<std::int64_t, 5>;
+
+  std::int64_t offered = 0;
+  std::int64_t delivered = 0;
+  std::int64_t transmissions = 0;
+  std::int64_t collisions = 0;
+  std::int64_t dropped = 0;
+  std::int64_t backlog = 0;         ///< queued + in flight
+  std::int64_t pending_events = 0;  ///< calendar entries; 0 on slot runs
+  std::array<std::int64_t, kOccupancyBounds.size() + 1> occupancy{};
+
+  [[nodiscard]] Counters counters() const {
+    return {offered, delivered, transmissions, collisions, dropped};
+  }
+  /// Counts one coupler holding `queued` packets across its feed VOQs.
+  void observe_occupancy(std::int64_t queued) {
+    std::size_t bucket = 0;
+    while (bucket < kOccupancyBounds.size() &&
+           queued > kOccupancyBounds[bucket]) {
+      ++bucket;
+    }
+    ++occupancy[bucket];
+  }
+  EngineSample& operator+=(const EngineSample& other);
+  bool operator==(const EngineSample&) const = default;
 };
 
-/// The engine-standard probe names, for allowlist validation in specs.
+/// The engine-standard probe names, in EngineSample's field order: the
+/// timeseries keys and the `probes` allowlist's vocabulary.
 [[nodiscard]] const std::vector<std::string>& engine_probe_names();
 
 /// One run's telemetry session. Engines reach it through
-/// `SimConfig::telemetry` and touch only probes()/engine_probes(),
-/// due()/sample()/finish(), and trace_sink().
+/// `SimConfig::telemetry` and touch only probes(), due()/sample()/
+/// finish(), and trace_sink().
 class Telemetry {
  public:
   /// Standalone session owning its writer and trace sink.
@@ -89,12 +117,9 @@ class Telemetry {
       std::shared_ptr<ChromeTraceSink> sink, std::string label,
       std::int32_t tid);
 
-  [[nodiscard]] ProbeRegistry& probes() noexcept { return probes_; }
-  [[nodiscard]] const ProbeRegistry& probes() const noexcept {
+  [[nodiscard]] EngineSample& probes() noexcept { return probes_; }
+  [[nodiscard]] const EngineSample& probes() const noexcept {
     return probes_;
-  }
-  [[nodiscard]] const EngineProbes& engine_probes() const noexcept {
-    return engine_;
   }
   [[nodiscard]] ChromeTraceSink* trace_sink() const noexcept {
     return sink_.get();
@@ -106,8 +131,8 @@ class Telemetry {
   [[nodiscard]] bool due(std::int64_t slot) const noexcept {
     return period_ > 0 && (slot + 1) % period_ == 0;
   }
-  /// Emits one timeseries row from the registry's current values
-  /// (counter fields as deltas since the previous row).
+  /// Emits one timeseries row from probes() (counter fields as deltas
+  /// since the previous row).
   void sample(std::int64_t slot);
   /// End of run: engines refresh the probes first, then call this with
   /// the last executed slot; emits a final row unless that slot was
@@ -122,13 +147,13 @@ class Telemetry {
   [[nodiscard]] bool header_written() const noexcept {
     return header_written_;
   }
-  [[nodiscard]] const std::vector<std::int64_t>& sampler_prev()
-      const noexcept {
+  [[nodiscard]] const EngineSample::Counters& sampler_prev() const noexcept {
     return prev_;
   }
-  void restore_sampler(bool header_written, std::vector<std::int64_t> prev) {
+  void restore_sampler(bool header_written,
+                       const EngineSample::Counters& prev) {
     header_written_ = header_written;
-    prev_ = std::move(prev);
+    prev_ = prev;
   }
 
   [[nodiscard]] std::int64_t rows_sampled() const;
@@ -147,10 +172,9 @@ class Telemetry {
   std::int32_t tid_ = 0;
   bool owns_sinks_ = false;
   bool header_written_ = false;
-  ProbeRegistry probes_;
-  EngineProbes engine_;
-  std::vector<bool> emit_;        ///< allowlist mask by ProbeId
-  std::vector<std::int64_t> prev_;  ///< previous counter values by ProbeId
+  EngineSample probes_;
+  std::vector<bool> emit_;  ///< allowlist mask by engine_probe_names() index
+  EngineSample::Counters prev_{};  ///< counters at the previous row
   std::shared_ptr<JsonlWriter> writer_;
   std::shared_ptr<ChromeTraceSink> sink_;
 };

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iostream>
 
 #include "core/error.hpp"
-#include "core/log.hpp"
 
 namespace otis::obs {
 
@@ -96,11 +96,11 @@ ChromeTraceSink::ChromeTraceSink(std::string path)
 
 ChromeTraceSink::~ChromeTraceSink() {
   // A destructor must not throw: an explicit close() throws the error,
-  // an implicit one logs it.
+  // an implicit one prints it.
   try {
     close();
   } catch (const core::Error& error) {
-    OTIS_LOG_WARN(error.what());
+    std::cerr << error.what() << '\n';
   }
 }
 

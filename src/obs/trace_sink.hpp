@@ -72,8 +72,8 @@ struct TraceEvent {
 class ChromeTraceSink {
  public:
   /// Events are written to `path` on close() (and from the destructor
-  /// if close() was never called, which logs a failed write instead of
-  /// throwing it).
+  /// if close() was never called, which prints a failed write to
+  /// stderr instead of throwing it).
   explicit ChromeTraceSink(std::string path);
   ~ChromeTraceSink();
 

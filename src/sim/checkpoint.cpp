@@ -2,7 +2,6 @@
 
 #include <array>
 #include <exception>
-#include <utility>
 
 #include "obs/telemetry.hpp"
 #include "sim/ops_network.hpp"
@@ -112,7 +111,9 @@ void checkpoint_put_telemetry(core::BlobWriter& out, const obs::Telemetry* tel,
   }
   out.put_i64(tel_last);
   out.put_u8(tel->header_written() ? 1 : 0);
-  out.put_i64_vec(tel->sampler_prev());
+  for (const std::int64_t value : tel->sampler_prev()) {
+    out.put_i64(value);
+  }
 }
 
 std::int64_t checkpoint_get_telemetry(core::BlobReader& in,
@@ -126,10 +127,11 @@ std::int64_t checkpoint_get_telemetry(core::BlobReader& in,
   }
   const std::int64_t tel_last = in.get_i64();
   const bool header_written = in.get_u8() != 0;
-  std::vector<std::int64_t> prev = in.get_i64_vec();
-  OTIS_REQUIRE(prev.size() == tel->probes().probe_count(),
-               "checkpoint: telemetry sampler state for another probe set");
-  tel->restore_sampler(header_written, std::move(prev));
+  obs::EngineSample::Counters prev{};
+  for (std::int64_t& value : prev) {
+    value = in.get_i64();
+  }
+  tel->restore_sampler(header_written, prev);
   return tel_last;
 }
 

@@ -33,7 +33,7 @@ namespace otis::sim {
 struct SimConfig;
 
 /// Blob layout version; bump on any header or payload format change.
-inline constexpr std::uint64_t kCheckpointVersion = 7;
+inline constexpr std::uint64_t kCheckpointVersion = 8;
 
 /// Appends magic, version and the config fingerprint to `out`. Engines
 /// call this first, then append their payload.

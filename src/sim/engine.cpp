@@ -175,19 +175,20 @@ struct Shard : Sched::ShardState {
   std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
   detail::OccupancyMasks masks;             ///< over the shard's couplers
   detail::PickScratch picks;
-  /// Telemetry snapshots per window slot (deltas since the last fold).
-  std::vector<std::int64_t> backlog_snap, events_snap;
+  /// Telemetry records per window slot (sampling runs only); their
+  /// gauges hold the deltas since the last fold.
+  std::vector<obs::EngineSample> samples;
 };
 
 /// The shards of `plan`: masks over their own couplers (plus gated
-/// request words when `gated`), one outbox per shard, snapshots for
-/// `window` slots, sketch latency stats when `sketch`, and each shard's
-/// queues growing in its own pool of `voq`.
+/// request words when `gated`), one outbox per shard, sketch latency
+/// stats when `sketch`, and each shard's queues growing in its own pool
+/// of `voq`.
 template <class Sched>
 std::vector<Shard<Sched>> make_shards(
     const detail::ShardPlan& plan, const detail::FeedIndex& feed,
     const std::vector<std::int64_t>& voq_base, typename Sched::Arena& voq,
-    bool sketch, bool gated, SimTime window) {
+    bool sketch, bool gated) {
   const std::size_t threads = plan.couplers.size();
   std::vector<Shard<Sched>> shards(threads);
   std::int64_t covered = 0;  ///< end of the previous shard's couplers
@@ -204,8 +205,6 @@ std::vector<Shard<Sched>> make_shards(
       shard.eligible.assign(gated ? shard.masks.request.size() : 0, 0);
     }
     shard.outbox.resize(threads);
-    shard.backlog_snap.assign(static_cast<std::size_t>(window), 0);
-    shard.events_snap.assign(static_cast<std::size_t>(window), 0);
     if (sketch) {
       shard.latency.use_sketch();
     }
@@ -523,20 +522,19 @@ struct Steps {
     } while (batch.size() == kLandingBatch);
   }
 
-  /// Fills `frame` from `shard` at the sampling boundary of window slot
+  /// Fills the shard's record for the sampling boundary of window slot
   /// `k` (feed-locality makes the snapshot shard-private).
-  void snapshot(ShardT& shard, std::size_t k, const obs::EngineProbes& ids,
-                obs::ProbeRegistry& frame) const {
-    frame.zero();
-    frame.set(ids.offered, shard.offered);
-    frame.set(ids.delivered, shard.delivered);
-    frame.set(ids.transmissions, shard.transmissions);
-    frame.set(ids.collisions, shard.collisions);
-    frame.set(ids.dropped, shard.dropped);
-    detail::observe_occupancy(frame, ids.occupancy, feed, voq,
-                              shard.coupler_begin, shard.coupler_end);
-    shard.backlog_snap[k] = shard.inflight_delta;
-    shard.events_snap[k] = shard.events_delta;
+  void snapshot(ShardT& shard, std::size_t k) const {
+    obs::EngineSample& sample = shard.samples[k];
+    sample = {.offered = shard.offered,
+              .delivered = shard.delivered,
+              .transmissions = shard.transmissions,
+              .collisions = shard.collisions,
+              .dropped = shard.dropped,
+              .backlog = shard.inflight_delta,
+              .pending_events = shard.events_delta};
+    detail::observe_occupancy(sample, feed, voq, shard.coupler_begin,
+                              shard.coupler_end);
   }
 };
 
@@ -656,7 +654,7 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
            static_cast<std::size_t>(threads));
   std::vector<ShardT> shards = make_shards<Sched>(
       plan, feed, voq_base, voq,
-      resolve_latency_sketch(config.latency_mode, nodes), gated, window);
+      resolve_latency_sketch(config.latency_mode, nodes), gated);
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes));
   const Steps<Routes, Sched> steps{
       .routes = routes, .feed = feed, .voq_base = voq_base,
@@ -666,24 +664,22 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
       .senders = senders, .warmup_tick = warmup * kUnits,
       .workload_ids = workload_ids};
 
-  // Telemetry: per-shard frames for every slot of the window, folded in
-  // the window-end step in slot order -- probe values and timeseries
+  // Telemetry: a record per shard for every slot of the window, folded
+  // in the window-end step in slot order -- probe values and timeseries
   // bytes cannot depend on the partition. Backlog and calendar-pending
   // are global gauges rebuilt from their last folded value plus the
   // shards' per-slot deltas.
   obs::Telemetry* const tel = config.telemetry.get();
   obs::WindowSpans windows;
   SimTime tel_last = 0;
-  std::vector<obs::ProbeRegistry> frames;
   if (tel != nullptr) {
     if (tel->trace_sink() != nullptr) {
       windows = obs::WindowSpans(tel->trace_sink(), tel->tid(), warmup,
                                  horizon);
     }
     if (tel->sampling()) {
-      frames.reserve(static_cast<std::size_t>(threads * window));
-      for (std::int64_t i = 0; i < threads * window; ++i) {
-        frames.push_back(tel->probes().clone_schema());
+      for (ShardT& shard : shards) {
+        shard.samples.resize(static_cast<std::size_t>(window));
       }
     }
   }
@@ -919,19 +915,11 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
         windows.at_slot(s);
         if (tel->due(s)) {
           const std::size_t k = static_cast<std::size_t>(s - win_begin);
-          obs::ProbeRegistry& reg = tel->probes();
-          reg.zero();
-          std::int64_t backlog = inflight;
-          std::int64_t pending = pending_total;
-          for (int w = 0; w < threads; ++w) {
-            reg.accumulate(frames[static_cast<std::size_t>(w) *
-                                      static_cast<std::size_t>(window) +
-                                  k]);
-            backlog += shards[static_cast<std::size_t>(w)].backlog_snap[k];
-            pending += shards[static_cast<std::size_t>(w)].events_snap[k];
+          obs::EngineSample& sample = tel->probes();
+          sample = {.backlog = inflight, .pending_events = pending_total};
+          for (const ShardT& shard : shards) {
+            sample += shard.samples[k];
           }
-          reg.set(tel->engine_probes().backlog, backlog);
-          reg.set(tel->engine_probes().pending_events, pending);
           tel->sample(s);
         }
         tel_last = s;
@@ -1055,11 +1043,7 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
         // The snapshot point: slot runs sample with relays re-queued,
         // calendar runs with them still in flight.
         if (tel != nullptr && tel->due(s)) {
-          const std::size_t k = static_cast<std::size_t>(s - win_begin);
-          steps.snapshot(shard, k, tel->engine_probes(),
-                         frames[static_cast<std::size_t>(w) *
-                                    static_cast<std::size_t>(window) +
-                                k]);
+          steps.snapshot(shard, static_cast<std::size_t>(s - win_begin));
         }
       }
       if (!running) {
@@ -1134,12 +1118,15 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
   // resumed run continues the telemetry stream where this one stopped.
   if (tel != nullptr && !interrupted) {
     windows.finish();
-    detail::fill_metric_probes(*tel, metrics, inflight);
-    obs::ProbeRegistry& reg = tel->probes();
-    reg.set(tel->engine_probes().pending_events, pending_total);
-    const obs::ProbeId hist = tel->engine_probes().occupancy;
-    reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed, voq, 0, couplers);
+    obs::EngineSample& sample = tel->probes();
+    sample = {.offered = metrics.offered_packets,
+              .delivered = metrics.delivered_packets,
+              .transmissions = metrics.coupler_transmissions,
+              .collisions = metrics.collisions,
+              .dropped = metrics.dropped_packets,
+              .backlog = inflight,
+              .pending_events = pending_total};
+    detail::observe_occupancy(sample, feed, voq, 0, couplers);
     tel->finish(tel_last);
   }
   return metrics;

@@ -38,8 +38,8 @@
 
 #include "core/error.hpp"
 #include "hypergraph/stack_graph.hpp"
-#include "obs/probe.hpp"
 #include "obs/runtime_stats.hpp"
+#include "obs/telemetry.hpp"
 
 namespace otis::sim::detail {
 
@@ -353,14 +353,14 @@ void staged_enqueue(const Routes& routes,
   voq.prefetching() ? run(std::true_type{}) : run(std::false_type{});
 }
 
-/// Telemetry helper shared by the phased and async engines: observes
-/// each coupler of [begin, end) into the occupancy histogram probe
-/// with the total queued packets across its feed VOQs. Runs only at
-/// sampling boundaries -- it walks every feed of the range.
+/// Telemetry helper of the run loop: observes each coupler of
+/// [begin, end) into `sample`'s occupancy buckets with the total queued
+/// packets across its feed VOQs. Runs only at sampling boundaries -- it
+/// walks every feed of the range.
 template <class Arena>
-void observe_occupancy(obs::ProbeRegistry& reg, obs::ProbeId hist,
-                       const FeedIndex& fi, const Arena& voq,
-                       std::int64_t begin, std::int64_t end) {
+void observe_occupancy(obs::EngineSample& sample, const FeedIndex& fi,
+                       const Arena& voq, std::int64_t begin,
+                       std::int64_t end) {
   for (std::int64_t h = begin; h < end; ++h) {
     const std::size_t fb =
         static_cast<std::size_t>(fi.feed_base[static_cast<std::size_t>(h)]);
@@ -371,7 +371,7 @@ void observe_occupancy(obs::ProbeRegistry& reg, obs::ProbeId hist,
       queued += static_cast<std::int64_t>(
           voq.size(static_cast<std::size_t>(fi.feed_qi[f])));
     }
-    reg.observe(hist, queued);
+    sample.observe_occupancy(queued);
   }
 }
 

@@ -128,23 +128,6 @@ class RunStreams {
 inline SimTime workload_slot_bound(const workload::Workload& load) {
   return 1'000'000 + 64 * load.packet_count();
 }
-
-/// Refreshes the engine-standard counter/gauge probes from a metrics
-/// snapshot (occupancy and pending_events are engine-specific; see
-/// detail::observe_occupancy in occupancy.hpp). Shared by both
-/// schedulers of the run loop so probe values always mean the same
-/// thing.
-inline void fill_metric_probes(obs::Telemetry& tel, const RunMetrics& m,
-                               std::int64_t backlog) {
-  obs::ProbeRegistry& reg = tel.probes();
-  const obs::EngineProbes& ids = tel.engine_probes();
-  reg.set(ids.offered, m.offered_packets);
-  reg.set(ids.delivered, m.delivered_packets);
-  reg.set(ids.transmissions, m.coupler_transmissions);
-  reg.set(ids.collisions, m.collisions);
-  reg.set(ids.dropped, m.dropped_packets);
-  reg.set(ids.backlog, backlog);
-}
 }  // namespace detail
 
 /// Coupler-contention resolution policies.
@@ -320,7 +303,7 @@ struct SimConfig {
   /// in the Chrome trace. Null (the default) costs the engines one
   /// pointer test per slot; sampling reads engine state only (no RNG,
   /// no reordering), so attaching it never changes RunMetrics, and the
-  /// sharded engine's per-shard probe frames merge order-independently
+  /// sharded engine's per-shard probe records merge order-independently
   /// at the slot barrier, keeping probe values and timeseries bytes
   /// identical across thread counts.
   std::shared_ptr<obs::Telemetry> telemetry;

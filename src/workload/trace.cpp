@@ -40,13 +40,26 @@ bool read_i64(std::ifstream& in, std::int64_t& value) {
   return true;
 }
 
+/// Bytes after `in`'s read position (0 when it cannot seek). A header's
+/// entry count is outside input: reserve no more than the file can
+/// hold.
+std::int64_t bytes_left(std::ifstream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  return here < 0 || end < here ? 0 : static_cast<std::int64_t>(end - here);
+}
+
 Trace load_binary(std::ifstream& in, const std::string& path) {
   Trace trace;
   std::int64_t count = 0;
   OTIS_REQUIRE(read_i64(in, trace.nodes) && read_i64(in, count),
                "Trace: truncated header in " + path);
   OTIS_REQUIRE(count >= 0, "Trace: negative entry count in " + path);
-  trace.entries.reserve(static_cast<std::size_t>(count));
+  constexpr std::int64_t kEntryBytes = 24;
+  trace.entries.reserve(
+      static_cast<std::size_t>(std::min(count, bytes_left(in) / kEntryBytes)));
   for (std::int64_t i = 0; i < count; ++i) {
     TraceEntry entry;
     OTIS_REQUIRE(read_i64(in, entry.slot) && read_i64(in, entry.source) &&
@@ -67,7 +80,9 @@ Trace load_jsonl(std::ifstream& in, const std::string& path) {
   trace.nodes = header.at("nodes").as_int();
   const std::int64_t count = header.at("entries").as_int();
   OTIS_REQUIRE(count >= 0, "Trace: negative entry count in " + path);
-  trace.entries.reserve(static_cast<std::size_t>(count));
+  constexpr std::int64_t kShortestRow = 26;  // {"slot":0,"src":0,"dst":1}
+  trace.entries.reserve(
+      static_cast<std::size_t>(std::min(count, bytes_left(in) / kShortestRow)));
   while (std::getline(in, line)) {
     if (line.empty()) {
       continue;

@@ -640,7 +640,7 @@ TEST(AsyncShardedTelemetry, SamplingIsThreadCountInvariantToTheByte) {
   const RunMetrics off = run_sk_telemetry(1, timing, nullptr);
 
   std::string reference_bytes;
-  std::vector<std::int64_t> reference_probes;
+  obs::EngineSample reference_probes;
   for (const int threads : kThreadCounts) {
     SCOPED_TRACE(threads);
     const std::filesystem::path path =
@@ -652,17 +652,7 @@ TEST(AsyncShardedTelemetry, SamplingIsThreadCountInvariantToTheByte) {
     const RunMetrics on = run_sk_telemetry(threads, timing, tel);
     expect_identical(off, on);
 
-    std::vector<std::int64_t> probes;
-    const obs::ProbeRegistry& reg = tel->probes();
-    for (obs::ProbeId id = 0; id < reg.probe_count(); ++id) {
-      if (reg.kind(id) == obs::ProbeKind::kHistogram) {
-        for (std::size_t i = 0; i < reg.bucket_count(id); ++i) {
-          probes.push_back(reg.bucket(id, i));
-        }
-      } else {
-        probes.push_back(reg.value(id));
-      }
-    }
+    const obs::EngineSample probes = tel->probes();
     tel->close();
     const std::string bytes = read_file(path);
     EXPECT_GT(bytes.size(), 0u);

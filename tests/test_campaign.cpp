@@ -650,17 +650,15 @@ TEST(CampaignSpecJson, ParsesTrafficRoutesAxesAndOverrides) {
   const CampaignSpec spec = campaign::parse_campaign_spec(R"json({
     "topologies": [{"kind": "pops", "t": 2, "g": 3},
                    {"kind": "stack_kautz", "s": 4, "d": 3, "k": 2}],
-    "traffic": ["uniform", "hotspot", "bursty"],
+    "traffic": ["uniform", {"kind": "hotspot", "node": 1, "fraction": 0.5},
+                {"kind": "bursty", "enter_on": 0.1, "exit_on": 0.4}],
     "routes": ["dense", "compressed"],
-    "hotspot_node": 1, "hotspot_fraction": 0.5,
-    "bursty_enter_on": 0.1, "bursty_exit_on": 0.4,
     "overrides": [{"topology": "SK(4,3,2)", "engine": "sharded",
                    "engine_threads": 2, "routes": "compressed"}]
   })json");
   ASSERT_EQ(spec.traffics.size(), 3u);
   EXPECT_EQ(spec.traffics[0].kind, campaign::TrafficKind::kUniform);
   EXPECT_EQ(spec.traffics[1].kind, campaign::TrafficKind::kHotspot);
-  // Plain-string entries inherit the spec-level shape defaults.
   EXPECT_EQ(spec.traffics[1].hotspot_node, 1);
   EXPECT_DOUBLE_EQ(spec.traffics[1].hotspot_fraction, 0.5);
   EXPECT_EQ(spec.traffics[1].label(), "hotspot(n1,f0.5000)");
@@ -671,15 +669,29 @@ TEST(CampaignSpecJson, ParsesTrafficRoutesAxesAndOverrides) {
   EXPECT_EQ(spec.route_tables,
             (std::vector<sim::RouteTable>{sim::RouteTable::kDense,
                                           sim::RouteTable::kCompressed}));
-  EXPECT_EQ(spec.hotspot_node, 1);
-  EXPECT_DOUBLE_EQ(spec.hotspot_fraction, 0.5);
-  EXPECT_DOUBLE_EQ(spec.bursty_enter_on, 0.1);
-  EXPECT_DOUBLE_EQ(spec.bursty_exit_on, 0.4);
   ASSERT_EQ(spec.overrides.size(), 1u);
   EXPECT_EQ(spec.overrides[0].topology, "SK(4,3,2)");
   EXPECT_EQ(spec.overrides[0].engine, sim::Engine::kSharded);
   EXPECT_EQ(spec.overrides[0].engine_threads, 2);
   EXPECT_EQ(spec.overrides[0].route_table, sim::RouteTable::kCompressed);
+
+  // Plain-string entries carry TrafficSpec's default shapes; there are
+  // no spec-level shape keys.
+  const CampaignSpec plain = campaign::parse_campaign_spec(
+      R"({"topologies": [{"kind": "pops", "t": 2, "g": 3}],
+          "traffic": ["hotspot", "bursty"]})");
+  ASSERT_EQ(plain.traffics.size(), 2u);
+  EXPECT_EQ(plain.traffics[0].label(), "hotspot(n0,f0.2000)");
+  EXPECT_EQ(plain.traffics[1].label(), "bursty(on0.0500,off0.2000)");
+  for (const char* key : {"hotspot_node", "hotspot_fraction",
+                          "bursty_enter_on", "bursty_exit_on"}) {
+    SCOPED_TRACE(key);
+    EXPECT_THROW(campaign::parse_campaign_spec(
+                     R"({"topologies": [{"kind": "pops", "t": 2, "g": 3}],
+                         "traffic": ["hotspot"], ")" +
+                     std::string(key) + R"(": 1})"),
+                 core::Error);
+  }
 
   EXPECT_THROW(campaign::parse_campaign_spec(
                    R"({"topologies": [{"kind": "pops", "t": 2, "g": 3}],

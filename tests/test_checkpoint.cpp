@@ -37,7 +37,6 @@
 #include "core/blob.hpp"
 #include "core/error.hpp"
 #include "hypergraph/stack_kautz.hpp"
-#include "obs/probe.hpp"
 #include "obs/telemetry.hpp"
 #include "routing/compiled_routes.hpp"
 #include "sim/checkpoint.hpp"
@@ -318,21 +317,6 @@ TEST(Checkpoint, BurstyTrafficStateRoundTrips) {
                        scratch.path() / "bursty_sharded.ckpt", bursty);
 }
 
-std::vector<std::int64_t> probe_values(const obs::Telemetry& tel) {
-  std::vector<std::int64_t> values;
-  const obs::ProbeRegistry& reg = tel.probes();
-  for (obs::ProbeId id = 0; id < reg.probe_count(); ++id) {
-    if (reg.kind(id) == obs::ProbeKind::kHistogram) {
-      for (std::size_t i = 0; i < reg.bucket_count(id); ++i) {
-        values.push_back(reg.bucket(id, i));
-      }
-    } else {
-      values.push_back(reg.value(id));
-    }
-  }
-  return values;
-}
-
 TEST(Checkpoint, TelemetryStreamConcatenatesByteExactly) {
   // The sampler's cross-row state (header flag, previous counters, last
   // sampled slot) rides in the blob, so interrupted + resumed
@@ -364,7 +348,7 @@ TEST(Checkpoint, TelemetryStreamConcatenatesByteExactly) {
     uninterrupted.telemetry = tel_full;
     const RunResult reference =
         run_sk(cell.engine, cell.threads, uninterrupted);
-    const std::vector<std::int64_t> reference_probes = probe_values(*tel_full);
+    const obs::EngineSample reference_probes = tel_full->probes();
     tel_full->close();
 
     tel_config.timeseries_path = part_a.string();
@@ -384,7 +368,7 @@ TEST(Checkpoint, TelemetryStreamConcatenatesByteExactly) {
     resume.path = drill.path;
     resume.resume = true;
     const RunResult resumed = run_sk(cell.engine, cell.threads, resume);
-    const std::vector<std::int64_t> resumed_probes = probe_values(*tel_resume);
+    const obs::EngineSample resumed_probes = tel_resume->probes();
     tel_resume->close();
 
     expect_identical(reference.metrics, resumed.metrics);

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -371,6 +374,46 @@ TEST(Json, RejectsMalformedInput) {
   // Type errors surface as core::Error, and as_int rejects fractions.
   EXPECT_THROW((void)Json::parse("[]").as_bool(), Error);
   EXPECT_THROW((void)Json::parse("1.25").as_int(), Error);
+}
+
+TEST(Json, NestingIsBoundedBeforeTheStack) {
+  // The parser recurses once per array or object level: the limit
+  // parses, one level more throws, and so does a hostile document far
+  // past it, which would otherwise overflow the stack.
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const auto objects = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) {
+      text += "{\"a\":";
+    }
+    return text + "1" + std::string(static_cast<std::size_t>(depth), '}');
+  };
+  EXPECT_TRUE(Json::parse(arrays(Json::kMaxDepth)).is_array());
+  EXPECT_TRUE(Json::parse(objects(Json::kMaxDepth)).is_object());
+  EXPECT_THROW(Json::parse(arrays(Json::kMaxDepth + 1)), Error);
+  EXPECT_THROW(Json::parse(objects(Json::kMaxDepth + 1)), Error);
+  EXPECT_THROW(Json::parse(arrays(100'000)), Error);
+  EXPECT_THROW(Json::parse(std::string(100'000, '[')), Error);
+
+  // From a file, the error names the file.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("otis_deep_" + std::to_string(::getpid()) + ".json");
+  std::ofstream(path) << arrays(100'000);
+  try {
+    (void)Json::parse_file(path.string());
+    ADD_FAILURE() << "a 100,000-deep file parsed";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find(path.string()),
+              std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find("nesting"), std::string::npos)
+        << error.what();
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

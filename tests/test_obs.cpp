@@ -1,6 +1,6 @@
 // Tests for the obs telemetry subsystem:
-//  - ProbeRegistry arithmetic: histogram bucketing and the
-//    order-independent shard-merge (accumulate) contract;
+//  - EngineSample arithmetic: occupancy bucketing over the fixed bounds
+//    and the order-independent shard fold (+=);
 //  - attaching telemetry never changes RunMetrics: bit-parity against
 //    the untelemetered run on the phased, sharded, and async engines,
 //    with and without sampling, in windowed and workload modes;
@@ -9,7 +9,8 @@
 //    values identical for every worker count;
 //  - probe totals equal the RunMetrics they mirror;
 //  - Chrome-trace output is well-formed JSON whose spans strictly nest
-//    per track (round-tripped through core::Json);
+//    per track (round-tripped through core::Json), and a sink destroyed
+//    unclosed prints a failed write to stderr;
 //  - serial runs (phased open loop, phased and async workloads) and the
 //    multi-shard slot-aligned runs emit exactly the timeseries bytes and
 //    metrics frozen as FNV-1a-64 digests, so a refactor of the run loop
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -37,7 +39,6 @@
 #include "core/error.hpp"
 #include "core/json.hpp"
 #include "hypergraph/stack_kautz.hpp"
-#include "obs/probe.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_sink.hpp"
 #include "routing/compiled_routes.hpp"
@@ -167,61 +168,68 @@ obs::TelemetryConfig sampling_config(std::int64_t period,
   return config;
 }
 
-TEST(ProbeRegistry, HistogramBucketsFollowUpperBounds) {
-  obs::ProbeRegistry reg;
-  const obs::ProbeId hist = reg.histogram("occ", {0, 1, 4});
-  ASSERT_EQ(reg.bucket_count(hist), 4u);  // 3 bounds + overflow
-  reg.observe(hist, 0);   // <= 0 -> bucket 0
-  reg.observe(hist, 1);   // <= 1 -> bucket 1
-  reg.observe(hist, 2);   // <= 4 -> bucket 2
-  reg.observe(hist, 4);   // <= 4 -> bucket 2
-  reg.observe(hist, 5);   // overflow
-  reg.observe(hist, 99);  // overflow
-  EXPECT_EQ(reg.bucket(hist, 0), 1);
-  EXPECT_EQ(reg.bucket(hist, 1), 1);
-  EXPECT_EQ(reg.bucket(hist, 2), 2);
-  EXPECT_EQ(reg.bucket(hist, 3), 2);
-  reg.clear_histogram(hist);
-  for (std::size_t i = 0; i < reg.bucket_count(hist); ++i) {
-    EXPECT_EQ(reg.bucket(hist, i), 0);
+TEST(EngineSample, OccupancyBucketsFollowTheFixedBounds) {
+  // Bucket i counts couplers holding at most kOccupancyBounds[i]
+  // packets: each bound lands in its own bucket, one more in the next,
+  // and everything past the last bound in the overflow bucket.
+  const auto& bounds = obs::EngineSample::kOccupancyBounds;
+  ASSERT_EQ(bounds,
+            (std::array<std::int64_t, 8>{0, 1, 2, 4, 8, 16, 32, 64}));
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    SCOPED_TRACE(bounds[i]);
+    obs::EngineSample at;
+    at.observe_occupancy(bounds[i]);
+    obs::EngineSample expected;
+    expected.occupancy[i] = 1;
+    EXPECT_EQ(at, expected);
+
+    obs::EngineSample above;
+    above.observe_occupancy(bounds[i] + 1);
+    expected.occupancy[i] = 0;
+    expected.occupancy[i + 1] = 1;
+    EXPECT_EQ(above, expected);
   }
+  obs::EngineSample overflow;
+  overflow.observe_occupancy(65);
+  overflow.observe_occupancy(1'000'000);
+  obs::EngineSample expected;
+  expected.occupancy.back() = 2;
+  EXPECT_EQ(overflow, expected);
 }
 
-TEST(ProbeRegistry, AccumulateIsOrderIndependent) {
-  // The sharded merge folds per-shard clones with element-wise adds;
-  // any fold order must give the same totals.
-  obs::ProbeRegistry reg;
-  const obs::ProbeId count = reg.counter("count");
-  const obs::ProbeId level = reg.gauge("level");
-  const obs::ProbeId hist = reg.histogram("hist", {1, 2});
-
-  std::vector<obs::ProbeRegistry> shards;
-  for (int s = 0; s < 3; ++s) {
-    shards.push_back(reg.clone_schema());
-    shards.back().add(count, 10 + s);
-    shards.back().set(level, s);
-    shards.back().observe(hist, s);
+TEST(EngineSample, FoldIsOrderIndependent) {
+  // The run folds one record per shard with +=; any fold order must
+  // give the same record, every field summed (gauges included).
+  std::vector<obs::EngineSample> shards(3);
+  for (std::int64_t s = 0; s < 3; ++s) {
+    obs::EngineSample& shard = shards[static_cast<std::size_t>(s)];
+    shard = {.offered = 10 + s,
+             .delivered = 20 + s,
+             .transmissions = 30 + s,
+             .collisions = s,
+             .dropped = 2 * s,
+             .backlog = 3 * s,
+             .pending_events = 4 * s};
+    shard.observe_occupancy(s);
   }
-  const auto fold = [&](const std::vector<int>& order) {
-    obs::ProbeRegistry merged = reg.clone_schema();
-    for (const int s : order) {
-      merged.accumulate(shards[static_cast<std::size_t>(s)]);
+  const auto fold = [&](const std::vector<std::size_t>& order) {
+    obs::EngineSample merged;
+    for (const std::size_t s : order) {
+      merged += shards[s];
     }
     return merged;
   };
-  const obs::ProbeRegistry forward = fold({0, 1, 2});
-  const obs::ProbeRegistry backward = fold({2, 1, 0});
-  EXPECT_EQ(forward.value(count), 33);
-  EXPECT_EQ(forward.value(level), 3);  // gauges sum across shards
-  for (obs::ProbeId id = 0; id < forward.probe_count(); ++id) {
-    if (forward.kind(id) == obs::ProbeKind::kHistogram) {
-      for (std::size_t i = 0; i < forward.bucket_count(id); ++i) {
-        EXPECT_EQ(forward.bucket(id, i), backward.bucket(id, i));
-      }
-    } else {
-      EXPECT_EQ(forward.value(id), backward.value(id));
-    }
-  }
+  obs::EngineSample expected{.offered = 33,
+                             .delivered = 63,
+                             .transmissions = 93,
+                             .collisions = 3,
+                             .dropped = 6,
+                             .backlog = 9,
+                             .pending_events = 12};
+  expected.occupancy = {1, 1, 1, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(fold({0, 1, 2}), expected);
+  EXPECT_EQ(fold({2, 1, 0}), expected);
+  EXPECT_EQ(fold({1, 2, 0}), expected);
 }
 
 TEST(TelemetryConfig, RejectsUnknownProbeNames) {
@@ -265,14 +273,13 @@ TEST(Telemetry, SamplingPreservesMetricsAndMirrorsThemInProbes) {
   expect_identical(off, on);
 
   // End-of-run probe totals mirror the RunMetrics fields exactly.
-  const obs::EngineProbes& ids = tel->engine_probes();
-  const obs::ProbeRegistry& reg = tel->probes();
-  EXPECT_EQ(reg.value(ids.offered), on.offered_packets);
-  EXPECT_EQ(reg.value(ids.delivered), on.delivered_packets);
-  EXPECT_EQ(reg.value(ids.transmissions), on.coupler_transmissions);
-  EXPECT_EQ(reg.value(ids.collisions), on.collisions);
-  EXPECT_EQ(reg.value(ids.dropped), on.dropped_packets);
-  EXPECT_EQ(reg.value(ids.backlog), on.backlog);
+  const obs::EngineSample& probes = tel->probes();
+  EXPECT_EQ(probes.offered, on.offered_packets);
+  EXPECT_EQ(probes.delivered, on.delivered_packets);
+  EXPECT_EQ(probes.transmissions, on.coupler_transmissions);
+  EXPECT_EQ(probes.collisions, on.collisions);
+  EXPECT_EQ(probes.dropped, on.dropped_packets);
+  EXPECT_EQ(probes.backlog, on.backlog);
 
   // One schema header, one row per full period, and the final partial
   // window.
@@ -287,7 +294,7 @@ TEST(Telemetry, ShardedSamplingIsThreadCountInvariantToTheByte) {
   const sim::RunMetrics off = run_sk(sim::Engine::kSharded, 1, nullptr);
 
   std::string reference_bytes;
-  std::vector<std::int64_t> reference_probes;
+  obs::EngineSample reference_probes;
   for (const int threads : {1, 2, 5, 8}) {
     SCOPED_TRACE(threads);
     const std::filesystem::path path =
@@ -296,17 +303,7 @@ TEST(Telemetry, ShardedSamplingIsThreadCountInvariantToTheByte) {
     const sim::RunMetrics on = run_sk(sim::Engine::kSharded, threads, tel);
     expect_identical(off, on);
 
-    std::vector<std::int64_t> probes;
-    const obs::ProbeRegistry& reg = tel->probes();
-    for (obs::ProbeId id = 0; id < reg.probe_count(); ++id) {
-      if (reg.kind(id) == obs::ProbeKind::kHistogram) {
-        for (std::size_t i = 0; i < reg.bucket_count(id); ++i) {
-          probes.push_back(reg.bucket(id, i));
-        }
-      } else {
-        probes.push_back(reg.value(id));
-      }
-    }
+    const obs::EngineSample probes = tel->probes();
     tel->close();
     const std::string bytes = read_file(path);
     EXPECT_GT(bytes.size(), 0u);
@@ -328,7 +325,7 @@ TEST(Telemetry, AsyncEngineSamplesWithoutChangingMetrics) {
   expect_identical(off, on);
   EXPECT_GT(tel->rows_sampled(), 0);
   // The calendar queue drains before the run returns.
-  EXPECT_EQ(tel->probes().value(tel->engine_probes().pending_events), 0);
+  EXPECT_EQ(tel->probes().pending_events, 0);
 }
 
 TEST(Telemetry, WorkloadRunsAreMetricsExactWithSampling) {
@@ -399,6 +396,22 @@ TEST(Telemetry, ChromeTraceIsWellFormedAndSpansNestPerTrack) {
   EXPECT_TRUE(has("sim.run"));
   EXPECT_TRUE(has("warmup"));
   EXPECT_TRUE(has("measure"));
+}
+
+TEST(Telemetry, ChromeTraceSinkDestructorPrintsAFailedWrite) {
+  // A destructor must not throw: a sink destroyed without close()
+  // prints its write error, naming the file, to stderr.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this host";
+  }
+  testing::internal::CaptureStderr();
+  {
+    obs::ChromeTraceSink sink("/dev/full");
+    obs::Span(&sink, 0, "doomed", "test").end();
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("write to \"/dev/full\" failed"), std::string::npos)
+      << err;
 }
 
 /// FNV-1a-64 of every RunMetrics field (the latency distribution through

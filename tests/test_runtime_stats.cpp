@@ -30,7 +30,6 @@
 #include "core/json.hpp"
 #include "core/work_pool.hpp"
 #include "hypergraph/stack_kautz.hpp"
-#include "obs/probe.hpp"
 #include "obs/runtime_stats.hpp"
 #include "obs/telemetry.hpp"
 #include "routing/compiled_routes.hpp"
@@ -218,7 +217,7 @@ TEST(RuntimeStats, DeterministicChannelIsThreadCountInvariantWithStatsOn) {
       run_sk(sim::Engine::kSharded, 1, nullptr, nullptr);
 
   std::string reference_bytes;
-  std::vector<std::int64_t> reference_probes;
+  obs::EngineSample reference_probes;
   for (const int threads : {1, 2, 5, 8}) {
     SCOPED_TRACE(threads);
     obs::TelemetryConfig tcfg;
@@ -234,17 +233,7 @@ TEST(RuntimeStats, DeterministicChannelIsThreadCountInvariantWithStatsOn) {
     session->finish();
     EXPECT_GT(session->rows(), 0);
 
-    std::vector<std::int64_t> probes;
-    const obs::ProbeRegistry& reg = tel->probes();
-    for (obs::ProbeId id = 0; id < reg.probe_count(); ++id) {
-      if (reg.kind(id) == obs::ProbeKind::kHistogram) {
-        for (std::size_t i = 0; i < reg.bucket_count(id); ++i) {
-          probes.push_back(reg.bucket(id, i));
-        }
-      } else {
-        probes.push_back(reg.value(id));
-      }
-    }
+    const obs::EngineSample probes = tel->probes();
     tel->close();
     const std::string bytes = read_file(ts_path);
     EXPECT_GT(bytes.size(), 0u);

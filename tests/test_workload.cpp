@@ -537,6 +537,46 @@ TEST(TraceTest, MalformedTracesAreRejected) {
   EXPECT_THROW(Trace::load(jsonl.path), core::Error);
 }
 
+TEST(TraceTest, HeaderCountsPastTheFileFailWithTheFileNamed) {
+  // A header claiming 2^40 entries over one real entry: the loaders
+  // reserve only what the file can hold, so both fail with an error
+  // naming the file instead of std::bad_alloc.
+  const auto expect_named_error = [](const std::string& path) {
+    try {
+      (void)Trace::load(path);
+      ADD_FAILURE() << path << " loaded";
+    } catch (const core::Error& error) {
+      EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+          << error.what();
+    }
+  };
+  constexpr std::int64_t kClaimed = std::int64_t{1} << 40;
+  Trace one;
+  one.nodes = 4;
+  one.entries = {{0, 0, 1}};
+  TempFile binary("otis_trace_huge_count.bin");
+  one.save_binary(binary.path);
+  {
+    // The count follows the 8-byte magic and the node count.
+    std::fstream patch(binary.path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+    patch.seekp(16);
+    for (int i = 0; i < 8; ++i) {
+      patch.put(static_cast<char>(kClaimed >> (8 * i)));
+    }
+  }
+  ASSERT_EQ(std::filesystem::file_size(binary.path), 48u);
+  expect_named_error(binary.path);
+
+  TempFile jsonl("otis_trace_huge_count.jsonl");
+  {
+    std::ofstream out(jsonl.path);
+    out << "{\"nodes\": 4, \"entries\": " << kClaimed << "}\n"
+        << "{\"slot\": 0, \"src\": 0, \"dst\": 1}\n";
+  }
+  expect_named_error(jsonl.path);
+}
+
 TEST(TraceTest, ReplayIsBitIdenticalAcrossEnginesAndThreads) {
   hypergraph::StackKautz sk(4, 3, 2);
   auto routes = std::make_shared<const routing::CompiledRoutes>(
