@@ -4,16 +4,21 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "campaign/manifest.hpp"
+#include "core/blob.hpp"
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "obs/runtime_stats.hpp"
 #include "obs/telemetry.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/ops_network.hpp"
 #include "sim/traffic.hpp"
 #include "workload/kernels.hpp"
@@ -97,14 +102,10 @@ std::string resolve_out_path(const std::string& out_dir,
   return (std::filesystem::path(out_dir) / p).string();
 }
 
-CellResult simulate_cell(const CampaignSpec& spec,
-                         const CompiledTopology& topology,
-                         const CampaignCell& cell,
-                         std::shared_ptr<obs::Telemetry> telemetry,
-                         std::shared_ptr<obs::RuntimeStats> runtime_stats,
-                         const std::string& checkpoint_path,
-                         bool checkpoint_resume,
-                         std::int64_t checkpoint_stop) {
+/// The cell's run knobs: everything its SimConfig takes from the spec
+/// and the cell alone, the checkpoint fingerprint included.
+sim::SimConfig cell_config(const CampaignSpec& spec,
+                           const CampaignCell& cell) {
   sim::SimConfig config;
   config.arbitration = cell.arbitration;
   config.warmup_slots = spec.warmup_slots;
@@ -115,10 +116,84 @@ CellResult simulate_cell(const CampaignSpec& spec,
   config.engine = cell.engine;
   config.threads = cell.engine_threads;
   config.timing = cell.timing;
+  config.latency_mode = spec.latency_stats;
+  return config;
+}
+
+/// --resume: cuts the campaign's timeseries file at `path` back to the
+/// rows the resumed cells will not write again, so that appending their
+/// rows gives the uninterrupted run's rows. `resume_slot` maps each
+/// pending cell's id to the slot its run starts from (0 without a
+/// usable checkpoint): it keeps its sample rows below that slot, and its
+/// schema row only when one of them is kept (a cell writes its schema
+/// with its first sample). Rows of every other cell are kept whole. A
+/// last line without its newline was torn by a crash and is dropped;
+/// any other line that does not parse fails the run. The file is
+/// rewritten atomically, so a crash here loses nothing.
+void cut_timeseries(
+    const std::string& path,
+    const std::unordered_map<std::string, std::int64_t>& resume_slot) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) {
+    return;  // nothing was written yet
+  }
+  struct Line {
+    std::string text;
+    bool keep = true;
+    std::string schema_of;  ///< the pending cell of a schema row
+  };
+  std::vector<Line> lines;
+  std::unordered_set<std::string> sampled;  ///< pending, with a kept sample
+  std::string text;
+  for (std::int64_t number = 1; std::getline(in, text); ++number) {
+    if (in.eof()) {
+      break;  // no newline: torn
+    }
+    Line line{std::move(text), true, {}};
+    try {
+      const core::Json row = core::Json::parse(line.text);
+      const core::Json* cell = row.find("cell");
+      const auto pending = cell == nullptr
+                               ? resume_slot.end()
+                               : resume_slot.find(cell->as_string());
+      if (pending != resume_slot.end()) {
+        if (row.at("type").as_string() == "schema") {
+          line.schema_of = pending->first;
+        } else if (row.at("slot").as_int() < pending->second) {
+          sampled.insert(pending->first);
+        } else {
+          line.keep = false;
+        }
+      }
+    } catch (const core::Error& error) {
+      throw core::Error("CampaignRunner: " + path + " line " +
+                        std::to_string(number) + ": " + error.what());
+    }
+    lines.push_back(std::move(line));
+  }
+  std::vector<std::uint8_t> kept;
+  for (const Line& line : lines) {
+    if (line.keep &&
+        (line.schema_of.empty() || sampled.count(line.schema_of) > 0)) {
+      kept.insert(kept.end(), line.text.begin(), line.text.end());
+      kept.push_back('\n');
+    }
+  }
+  core::write_file_atomic(path, kept);
+}
+
+CellResult simulate_cell(const CampaignSpec& spec,
+                         const CompiledTopology& topology,
+                         const CampaignCell& cell,
+                         std::shared_ptr<obs::Telemetry> telemetry,
+                         std::shared_ptr<obs::RuntimeStats> runtime_stats,
+                         const std::string& checkpoint_path,
+                         bool checkpoint_resume,
+                         std::int64_t checkpoint_stop) {
+  sim::SimConfig config = cell_config(spec, cell);
   config.workload = make_workload(cell, topology);
   config.telemetry = std::move(telemetry);
   config.runtime_stats = std::move(runtime_stats);
-  config.latency_mode = spec.latency_stats;
   if (!checkpoint_path.empty()) {
     config.checkpoint_every_slots = spec.checkpoint_every;
     config.checkpoint_path = checkpoint_path;
@@ -188,18 +263,12 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
                                    options.resume);
   }
 
-  // Shared telemetry sinks: one timeseries writer and one trace sink
-  // for the whole campaign; every cell's rows and spans are tagged, so
-  // concurrent writers interleave without ambiguity.
+  // Shared telemetry sinks: one timeseries writer (opened once the
+  // pending cells are known) and one trace sink for the whole campaign;
+  // every cell's rows and spans are tagged, so concurrent writers
+  // interleave without ambiguity.
   const obs::TelemetryConfig& tcfg = spec_.telemetry;
-  std::shared_ptr<obs::JsonlWriter> ts_writer;
   std::shared_ptr<obs::ChromeTraceSink> trace_sink;
-  if (tcfg.sample_period > 0) {
-    ts_writer = std::make_shared<obs::JsonlWriter>(
-        tcfg.timeseries_path.empty()
-            ? std::string()
-            : resolve_out_path(options.out_dir, tcfg.timeseries_path));
-  }
   if (!tcfg.trace_path.empty()) {
     trace_sink = std::make_shared<obs::ChromeTraceSink>(
         resolve_out_path(options.out_dir, tcfg.trace_path));
@@ -296,6 +365,34 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
     topologies[index] = CompiledTopology::build(
         spec_.topologies[index], need.dense, need.compressed, &pool);
     ++report.topologies_compiled;
+  }
+
+  // --resume appends to the timeseries, after cutting it back to the
+  // rows no pending cell writes again: a pending cell resumes from its
+  // checkpoint's boundary, or from slot 0 without one.
+  std::shared_ptr<obs::JsonlWriter> ts_writer;
+  if (tcfg.sample_period > 0) {
+    const std::string ts_path =
+        tcfg.timeseries_path.empty()
+            ? std::string()
+            : resolve_out_path(options.out_dir, tcfg.timeseries_path);
+    if (options.resume && !ts_path.empty()) {
+      std::unordered_map<std::string, std::int64_t> resume_slot;
+      for (const CampaignCell* cell : pending) {
+        const std::string ckpt_path = cell_checkpoint_path(*cell);
+        const hypergraph::DirectedHypergraph& hg =
+            topologies.at(cell->topology)->stack().hypergraph();
+        resume_slot[cell->id] =
+            ckpt_path.empty()
+                ? 0
+                : sim::checkpoint_boundary(ckpt_path,
+                                           cell_config(spec_, *cell),
+                                           hg.node_count(),
+                                           hg.hyperarc_count());
+      }
+      cut_timeseries(ts_path, resume_slot);
+    }
+    ts_writer = std::make_shared<obs::JsonlWriter>(ts_path, options.resume);
   }
 
   // Reorder buffer: workers finish in steal order, sinks consume in

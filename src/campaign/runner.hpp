@@ -38,7 +38,10 @@ using WorkStealingPool = core::WorkStealingPool;
 struct CampaignOptions {
   int threads = 1;       ///< worker pool size; <= 0 = hardware concurrency
   std::string out_dir;   ///< when set: results.jsonl/results.csv/manifest.txt
-  bool resume = false;   ///< skip cells listed in the manifest, append files
+  /// Skip cells listed in the manifest and append to the files; the
+  /// timeseries is first cut back to the rows no pending cell writes
+  /// again (a resumed cell's rows below its checkpoint's boundary).
+  bool resume = false;
   bool write_jsonl = true;  ///< emit out_dir/results.jsonl
   bool write_csv = true;    ///< emit out_dir/results.csv
   /// Deterministic cross-machine split: this invocation runs only cells

@@ -173,6 +173,10 @@ void Telemetry::finish(std::int64_t last_slot) {
   if (sampling() && last_slot >= 0 && !due(last_slot)) {
     sample(last_slot);
   }
+  flush();
+}
+
+void Telemetry::flush() {
   if (writer_ != nullptr) {
     writer_->flush();
   }
@@ -184,9 +188,7 @@ std::int64_t Telemetry::rows_sampled() const {
 
 void Telemetry::close() {
   if (!owns_sinks_) {
-    if (writer_ != nullptr) {
-      writer_->flush();
-    }
+    flush();
     return;
   }
   if (writer_ != nullptr) {

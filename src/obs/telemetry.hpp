@@ -138,6 +138,10 @@ class Telemetry {
   /// the last executed slot; emits a final row unless that slot was
   /// just sampled, and flushes the writer.
   void finish(std::int64_t last_slot);
+  /// Pushes the rows sampled so far to the file. Engines call it before
+  /// storing a checkpoint, so a crash that keeps the blob keeps every
+  /// row below its boundary too.
+  void flush();
 
   /// Sampler cross-row state (header flag + previous counter values),
   /// for engine checkpointing: restoring it lets a resumed run append

@@ -52,9 +52,10 @@ using detail::json_escaped;
 
 }  // namespace
 
-JsonlWriter::JsonlWriter(std::string path) : path_(std::move(path)) {
+JsonlWriter::JsonlWriter(std::string path, bool append)
+    : path_(std::move(path)) {
   if (!path_.empty()) {
-    out_.open(path_, std::ios::trunc);
+    out_.open(path_, append ? std::ios::app : std::ios::trunc);
     OTIS_REQUIRE(out_.good(), "JsonlWriter: cannot open \"" + path_ +
                                   "\" for writing");
   }

@@ -39,12 +39,14 @@ namespace detail {
 
 /// Thread-safe append-only JSONL stream of both observability channels
 /// (timeseries rows and runtime rows), shared across a campaign's cells:
-/// every row carries its cell id. An empty path counts rows without
-/// writing -- the bench's discard mode. close() throws core::Error
-/// naming the file when any row could not be written.
+/// every row carries its cell id. The file is truncated at open unless
+/// `append` is set (a resumed campaign's timeseries). An empty path
+/// counts rows without writing -- the bench's discard mode. close()
+/// throws core::Error naming the file when any row could not be
+/// written.
 class JsonlWriter {
  public:
-  explicit JsonlWriter(std::string path);
+  explicit JsonlWriter(std::string path, bool append = false);
 
   void append(const std::string& line);
   void flush();

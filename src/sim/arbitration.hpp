@@ -3,15 +3,14 @@
 /// Per-coupler winner selection for the phased and async engines, over
 /// the coupler's request-mask words (occupancy.hpp).
 ///
-/// This is a faithful restatement of the event-queue reference's inline
-/// arbitration (reference.cpp slot()), including the exact RNG
-/// consumption order. The reference copy is deliberately kept as the
-/// seed wrote it -- it is the parity oracle and benchmark baseline --
-/// so any change here MUST be mirrored there (or rejected);
-/// tests/test_engine_equivalence.cpp enforces the bit-for-bit agreement
-/// and will fail on divergence. (The token cursor's wrap-on-compare --
-/// replacing the per-step remainder -- is mirrored there per this
-/// contract; it visits the identical position sequence.)
+/// This restates the event-queue reference's inline arbitration
+/// (reference.cpp slot()): the same RNG draws in the same order, the
+/// same winners in the same order. The reference stays as the seed
+/// wrote it -- it is the independent parity oracle and the benchmark
+/// baseline -- so a change here must be a behaviour-preserving
+/// restatement, which the parity suites (test_engine_equivalence.cpp
+/// and the other tests that call run_reference) prove bit for bit
+/// against the reference's own loop.
 ///
 /// The mask form replaces the seed's contender-list/byte-mask scan:
 ///  - token round-robin is a rotate-and-count-trailing-zeros scan over
@@ -20,8 +19,10 @@
 ///  - random winner builds its ascending contender list from the mask
 ///    words (same list the byte scan produced) and runs the identical
 ///    partial Fisher-Yates over it;
-///  - slotted aloha draws one Bernoulli per set bit in ascending
-///    position order, exactly as the list walk did.
+///  - slotted aloha draws one raw value per set bit in ascending
+///    position order, as the list walk drew one bernoulli(0.5), and
+///    reads each coin as bit 63 of its draw (aloha_coin) into a
+///    transmit mask and count without a branch.
 /// Every policy therefore consumes the same RNG draws in the same order
 /// as the seed and elects the same winners in the same order.
 ///
@@ -87,6 +88,14 @@ namespace otis::sim::detail {
   return static_cast<std::size_t>(-1);
 }
 
+/// A slotted-aloha contender's coin: all ones when the contender holding
+/// raw draw `x` transmits, else zero. It transmits iff bit 63 of `x` is
+/// clear, which is exactly bernoulli(0.5)'s decision on the same draw:
+/// uniform_real() is (x >> 11) * 2^-53, and that is < 0.5 iff x < 2^63.
+[[nodiscard]] constexpr std::uint64_t aloha_coin(std::uint64_t x) noexcept {
+  return (x >> 63) - 1;
+}
+
 /// Picks the winners of one coupler-slot.
 ///
 /// `request` points at the coupler's `words` request-mask words: bit si
@@ -94,7 +103,8 @@ namespace otis::sim::detail {
 /// non-empty and, for the calendar scheduler, eligible). No bits at or above
 /// `source_count` may be set. `token` is the coupler's round-robin
 /// cursor, advanced just past each winner. `scratch` is caller-owned
-/// scratch (kRandomWinner builds its contender list there). Winners are
+/// scratch (kRandomWinner builds its contender list there, kSlottedAloha
+/// the transmit masks of a coupler with more than one word). Winners are
 /// appended to `winners` (cleared first) in transmission order. Returns
 /// true when a slotted-aloha collision destroyed every transmission of
 /// this coupler-slot.
@@ -192,21 +202,44 @@ inline bool pick_winners(Arbitration policy, std::size_t capacity,
     case Arbitration::kSlottedAloha: {
       // Every contender independently transmits with probability 1/2; at
       // most `capacity` simultaneous transmitters succeed, more collide.
-      for (std::size_t wi = 0; wi < words; ++wi) {
-        std::uint64_t word = request[wi];
-        while (word != 0) {
-          const std::size_t si =
-              (wi << 6) +
-              static_cast<std::size_t>(std::countr_zero(word));
-          word &= word - 1;
-          if (rng.bernoulli(0.5)) {
-            winners.push_back(si);
-          }
+      // Each set bit draws once, ascending, and its coin lands in the
+      // word's transmit mask and the count without a branch: a 50/50
+      // branch per contender is one the CPU cannot predict.
+      std::size_t sent = 0;
+      const auto flip = [&rng, &sent](std::uint64_t word) {
+        std::uint64_t transmit = 0;
+        for (; word != 0; word &= word - 1) {
+          const std::uint64_t coin = aloha_coin(rng());
+          transmit |= word & (0 - word) & coin;
+          sent += coin & 1;  // counted inline: no -mpopcnt here
         }
+        return transmit;
+      };
+      const auto elect = [&winners](std::size_t wi, std::uint64_t transmit) {
+        for (; transmit != 0; transmit &= transmit - 1) {
+          winners.push_back(
+              (wi << 6) +
+              static_cast<std::size_t>(std::countr_zero(transmit)));
+        }
+      };
+      if (words == 1) {
+        const std::uint64_t transmit = flip(request[0]);
+        if (sent > capacity) {
+          return true;
+        }
+        elect(0, transmit);
+        return false;
       }
-      if (winners.size() > capacity) {
-        winners.clear();
+      // More than 64 feeders: the words' masks wait in `scratch`.
+      scratch.resize(words);
+      for (std::size_t wi = 0; wi < words; ++wi) {
+        scratch[wi] = flip(request[wi]);
+      }
+      if (sent > capacity) {
         return true;
+      }
+      for (std::size_t wi = 0; wi < words; ++wi) {
+        elect(wi, scratch[wi]);
       }
       return false;
     }

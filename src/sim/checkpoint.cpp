@@ -98,6 +98,19 @@ bool checkpoint_load(const std::string& path, const SimConfig& config,
   }
 }
 
+std::int64_t checkpoint_boundary(const std::string& path,
+                                 const SimConfig& config, std::int64_t nodes,
+                                 std::int64_t couplers) {
+  std::vector<std::uint8_t> blob;
+  if (!checkpoint_load(path, config, nodes, couplers, blob)) {
+    return 0;
+  }
+  // The payload opens with the boundary, as the engines write it.
+  core::BlobReader in(blob);
+  (void)checkpoint_read_header(in, config, nodes, couplers);
+  return in.get_i64();
+}
+
 void checkpoint_store(const std::string& path, core::BlobWriter& out) {
   out.put_u64(core::fnv1a64(out.bytes().data(), out.bytes().size()));
   core::write_file_atomic(path, out.bytes());

@@ -60,6 +60,14 @@ void checkpoint_write_header(core::BlobWriter& out, const SimConfig& config,
                                    std::int64_t couplers,
                                    std::vector<std::uint8_t>& bytes);
 
+/// The slot a run resuming from `path` starts at: the boundary of the
+/// blob checkpoint_load accepts for (config, nodes, couplers), or 0 when
+/// it accepts none and the run starts fresh.
+[[nodiscard]] std::int64_t checkpoint_boundary(const std::string& path,
+                                               const SimConfig& config,
+                                               std::int64_t nodes,
+                                               std::int64_t couplers);
+
 /// Appends the checksum to a finished blob and writes it to `path`
 /// atomically (tmp + rename), so a crash mid-write never corrupts the
 /// previous checkpoint.

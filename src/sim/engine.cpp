@@ -774,6 +774,9 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
     traffic.checkpoint_state(traffic_state);
     out.put_i64_vec(traffic_state);
     checkpoint_put_telemetry(out, tel, tel_last);
+    if (tel != nullptr) {
+      tel->flush();  // the rows the blob covers reach the file first
+    }
     checkpoint_store(config.checkpoint_path, out);
   };
   if (config.checkpoint_resume) {

@@ -74,30 +74,45 @@ Trace load_binary(std::ifstream& in, const std::string& path) {
 Trace load_jsonl(std::ifstream& in, const std::string& path) {
   Trace trace;
   std::string line;
+  std::int64_t line_number = 1;
+  // A row that does not parse, or lacks a key, names the file and line.
+  const auto on_line = [&](const auto& read) {
+    try {
+      read();
+    } catch (const core::Error& error) {
+      throw core::Error("Trace: " + path + " line " +
+                        std::to_string(line_number) + ": " + error.what());
+    }
+  };
   OTIS_REQUIRE(static_cast<bool>(std::getline(in, line)),
                "Trace: empty trace file " + path);
-  const core::Json header = core::Json::parse(line);
-  trace.nodes = header.at("nodes").as_int();
-  const std::int64_t count = header.at("entries").as_int();
+  std::int64_t count = 0;
+  on_line([&] {
+    const core::Json header = core::Json::parse(line);
+    trace.nodes = header.at("nodes").as_int();
+    count = header.at("entries").as_int();
+  });
   OTIS_REQUIRE(count >= 0, "Trace: negative entry count in " + path);
   constexpr std::int64_t kShortestRow = 26;  // {"slot":0,"src":0,"dst":1}
   trace.entries.reserve(
       static_cast<std::size_t>(std::min(count, bytes_left(in) / kShortestRow)));
   while (std::getline(in, line)) {
+    ++line_number;
     if (line.empty()) {
       continue;
     }
-    const core::Json row = core::Json::parse(line);
-    // Rows carrying a "type" tag are typed metadata from the obs
-    // channels (schema/sample/runtime rows); tolerate them so a trace
-    // concatenated or interleaved with channel output still loads.
-    // Extra fields on entry rows are ignored for the same reason.
-    if (row.find("type") != nullptr) {
-      continue;
-    }
-    trace.entries.push_back(TraceEntry{row.at("slot").as_int(),
-                                       row.at("src").as_int(),
-                                       row.at("dst").as_int()});
+    on_line([&] {
+      const core::Json row = core::Json::parse(line);
+      // Rows carrying a "type" tag are typed metadata from the obs
+      // channels (schema/sample/runtime rows); tolerate them so a trace
+      // concatenated or interleaved with channel output still loads.
+      // Extra fields on entry rows are ignored for the same reason.
+      if (row.find("type") == nullptr) {
+        trace.entries.push_back(TraceEntry{row.at("slot").as_int(),
+                                           row.at("src").as_int(),
+                                           row.at("dst").as_int()});
+      }
+    });
   }
   OTIS_REQUIRE(static_cast<std::int64_t>(trace.entries.size()) == count,
                "Trace: header announces " + std::to_string(count) +

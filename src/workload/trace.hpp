@@ -53,7 +53,8 @@ struct Trace {
 
   /// Loads either serialization (sniffs the binary magic) and
   /// validates. Throws core::Error on unreadable, truncated or
-  /// invariant-violating input.
+  /// invariant-violating input; a JSONL line that does not parse or
+  /// lacks a key fails with the path and that line's number.
   [[nodiscard]] static Trace load(const std::string& path);
 
   friend bool operator==(const Trace&, const Trace&) = default;

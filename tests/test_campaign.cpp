@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -1394,6 +1395,105 @@ TEST(CampaignRunnerTest, CheckpointDrillThenResumeIsByteIdentical) {
   EXPECT_EQ(read_file(drilled.path() / CampaignRunner::kManifestFile),
             read_file(uninterrupted.path() / CampaignRunner::kManifestFile));
   EXPECT_TRUE(std::filesystem::is_empty(drilled.path() / "checkpoints"));
+}
+
+/// The lines of a JSONL file, sorted: two workers interleave their
+/// cells' rows, so only the multiset of lines is deterministic.
+std::vector<std::string> sorted_lines(const std::filesystem::path& path) {
+  std::vector<std::string> lines;
+  std::istringstream in(read_file(path));
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(CampaignRunnerTest, ResumeKeepsTheTimeseriesRowsItsCheckpointsCover) {
+  // The drill on both timings (the skewed one runs async-sharded) with
+  // telemetry every 16 slots: after --checkpoint-stop and --resume the
+  // timeseries must hold the uninterrupted run's rows, schema rows
+  // included, each once. A second drilled directory mimics a crash: the
+  // rows each cell wrote past its checkpoint, and a torn line, were
+  // appended before the resume, and one cell lost its blob, so it
+  // reruns from slot 0 and must drop every row it wrote.
+  CampaignSpec spec;
+  spec.name = "drill-telemetry";
+  spec.topologies = {TopologySpec::stack_kautz(4, 3, 2)};
+  sim::TimingConfig skewed;
+  skewed.profile = sim::SkewProfile::kConstant;
+  skewed.tuning_ticks = 256;
+  skewed.propagation_ticks = 2048;
+  skewed.guard_ticks = 64;
+  spec.timings = {sim::TimingConfig{}, skewed};
+  spec.loads = {0.3, 0.7};
+  spec.seeds = {1, 2};
+  spec.warmup_slots = 10;
+  spec.measure_slots = 120;
+  spec.checkpoint_every = 30;
+  spec.engine = sim::Engine::kSharded;
+  spec.engine_threads = 2;
+  spec.telemetry.sample_period = 16;
+  spec.telemetry.timeseries_path = "timeseries.jsonl";
+  const auto run = [&spec](const std::filesystem::path& dir, bool resume,
+                           std::int64_t checkpoint_stop) {
+    CampaignOptions options;
+    options.threads = 2;
+    options.out_dir = dir.string();
+    options.resume = resume;
+    options.checkpoint_stop = checkpoint_stop;
+    CampaignRunner runner(spec);
+    return runner.run(options);
+  };
+
+  ScratchDir fresh("ts-full");
+  EXPECT_EQ(run(fresh.path(), false, -1).completed_cells, 8);
+  const std::vector<std::string> expected =
+      sorted_lines(fresh.path() / "timeseries.jsonl");
+  ASSERT_FALSE(expected.empty());
+
+  ScratchDir drilled("ts-drill");
+  ScratchDir crashed("ts-crash");
+  EXPECT_EQ(run(drilled.path(), false, 50).interrupted_cells, 8);
+  std::filesystem::copy(drilled.path(), crashed.path(),
+                        std::filesystem::copy_options::recursive |
+                            std::filesystem::copy_options::overwrite_existing);
+  {
+    // Each cell's last drilled sample; the fresh rows past it are the
+    // ones a crash after the checkpoint would have left behind.
+    std::map<std::string, std::int64_t> last;
+    for (const std::string& line :
+         sorted_lines(drilled.path() / "timeseries.jsonl")) {
+      const core::Json row = core::Json::parse(line);
+      if (row.at("type").as_string() == "sample") {
+        std::int64_t& slot = last[row.at("cell").as_string()];
+        slot = std::max(slot, row.at("slot").as_int());
+      }
+    }
+    ASSERT_EQ(last.size(), 8u);
+    std::ofstream out(crashed.path() / "timeseries.jsonl", std::ios::app);
+    std::size_t stray = 0;
+    for (const std::string& line : expected) {
+      const core::Json row = core::Json::parse(line);
+      if (row.at("type").as_string() == "sample" &&
+          row.at("slot").as_int() > last.at(row.at("cell").as_string())) {
+        out << line << "\n";
+        ++stray;
+      }
+    }
+    EXPECT_GT(stray, 0u);
+    out << "{\"type\":\"sample\",\"cell\":\"";
+  }
+  ASSERT_TRUE(std::filesystem::remove(crashed.path() / "checkpoints" /
+                                      "cell-0.ckpt"));
+
+  for (const ScratchDir* dir : {&drilled, &crashed}) {
+    SCOPED_TRACE(dir->path().string());
+    EXPECT_EQ(run(dir->path(), true, -1).completed_cells, 8);
+    EXPECT_EQ(sorted_lines(dir->path() / "timeseries.jsonl"), expected);
+    EXPECT_EQ(read_file(dir->path() / CampaignRunner::kJsonlFile),
+              read_file(fresh.path() / CampaignRunner::kJsonlFile));
+  }
 }
 
 TEST(CampaignRunnerTest, SketchLatencyModeRunsTheGrid) {

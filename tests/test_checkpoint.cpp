@@ -320,7 +320,8 @@ TEST(Checkpoint, BurstyTrafficStateRoundTrips) {
 TEST(Checkpoint, TelemetryStreamConcatenatesByteExactly) {
   // The sampler's cross-row state (header flag, previous counters, last
   // sampled slot) rides in the blob, so interrupted + resumed
-  // timeseries files concatenate to exactly the uninterrupted stream.
+  // timeseries files concatenate to exactly the uninterrupted stream,
+  // and the rows a blob covers are flushed before it is stored.
   ScratchDir scratch("telemetry");
   const struct {
     sim::Engine engine;
@@ -358,6 +359,9 @@ TEST(Checkpoint, TelemetryStreamConcatenatesByteExactly) {
     drill.path = (scratch.path() / ("tel_" + suffix + ".ckpt")).string();
     drill.stop_at = 240;
     run_sk(cell.engine, cell.threads, drill);
+    // The drill "died" without finish(): its rows are on disk only
+    // because the checkpoint flushed them before storing the blob.
+    const std::string flushed_bytes = read_bytes(part_a);
     drill.telemetry->close();
 
     tel_config.timeseries_path = part_b.string();
@@ -377,6 +381,8 @@ TEST(Checkpoint, TelemetryStreamConcatenatesByteExactly) {
     const std::string interrupted_bytes = read_bytes(part_a);
     EXPECT_GT(interrupted_bytes.size(), 0u)
         << "drill must stop after at least one sampled row";
+    EXPECT_EQ(flushed_bytes, interrupted_bytes)
+        << "a checkpoint must flush the rows it covers";
     EXPECT_EQ(interrupted_bytes + read_bytes(part_b), read_bytes(full))
         << "resumed rows must continue the stream byte-exactly";
   }

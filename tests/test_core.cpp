@@ -21,6 +21,7 @@
 #include "core/mathutil.hpp"
 #include "core/rng.hpp"
 #include "core/table.hpp"
+#include "sim/arbitration.hpp"
 
 namespace otis::core {
 namespace {
@@ -121,6 +122,37 @@ TEST(Rng, BernoulliRoughlyFair) {
     heads += rng.bernoulli(0.5) ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(heads) / trials, 0.5, 0.02);
+}
+
+// Slotted aloha reads each contender's coin as bit 63 of its raw draw
+// (sim::detail::aloha_coin). That is bernoulli(0.5)'s decision only
+// because uniform_real() is (x >> 11) * 2^-53: < 0.5 iff x < 2^63.
+TEST(Rng, FairCoinIsBit63OfTheDraw) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  const std::uint64_t edges[] = {0,
+                                 kHalf - (std::uint64_t{1} << 11),
+                                 kHalf - 1,
+                                 kHalf,
+                                 kHalf + (std::uint64_t{1} << 11),
+                                 ~std::uint64_t{0}};
+  for (const std::uint64_t x : edges) {
+    SCOPED_TRACE(x);
+    const bool heads = static_cast<double>(x >> 11) * 0x1.0p-53 < 0.5;
+    EXPECT_EQ(heads, x < kHalf);
+    EXPECT_EQ(sim::detail::aloha_coin(x), heads ? ~std::uint64_t{0} : 0);
+  }
+}
+
+TEST(Rng, FairBernoulliMatchesBit63DrawForDraw) {
+  Rng coins(31);
+  Rng raw(31);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t x = raw();
+    const bool heads = coins.bernoulli(0.5);
+    ASSERT_EQ(heads, (x >> 63) == 0) << "draw " << i;
+    ASSERT_EQ(sim::detail::aloha_coin(x), heads ? ~std::uint64_t{0} : 0)
+        << "draw " << i;
+  }
 }
 
 TEST(Rng, PermutationIsPermutation) {

@@ -393,6 +393,70 @@ TEST(EngineEquivalence, PrefetchingArenaParityOnLargeStackKautz) {
   }
 }
 
+TEST(EngineEquivalence, WideCouplerParityAcrossPoliciesAndWavelengths) {
+  // POPS(70,2) and POPS(130,2): every coupler has 70 or 130 feeders, so
+  // its request mask spans 2 or 3 words -- the only fixtures where
+  // pick_single_token wraps across words, the token and random scans
+  // cross a word boundary and slotted aloha keeps its transmit masks in
+  // scratch. At load 0.005 aloha elects winners; at 0.3 its couplers
+  // collide. phased and slot-aligned async must match run_reference;
+  // sharded and slot-aligned async-sharded at 1-3 threads must match
+  // each other.
+  for (std::int64_t group_size : {70, 130}) {
+    hypergraph::Pops pops(group_size, 2);
+    const auto routes = std::make_shared<const routing::CompiledRoutes>(
+        routing::compile_pops_routes(pops));
+    for (Arbitration arb : kAllPolicies) {
+      for (std::int64_t wavelengths : {1, 2, 3}) {
+        for (double load : {0.005, 0.02, 0.3}) {
+          SCOPED_TRACE("POPS(" + std::to_string(group_size) + ",2) " +
+                       arbitration_name(arb) + " W=" +
+                       std::to_string(wavelengths) + " load " +
+                       std::to_string(load));
+          auto run = [&](std::optional<Engine> engine, int threads) {
+            SimConfig c;
+            c.arbitration = arb;
+            c.wavelengths = wavelengths;
+            c.warmup_slots = 20;
+            c.measure_slots = 200;
+            c.seed = 37;
+            c.threads = threads;
+            auto traffic = std::make_unique<UniformTraffic>(
+                pops.processor_count(), load);
+            if (!engine) {
+              return run_reference(pops.stack(), table_hooks(*routes),
+                                   *traffic, c)
+                  .metrics;
+            }
+            c.engine = *engine;
+            OpsNetworkSim sim(pops.stack(), routes, std::move(traffic), c);
+            return sim.run();
+          };
+          const RunMetrics legacy = run(kReference, 1);
+          expect_identical(legacy, run(Engine::kPhased, 1));
+          expect_identical(legacy, run(Engine::kAsync, 1));
+          const RunMetrics sharded_one = run(Engine::kSharded, 1);
+          for (int threads : {2, 3}) {
+            SCOPED_TRACE(threads);
+            expect_identical(sharded_one, run(Engine::kSharded, threads));
+          }
+          for (int threads : {1, 2, 3}) {
+            SCOPED_TRACE("async-sharded " + std::to_string(threads));
+            expect_identical(sharded_one,
+                             run(Engine::kAsyncSharded, threads));
+          }
+          if (arb == Arbitration::kSlottedAloha && load == 0.005) {
+            EXPECT_GT(legacy.coupler_transmissions, 0);
+          }
+          if (arb == Arbitration::kSlottedAloha && load == 0.3) {
+            EXPECT_GT(legacy.collisions, 0);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(EngineEquivalence, ShardedDrainTerminatesAndIsThreadCountInvariant) {
   // Drain keeps the barrier loop alive past the traffic horizon until
   // the folded in-flight count hits zero; the backlog must come out

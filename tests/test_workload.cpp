@@ -577,6 +577,39 @@ TEST(TraceTest, HeaderCountsPastTheFileFailWithTheFileNamed) {
   expect_named_error(jsonl.path);
 }
 
+TEST(TraceTest, MalformedJsonlRowsNameTheFileAndLine) {
+  // A row cut short and a row that spells "source" for "src", each on
+  // the file's third line: the error names the file and that line.
+  const auto expect_line_3 = [](const std::string& path,
+                                const std::string& detail) {
+    try {
+      (void)Trace::load(path);
+      ADD_FAILURE() << path << " loaded";
+    } catch (const core::Error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("Trace: " + path + " line 3: "), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(detail), std::string::npos) << what;
+    }
+  };
+  TempFile cut("otis_trace_cut_row.jsonl");
+  {
+    std::ofstream out(cut.path);
+    out << "{\"nodes\": 4, \"entries\": 2}\n"
+        << "{\"slot\": 0, \"src\": 0, \"dst\": 1}\n"
+        << "{\"slot\": 1, \"src\": 0\n";
+  }
+  expect_line_3(cut.path, "JSON parse error");
+  TempFile misspelled("otis_trace_misspelled_key.jsonl");
+  {
+    std::ofstream out(misspelled.path);
+    out << "{\"nodes\": 4, \"entries\": 2}\n"
+        << "{\"slot\": 0, \"src\": 0, \"dst\": 1}\n"
+        << "{\"slot\": 1, \"source\": 0, \"dst\": 2}\n";
+  }
+  expect_line_3(misspelled.path, "missing key \"src\"");
+}
+
 TEST(TraceTest, ReplayIsBitIdenticalAcrossEnginesAndThreads) {
   hypergraph::StackKautz sk(4, 3, 2);
   auto routes = std::make_shared<const routing::CompiledRoutes>(
