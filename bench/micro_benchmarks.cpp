@@ -169,7 +169,7 @@ struct PhaseRow {
   double receive_ns;
 };
 
-/// The cache-bound phase row: SK(10,10,3) (11,000 processors, 110,000
+/// The cache-bound phase row: SK(10,10,3) (11,000 processors, 121,000
 /// VOQs) on compressed routes past saturation, where queue state far
 /// outgrows L2 and every phase's cost is its memory misses.
 constexpr double kScalePhaseLoad = 0.6;
@@ -189,7 +189,7 @@ constexpr HotPhase kHotFunctions[] = {
      "\"TrafficGenerator::draw_senders (compact sender list, "
      "BernoulliThreshold integer gate)\", \"core::Rng::operator()\", "
      "\"detail::staged_enqueue (route row, queue header, tail slot "
-     "prefetched ahead)\", \"VoqArenaT::push (one 32-byte record)\""},
+     "prefetched ahead)\", \"VoqArenaT::push (one 16-byte record)\""},
     {"arbitrate",
      "\"Steps::arbitrate (slot scheduler, flattened)\", "
      "\"detail::pick_then_pop (a summary word's picks, then its pops)\", "

@@ -1,13 +1,19 @@
 #include "campaign/runner.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <fcntl.h>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <sys/file.h>
 #include <thread>
+#include <unistd.h>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -28,6 +34,35 @@
 namespace otis::campaign {
 
 namespace {
+
+/// An exclusive, non-blocking flock(2) on `dir`/CampaignRunner::kLockFile,
+/// held until destruction. The lock belongs to the open file
+/// description, so it also holds against another description of the
+/// file in this process, and the kernel drops it if the process dies.
+class DirectoryLock {
+ public:
+  explicit DirectoryLock(const std::filesystem::path& dir) {
+    const std::string path = (dir / CampaignRunner::kLockFile).string();
+    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    OTIS_REQUIRE(fd_ >= 0, "CampaignRunner: cannot open lock file " + path +
+                               ": " + std::strerror(errno));
+    if (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
+      const int error = errno;
+      ::close(fd_);
+      OTIS_REQUIRE(error != EWOULDBLOCK,
+                   "CampaignRunner: output directory " + dir.string() +
+                       " is in use by another campaign runner");
+      OTIS_REQUIRE(false, "CampaignRunner: cannot lock output directory " +
+                              dir.string() + ": " + std::strerror(error));
+    }
+  }
+  ~DirectoryLock() { ::close(fd_); }
+  DirectoryLock(const DirectoryLock&) = delete;
+  DirectoryLock& operator=(const DirectoryLock&) = delete;
+
+ private:
+  int fd_ = -1;
+};
 
 std::unique_ptr<sim::TrafficGenerator> make_traffic(const CampaignCell& cell,
                                                     std::int64_t nodes) {
@@ -240,13 +275,16 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   const std::vector<CampaignCell> cells = expand_grid(spec_);
   report.total_cells = static_cast<std::int64_t>(cells.size());
 
-  // Output files + manifest-based skip set.
+  // Output files + manifest-based skip set. The directory lock is
+  // declared first, so it is released after every file here closes.
+  std::optional<DirectoryLock> dir_lock;
   std::vector<std::shared_ptr<ResultSink>> sinks = extra_sinks_;
   std::unique_ptr<Manifest> manifest;
   std::unordered_set<std::string> completed;
   if (!options.out_dir.empty()) {
     std::filesystem::create_directories(options.out_dir);
     const std::filesystem::path dir(options.out_dir);
+    dir_lock.emplace(dir);  // before any file here is read, cut or opened
     if (options.resume) {
       completed = Manifest::load((dir / kManifestFile).string());
     }

@@ -91,6 +91,10 @@ class CampaignRunner {
   static constexpr const char* kJsonlFile = "results.jsonl";
   static constexpr const char* kCsvFile = "results.csv";
   static constexpr const char* kManifestFile = "manifest.txt";
+  /// run() holds an exclusive flock(2) on this file in out_dir until it
+  /// returns, so a second runner on the same directory fails at once
+  /// instead of racing the first one's sinks and checkpoint renames.
+  static constexpr const char* kLockFile = "campaign.lock";
 
   explicit CampaignRunner(CampaignSpec spec);
 
@@ -102,7 +106,9 @@ class CampaignRunner {
 
   /// Expands, skips, compiles, simulates, streams. May be called again
   /// (e.g. to re-drive the same spec at different options); sinks added
-  /// via add_sink stay attached.
+  /// via add_sink stay attached. Throws core::Error naming out_dir,
+  /// before it reads or writes anything there, when another process
+  /// holds the directory's kLockFile.
   CampaignReport run(const CampaignOptions& options = {});
 
  private:

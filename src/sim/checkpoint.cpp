@@ -116,6 +116,33 @@ void checkpoint_store(const std::string& path, core::BlobWriter& out) {
   core::write_file_atomic(path, out.bytes());
 }
 
+void checkpoint_put_entry(core::BlobWriter& out, const VoqEntry& e) {
+  out.put_i64(e.id);
+  out.put_i64(e.destination);
+  out.put_i64(e.created);
+  out.put_i64(e.hops);
+}
+
+VoqEntry checkpoint_get_entry(core::BlobReader& in, std::int64_t nodes,
+                              std::int64_t boundary) {
+  const std::int64_t id = in.get_i64();
+  const std::int64_t destination = in.get_i64();
+  const std::int64_t created = in.get_i64();
+  const std::int64_t hops = in.get_i64();
+  OTIS_REQUIRE(id >= -nodes && id <= -1,
+               "checkpoint: packet id names no source node");
+  OTIS_REQUIRE(destination >= 0 && destination < nodes,
+               "checkpoint: packet destination outside the network");
+  OTIS_REQUIRE(created >= 0 && created < boundary,
+               "checkpoint: packet created at or past the checkpoint");
+  OTIS_REQUIRE(hops >= 0 && hops <= VoqEntry::kMaxHops,
+               "checkpoint: packet hop count out of range");
+  return VoqEntry{.created = created,
+                  .hops = static_cast<std::uint64_t>(hops),
+                  .id = static_cast<std::int32_t>(id),
+                  .destination = static_cast<std::int32_t>(destination)};
+}
+
 void checkpoint_put_telemetry(core::BlobWriter& out, const obs::Telemetry* tel,
                               std::int64_t tel_last) {
   out.put_u8(tel != nullptr ? 1 : 0);

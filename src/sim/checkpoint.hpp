@@ -33,7 +33,7 @@ namespace otis::sim {
 struct SimConfig;
 
 /// Blob layout version; bump on any header or payload format change.
-inline constexpr std::uint64_t kCheckpointVersion = 8;
+inline constexpr std::uint64_t kCheckpointVersion = 9;
 
 /// Appends magic, version and the config fingerprint to `out`. Engines
 /// call this first, then append their payload.
@@ -73,24 +73,34 @@ void checkpoint_write_header(core::BlobWriter& out, const SimConfig& config,
 /// previous checkpoint.
 void checkpoint_store(const std::string& path, core::BlobWriter& out);
 
+/// Checkpoint bytes of one queued or in-flight packet: id,
+/// destination, created and hops, an i64 each.
+void checkpoint_put_entry(core::BlobWriter& out, const VoqEntry& e);
+
+/// Reads what checkpoint_put_entry wrote. Throws core::Error unless it
+/// could be an open-loop packet of a network of `nodes` saved at
+/// `boundary` (a slot, or a tick on the calendar path): id -1 - source
+/// for a source in [0, nodes), destination in [0, nodes), created in
+/// [0, boundary) and hops in [0, VoqEntry::kMaxHops]. So no field is
+/// narrowed into the record unchecked.
+[[nodiscard]] VoqEntry checkpoint_get_entry(core::BlobReader& in,
+                                            std::int64_t nodes,
+                                            std::int64_t boundary);
+
 /// VOQ arena round-trip. Entries are written head-to-tail per queue and
 /// re-pushed on restore, so the restored arena reproduces every queue's
 /// logical FIFO state whatever segment layout the saving run had grown
 /// into. The restoring engine assigns pools (set_pool) before calling
 /// checkpoint_get_voq; restore pushes happen single-threaded. Restore
-/// throws core::Error on a destination outside [0, nodes) (the timed
-/// arena stores it as int32), negative hops, or a queue longer than the
-/// bytes left in the blob.
+/// throws core::Error on an entry checkpoint_get_entry refuses, or a
+/// queue longer than the bytes left in the blob.
 template <bool Timed>
 void checkpoint_put_voq(core::BlobWriter& out, const VoqArenaT<Timed>& voq) {
   out.put_u64(voq.queue_count());
   for (std::size_t q = 0; q < voq.queue_count(); ++q) {
     out.put_u64(voq.size(q));
     voq.for_each_entry(q, [&](const typename VoqArenaT<Timed>::Entry& e) {
-      out.put_i64(e.id);
-      out.put_i64(e.destination);
-      out.put_i64(e.created);
-      out.put_i64(e.hops);
+      checkpoint_put_entry(out, e);
       if constexpr (Timed) {
         out.put_i64(e.ready);
       }
@@ -100,7 +110,7 @@ void checkpoint_put_voq(core::BlobWriter& out, const VoqArenaT<Timed>& voq) {
 
 template <bool Timed>
 void checkpoint_get_voq(core::BlobReader& in, VoqArenaT<Timed>& voq,
-                        std::int64_t nodes) {
+                        std::int64_t nodes, std::int64_t boundary) {
   constexpr std::uint64_t kEntryBytes = Timed ? 40 : 32;
   const std::uint64_t queues = in.get_u64();
   OTIS_REQUIRE(queues == voq.queue_count(),
@@ -110,20 +120,12 @@ void checkpoint_get_voq(core::BlobReader& in, VoqArenaT<Timed>& voq,
     OTIS_REQUIRE(n <= in.remaining() / kEntryBytes,
                  "checkpoint: VOQ length exceeds the blob");
     for (std::uint64_t i = 0; i < n; ++i) {
-      typename VoqArenaT<Timed>::Entry e;
-      e.id = in.get_i64();
-      e.destination = in.get_i64();
-      e.created = in.get_i64();
-      const std::int64_t hops = in.get_i64();
-      OTIS_REQUIRE(e.destination >= 0 && e.destination < nodes,
-                   "checkpoint: VOQ destination outside the network");
-      OTIS_REQUIRE(hops >= 0 && hops <= INT32_MAX,
-                   "checkpoint: VOQ hop count out of range");
-      e.hops = static_cast<std::int32_t>(hops);
+      const VoqEntry e = checkpoint_get_entry(in, nodes, boundary);
       if constexpr (Timed) {
-        e.ready = in.get_i64();
+        voq.push(q, TimedVoqEntry{e, in.get_i64()});
+      } else {
+        voq.push(q, e);
       }
-      voq.push(q, e);
     }
   }
 }

@@ -32,6 +32,7 @@ struct Relay {
   VoqEntry entry;
   hypergraph::Node node;
 };
+static_assert(sizeof(Relay) == 24);
 
 /// An in-flight transmission: coupler -> receivers, landing at the
 /// event's calendar time. `measuring` is the transmission slot's flag
@@ -42,6 +43,8 @@ struct Arrival {
   hypergraph::HyperarcId coupler = 0;
   bool measuring = false;
 };
+static_assert(sizeof(Arrival) == 32);
+static_assert(sizeof(CalendarQueue<Arrival>::Entry) == 48);
 
 /// A cross-shard arrival: the consumer replays the producer's
 /// push_keyed, so the global (time, seq) pop order is preserved across
@@ -51,6 +54,7 @@ struct Mail {
   std::uint64_t seq = 0;
   Arrival arrival;
 };
+static_assert(sizeof(Mail) == 48);
 
 /// A landed relay waiting for its enqueue at `node`; `tick` is when it
 /// landed.
@@ -169,6 +173,7 @@ struct Shard : Sched::ShardState {
   std::int64_t inflight_delta = 0;  ///< since the last fold
   std::int64_t events_delta = 0;    ///< calendar pushes - pops, ditto
   SimTime makespan_tick = 0;
+  bool hop_overflow = false;  ///< a transmission passed VoqEntry::kMaxHops
   LatencyStats latency;
   /// Per consumer shard: relays (slot) or mail (calendar).
   std::vector<std::vector<typename Sched::Message>> outbox;
@@ -246,8 +251,7 @@ struct Steps {
   /// Compact senders of the current slot; shard w writes the slice at
   /// its node_begin.
   std::vector<SenderDemand>& senders;
-  SimTime warmup_tick;        ///< latency counts packets created from here
-  std::int64_t workload_ids;  ///< ids below are the workload's packets
+  SimTime warmup_tick;  ///< latency counts packets created from here
 
   /// Queues `entry` on VOQ `qi` of `shard`'s node `at`, reached at
   /// `tick`, dropping it at a full finite queue. A timed record's
@@ -270,8 +274,7 @@ struct Steps {
         ready = tick + sched.timing.tuning(
                            routes.next_coupler(at, entry.destination));
       }
-      voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
-                                 entry.hops, ready});
+      voq.push(qi, TimedVoqEntry{entry, ready});
     } else {
       voq.push(qi, entry);
     }
@@ -290,7 +293,7 @@ struct Steps {
         shard.latency.record((at - entry.created + kUnits - 1) / kUnits);
       }
     }
-    if (entry.id < workload_ids) {
+    if (entry.id >= 0) {  // a workload packet
       shard.delivered_ids.push_back(entry.id);
       shard.makespan_tick = std::max(shard.makespan_tick, at);
     }
@@ -309,7 +312,8 @@ struct Steps {
   }
 
   /// Queues `shard`'s slice of the workload packets `due` at slot `s`'s
-  /// boundary, in the workload's (id-sorted) order. Workload runs have
+  /// boundary, in the workload's (id-sorted) order, under their
+  /// workload ids (run_loop checks they fit 31 bits). Workload runs have
   /// unbounded queues, so nothing drops.
   void inject(ShardT& shard, const std::vector<workload::WorkloadPacket>& due,
               SimTime s) const {
@@ -323,17 +327,20 @@ struct Steps {
       enqueue(shard,
               detail::queue_of(routes, voq_base, packet.source,
                                packet.destination),
-              VoqEntry{packet.id, packet.destination, s * kUnits, 0},
+              VoqEntry{.created = s * kUnits,
+                       .id = static_cast<std::int32_t>(packet.id),
+                       .destination =
+                           static_cast<std::int32_t>(packet.destination)},
               packet.source, s * kUnits, true);
     }
   }
 
   /// Draws the senders of `shard`'s nodes for slot `s` and queues their
-  /// packets at its boundary, ids workload_ids + s * nodes + source
-  /// (deterministic without a shared counter).
+  /// packets at its boundary, id -1 - source: negative, so never taken
+  /// for a workload packet, and with the creation slot the packet's
+  /// identity (deterministic without a shared counter).
   void generate(ShardT& shard, SimTime s, bool measuring) const {
     const SimTime slot_tick = s * kUnits;
-    const std::int64_t nodes = static_cast<std::int64_t>(voq_base.size()) - 1;
     SenderDemand* const batch = senders.data() + shard.node_begin;
     const std::size_t count = streams.draw_senders(
         traffic, shard.node_begin, shard.node_end, batch);
@@ -352,8 +359,10 @@ struct Steps {
             config.recorder->record(s, d.source, d.destination);
           }
           enqueue(shard, qi,
-                  VoqEntry{workload_ids + s * nodes + d.source,
-                           d.destination, slot_tick, 0},
+                  VoqEntry{.created = slot_tick,
+                           .id = static_cast<std::int32_t>(-1 - d.source),
+                           .destination =
+                               static_cast<std::int32_t>(d.destination)},
                   d.source, slot_tick, measuring);
         });
   }
@@ -389,12 +398,14 @@ struct Steps {
     detail::OccupancyMasks& masks = shard.masks;
     const auto transmit = [&](const detail::Pick& pick) {
       const auto h = static_cast<hypergraph::HyperarcId>(pick.coupler);
-      const auto popped = voq.pop_front(pick.qi);
+      VoqEntry entry = voq.pop_front(pick.qi);
       if (voq.empty(pick.qi)) {
         masks.mark_empty(feed, pick.qi);
       }
-      VoqEntry entry{popped.id, popped.destination, popped.created,
-                     popped.hops + 1};
+      if (entry.hops == VoqEntry::kMaxHops) [[unlikely]] {
+        shard.hop_overflow = true;  // the run fails at the window end
+      }
+      ++entry.hops;
       if (measuring) {
         ++shard.transmissions;
         ++coupler_success[pick.coupler];
@@ -558,31 +569,24 @@ using Pending = CalendarQueue<Arrival>::Entry;
 void put_arrival(core::BlobWriter& out, const Pending& event) {
   out.put_i64(event.time);
   out.put_u64(event.seq);
-  out.put_i64(event.payload.entry.id);
-  out.put_i64(event.payload.entry.destination);
-  out.put_i64(event.payload.entry.created);
-  out.put_i64(event.payload.entry.hops);
+  checkpoint_put_entry(out, event.payload.entry);
   out.put_u64(static_cast<std::uint64_t>(event.payload.coupler));
   out.put_u8(event.payload.measuring ? 1 : 0);
 }
 
 /// Reads what put_arrival wrote. Throws core::Error unless the arrival
-/// names a node and coupler of a network of `nodes` and `couplers`.
+/// names a coupler of a network of `couplers`, and its packet passes
+/// checkpoint_get_entry for `nodes` and `boundary_tick`.
 Pending get_arrival(core::BlobReader& in, std::int64_t nodes,
-                    std::int64_t couplers) {
+                    std::int64_t couplers, SimTime boundary_tick) {
   Pending event;
   event.time = in.get_i64();
   event.seq = in.get_u64();
-  VoqEntry& entry = event.payload.entry;
-  entry.id = in.get_i64();
-  entry.destination = in.get_i64();
-  entry.created = in.get_i64();
-  entry.hops = static_cast<std::int32_t>(in.get_i64());
+  event.payload.entry = checkpoint_get_entry(in, nodes, boundary_tick);
   const auto coupler = static_cast<hypergraph::HyperarcId>(in.get_u64());
   event.payload.coupler = coupler;
   event.payload.measuring = in.get_u8() != 0;
-  OTIS_REQUIRE(entry.destination >= 0 && entry.destination < nodes &&
-                   entry.hops >= 0 && coupler >= 0 && coupler < couplers,
+  OTIS_REQUIRE(coupler >= 0 && coupler < couplers,
                "checkpoint: in-flight arrival outside the network");
   return event;
 }
@@ -613,21 +617,26 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
 
   // The source, chosen once per run: open-loop traffic over a warmup +
   // measure window (+ drain), or a closed-loop workload whose packets
-  // carry ids [0, workload_ids), with background traffic above them,
-  // measured from slot 0 up to the workload slot bound (skew only
-  // defers deliveries by bounded sub-slot amounts, so no extra headroom
-  // is needed).
+  // carry their ids (>= 0; background traffic's are negative, see
+  // generate), measured from slot 0 up to the workload slot bound (skew
+  // only defers deliveries by bounded sub-slot amounts, so no extra
+  // headroom is needed). The records' narrowed fields must hold every
+  // id and creation time, so the run checks both before slot 0.
   workload::Workload* const load = config.workload.get();
-  std::int64_t workload_ids = 0;
   SimTime warmup = config.warmup_slots;
   SimTime horizon = warmup + config.measure_slots;
   if (load != nullptr) {
     load->reset();
-    workload_ids = load->packet_count();
+    OTIS_REQUIRE(load->packet_count() <= INT32_MAX,
+                 "run_engine: a workload holds at most 2^31 - 1 packets "
+                 "(VoqEntry keeps the workload id as int32)");
     warmup = 0;
     horizon = detail::workload_slot_bound(*load) + 1;
   }
   const SimTime drain_bound = horizon + kDrainSlots;
+  OTIS_REQUIRE((drain_bound + 1) * kUnits <= VoqEntry::kMaxCreated + 1,
+               "run_engine: the run's last tick must stay below 2^47 "
+               "(VoqEntry keeps creation times in 48 bits)");
 
   // kPhased and kAsync open-loop runs are one shard on the run stream;
   // every other run draws from the per-unit streams. Windows are
@@ -661,8 +670,7 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
       .config = config, .plan = plan, .traffic = traffic, .voq = voq,
       .sched = sched, .shards = shards, .retune = retune, .token = token,
       .coupler_success = coupler_success, .streams = streams,
-      .senders = senders, .warmup_tick = warmup * kUnits,
-      .workload_ids = workload_ids};
+      .senders = senders, .warmup_tick = warmup * kUnits};
 
   // Telemetry: a record per shard for every slot of the window, folded
   // in the window-end step in slot order -- probe values and timeseries
@@ -829,7 +837,7 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
       OTIS_REQUIRE(
           coupler_success.size() == static_cast<std::size_t>(couplers),
           "checkpoint: coupler success count mismatch");
-      checkpoint_get_voq(in, voq, nodes);
+      checkpoint_get_voq(in, voq, nodes, win_begin * kUnits);
       for (ShardT& shard : shards) {
         steps.rebuild_masks(shard);
       }
@@ -838,7 +846,7 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
                    "checkpoint: a slot run holds no pending arrivals");
       if constexpr (kTimed) {
         for (std::uint64_t i = 0; i < events; ++i) {
-          Pending event = get_arrival(in, nodes, couplers);
+          Pending event = get_arrival(in, nodes, couplers, win_begin * kUnits);
           const Arrival& arrival = event.payload;
           const hypergraph::Node relay =
               routes.relay(arrival.coupler, arrival.entry.destination);
@@ -889,7 +897,15 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
   if (!kTimed && load != nullptr) {
     load->poll(0, inject);
   }
+  const auto any_hop_overflow = [&] {
+    return std::any_of(shards.begin(), shards.end(),
+                       [](const ShardT& shard) { return shard.hop_overflow; });
+  };
   const auto on_window_end = [&]() noexcept {
+    if (any_hop_overflow()) {
+      running = false;  // before a checkpoint could save the wrapped count
+      return;
+    }
     if constexpr (kTimed) {
       // Drain the mailboxes while every worker is blocked: a
       // worker-side drain would race with a producer that cleared the
@@ -1086,6 +1102,9 @@ RunMetrics run_loop(const hypergraph::DirectedHypergraph& hg,
   if (ckpt_error != nullptr) {
     std::rethrow_exception(ckpt_error);
   }
+  OTIS_REQUIRE(!any_hop_overflow(),
+               "run_engine: a packet's hop count overflowed its 16-bit field "
+               "(do the routes loop?)");
 
   // Calendar open loop: land everything still in flight (the last
   // window-end step already drained every mailbox onto the calendars).
@@ -1143,6 +1162,9 @@ RunMetrics run_engine(const hypergraph::StackGraph& network,
                       const SimConfig& config, const TimingModel* timing,
                       std::vector<std::int64_t>& coupler_success) {
   const hypergraph::DirectedHypergraph& hg = network.hypergraph();
+  OTIS_REQUIRE(hg.node_count() <= kMaxPackedNodes,
+               "run_engine: node ids must fit in 31 bits (at most 2^31 "
+               "nodes): VoqEntry packs ids and destinations as int32");
   if (config.engine != Engine::kAsync &&
       config.engine != Engine::kAsyncSharded) {
     return run_loop(hg, routes, traffic, config, SlotScheduler{},
@@ -1151,9 +1173,6 @@ RunMetrics run_engine(const hypergraph::StackGraph& network,
   OTIS_REQUIRE(timing != nullptr &&
                    timing->coupler_count() == hg.hyperarc_count(),
                "run_engine: timing model sized for another network");
-  OTIS_REQUIRE(hg.node_count() <= kMaxPackedNodes,
-               "run_engine: node ids must fit in 31 bits (at most 2^31 "
-               "nodes): the timed VOQ entry packs destinations as int32");
   return run_loop(hg, routes, traffic, config, CalendarScheduler(*timing),
                   coupler_success);
 }

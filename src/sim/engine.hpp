@@ -11,7 +11,7 @@
 ///
 ///   generate  -- draws its nodes' senders (detail::RunStreams) and
 ///                queues each packet at the VOQ the route view picks,
-///                ids workload_ids + slot * nodes + source;
+///                id -1 - source (a workload packet keeps its id);
 ///   arbitrate -- picks each occupied coupler's winners straight off its
 ///                request-mask words and pops them
 ///                (arbitration.hpp pick_then_pop);

@@ -1,18 +1,19 @@
 #pragma once
 /// \file voq_arena.hpp
-/// Packed-entry arena backing the slot engines' virtual output queues.
+/// Packed-entry arena backing the engines' virtual output queues.
 ///
-/// Layout: one 32-byte, 32-byte-aligned record per queued packet and one
-/// 24-byte header per queue (segment pointer, head, length, capacity,
-/// pool) over a power-of-two ring segment, so a push or pop touches two
-/// lines: the header and one entry. Past saturation the SK(10,10,3)
-/// cells queue ~765,000 packets in 110,000 queues, far beyond a 2 MiB
-/// L2; the earlier one-array-per-field arena paid a cold line per field
-/// (four untimed, five timed) on each push and pop. The timed record
-/// stores its destination as int32 to stay at 32 bytes (the async
-/// engine checks that node ids fit, kMaxPackedNodes): the async-sharded
-/// SK(10,10,3) cell alone (1 thread, 6 alternating runs, 4-vCPU Xeon)
-/// took a median 0.93 s at 32 bytes and 1.13 s at 40.
+/// Layout: one 16-byte, 16-byte-aligned record per queued packet on
+/// the slot path (24 bytes, 8-aligned, on the calendar path, which adds
+/// a ready tick) and one 24-byte header per queue (segment pointer,
+/// head, length, capacity, pool) over a power-of-two ring segment, so a
+/// push or pop touches the header and one entry. Past saturation the
+/// SK(10,10,3) cells queue ~765,000 packets in 121,000 queues (loop
+/// couplers included), far beyond a 2 MiB L2, and most of a saturated
+/// sweep's memory is these records: halving them from 32 bytes took
+/// perfbench's paper_sweep peak RSS from 21.1 to 13.4 MiB and a
+/// sharded SK(10,10,3) cell's from 81.7 to 55.5 (4-vCPU Xeon). The
+/// earlier one-array-per-field arena paid a cold line per field on
+/// each push and pop.
 ///
 /// Pools (one per shard) carve segments from kChunkEntries-record chunks
 /// that never move, so growth never copies a pool. A queue that fills
@@ -23,7 +24,7 @@
 /// segment larger than a chunk is allocated alone. The chunk is what
 /// each pool over-reserves: collectives on the campaign benchmark
 /// peaked at 16.7 MiB RSS with 2^10-record chunks, 17.5 with 2^12 and
-/// 20.7 with 2^14 (18.4 with the per-field arena).
+/// 20.7 with 2^14 (18.4 with the per-field arena), at 32-byte records.
 ///
 /// Only the shard that owns a pool pushes to or pops from its queues
 /// (the shard plan is feed-local), so one thread at a time touches a
@@ -41,26 +42,32 @@ namespace otis::sim {
 
 /// One queued packet, minus the source node: once a packet sits in a
 /// VOQ its source is never read again (relays are resolved from the
-/// coupler), so the arena does not store it.
+/// coupler), so the arena does not store it. The creation time and the
+/// hop count share one word.
 struct VoqEntry {
-  std::int64_t id = 0;
-  std::int64_t destination = 0;
-  std::int64_t created = 0;  ///< slot (phased) or tick (async)
-  std::int32_t hops = 0;
+  /// Largest creation slot or tick the 48-bit field holds.
+  static constexpr std::int64_t kMaxCreated = (std::int64_t{1} << 47) - 1;
+  /// Largest hop count the 16-bit field holds.
+  static constexpr std::int64_t kMaxHops = (std::int64_t{1} << 16) - 1;
+
+  std::int64_t created : 48 = 0;  ///< slot (phased) or tick (async)
+  std::uint64_t hops : 16 = 0;
+  /// A workload packet's id in its workload (>= 0), or -1 - source for
+  /// every other packet: with `created`, the packet's identity.
+  std::int32_t id = 0;
+  std::int32_t destination = 0;
 };
+static_assert(sizeof(VoqEntry) == 16);
 
 /// VoqEntry plus the tick the transmitter finishes tuning (async
 /// engine's eligibility gate).
-struct TimedVoqEntry {
-  std::int64_t id = 0;
-  std::int64_t destination = 0;
-  std::int64_t created = 0;
-  std::int32_t hops = 0;
+struct TimedVoqEntry : VoqEntry {
   std::int64_t ready = 0;
 };
+static_assert(sizeof(TimedVoqEntry) == 24);
 
-/// Largest node count whose ids fit the timed record's int32
-/// destination (ids 0 .. 2^31 - 1).
+/// Largest node count whose ids fit the records' int32 fields (ids
+/// 0 .. 2^31 - 1, and -1 - source down to INT32_MIN).
 inline constexpr std::int64_t kMaxPackedNodes = std::int64_t{1} << 31;
 
 template <bool Timed>
@@ -70,13 +77,13 @@ class VoqArenaT {
 
   /// Initial per-queue segment capacity.
   static constexpr std::uint32_t kInitialCapacity = 8;
-  /// Records per pool chunk (32 KiB).
+  /// Records per pool chunk (16 KiB, or 24 KiB timed).
   static constexpr std::size_t kChunkEntries = std::size_t{1} << 10;
   /// Queue count from which prefetching() holds and the engines' loops
   /// issue the hints below. Smaller runs' queue state (~280 bytes a
   /// queue) fits in L2 and the hints only cost: serial phased on
   /// SK(4,3,2) and POPS(6,12) ran 9-14% slower with them, collectives
-  /// (up to 6,912 queues) no faster, while SK(10,10,3) (110,000 queues)
+  /// (up to 6,912 queues) no faster, while SK(10,10,3) (121,000 queues)
   /// generated and arbitrated ~30% slower without them.
   static constexpr std::size_t kPrefetchQueues = std::size_t{1} << 14;
 
@@ -108,14 +115,14 @@ class VoqArenaT {
     if (ref.len == ref.cap) {
       grow(ref);
     }
-    store(ref.seg[(ref.head + ref.len) & (ref.cap - 1)], e);
+    ref.seg[(ref.head + ref.len) & (ref.cap - 1)] = std::bit_cast<Slot>(e);
     ++ref.len;
   }
 
   /// Copy of the head entry; the queue must be non-empty.
   [[nodiscard]] Entry front(std::size_t q) const {
     const Header& ref = queues_[q];
-    return unpack(ref.seg[ref.head]);
+    return std::bit_cast<Entry>(ref.seg[ref.head]);
   }
 
   /// Ready tick of the head entry; the queue must be non-empty.
@@ -123,13 +130,13 @@ class VoqArenaT {
     requires Timed
   {
     const Header& ref = queues_[q];
-    return ref.seg[ref.head].ready;
+    return std::bit_cast<Entry>(ref.seg[ref.head]).ready;
   }
 
   /// Removes and returns the head entry; the queue must be non-empty.
   Entry pop_front(std::size_t q) {
     Header& ref = queues_[q];
-    const Entry e = unpack(ref.seg[ref.head]);
+    const Entry e = std::bit_cast<Entry>(ref.seg[ref.head]);
     ref.head = (ref.head + 1) & (ref.cap - 1);
     if (--ref.len == 0 && ref.cap > kInitialCapacity) {
       shed(ref);
@@ -168,7 +175,7 @@ class VoqArenaT {
   void for_each_entry(std::size_t q, Fn&& fn) const {
     const Header& ref = queues_[q];
     for (std::uint32_t i = 0; i < ref.len; ++i) {
-      fn(unpack(ref.seg[(ref.head + i) & (ref.cap - 1)]));
+      fn(std::bit_cast<Entry>(ref.seg[(ref.head + i) & (ref.cap - 1)]));
     }
   }
 
@@ -179,44 +186,14 @@ class VoqArenaT {
   }
 
  private:
-  /// The stored record: VoqEntry as is, or TimedVoqEntry with an int32
-  /// destination. No member initializers, so fresh chunks stay
-  /// untouched (and unpaged) until a push writes them.
-  struct UntimedSlot {
-    std::int64_t id;
-    std::int64_t destination;
-    std::int64_t created;
-    std::int32_t hops;
+  /// The stored record: the entry's bytes, 16-byte aligned on the slot
+  /// path so no record straddles a cache line (a quarter of the 24-byte
+  /// timed records do). Raw bytes without initializers, so fresh chunks
+  /// stay untouched (and unpaged) until a push writes them.
+  struct alignas(Timed ? 8 : 16) Slot {
+    std::array<std::byte, sizeof(Entry)> bytes;
   };
-  struct TimedSlot {
-    std::int64_t id;
-    std::int64_t created;
-    std::int64_t ready;
-    std::int32_t destination;
-    std::int32_t hops;
-  };
-  struct alignas(32) Slot : std::conditional_t<Timed, TimedSlot, UntimedSlot> {
-  };
-  static_assert(sizeof(Slot) == 32);
-
-  /// Writes the fields in place: building a Slot and copying it
-  /// measured slower on in-cache runs.
-  static void store(Slot& s, const Entry& e) {
-    s.id = e.id;
-    s.destination = static_cast<decltype(s.destination)>(e.destination);
-    s.created = e.created;
-    s.hops = e.hops;
-    if constexpr (Timed) {
-      s.ready = e.ready;
-    }
-  }
-  static Entry unpack(const Slot& s) {
-    if constexpr (Timed) {
-      return {s.id, s.destination, s.created, s.hops, s.ready};
-    } else {
-      return {s.id, s.destination, s.created, s.hops};
-    }
-  }
+  static_assert(sizeof(Slot) == (Timed ? 24 : 16));
 
   /// Per-queue metadata, packed so every queue operation touches one
   /// header cache line (a 24-byte header straddles at most two).

@@ -5,7 +5,9 @@
 // POPS(6,12) and SII(4,2,12) -- with a short measurement window so the
 // whole file stays fast.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -439,6 +441,84 @@ TEST(CampaignRunnerTest, UnwritableOutputFailsTheRun) {
   }
   const campaign::AggregateSink aggregate;
   EXPECT_THROW(aggregate.write_csv("/dev/full"), core::Error);
+}
+
+/// Every regular file under `dir`, by relative path, with its bytes.
+std::map<std::string, std::string> snapshot(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files[std::filesystem::relative(entry.path(), dir).string()] =
+          read_file(entry.path());
+    }
+  }
+  return files;
+}
+
+TEST(CampaignRunnerTest, LockedOutputDirectoryFailsTheRun) {
+  // Another runner holds the directory: its lock is taken here through
+  // a separate open file description of the lock file. Plain and
+  // --resume runs must fail naming the directory, before they cut,
+  // truncate or append to any file there; once the lock is released
+  // the run succeeds.
+  CampaignSpec spec;
+  spec.name = "locked";
+  spec.topologies = {TopologySpec::stack_kautz(4, 3, 2)};
+  spec.loads = {0.3};
+  spec.seeds = {1, 2, 3};
+  spec.warmup_slots = 10;
+  spec.measure_slots = 40;
+  spec.checkpoint_every = 16;
+  spec.telemetry.sample_period = 16;
+  spec.telemetry.timeseries_path = "timeseries.jsonl";
+  ScratchDir dir("locked");
+  // An earlier run's leftovers, torn timeseries line included.
+  std::filesystem::create_directories(dir.path() / "checkpoints");
+  for (const auto& [file, bytes] :
+       std::map<std::string, std::string>{
+           {CampaignRunner::kJsonlFile, "{\"cell_id\": \"earlier\"}\n"},
+           {CampaignRunner::kCsvFile, "cell_id\nearlier\n"},
+           {CampaignRunner::kManifestFile, "earlier\n"},
+           {"timeseries.jsonl", "{\"cell\": \"earlier\"}\n{\"cut"},
+           {"checkpoints/cell-0.ckpt", "not a blob"}}) {
+    std::ofstream(dir.path() / file, std::ios::binary) << bytes;
+  }
+  const std::string lock_path =
+      (dir.path() / CampaignRunner::kLockFile).string();
+  const int held = ::open(lock_path.c_str(), O_RDWR | O_CREAT, 0644);
+  ASSERT_GE(held, 0);
+  ASSERT_EQ(::flock(held, LOCK_EX | LOCK_NB), 0);
+  const std::map<std::string, std::string> before = snapshot(dir.path());
+
+  CampaignOptions options;
+  options.threads = 2;
+  options.out_dir = dir.path().string();
+  for (const bool resume : {false, true}) {
+    SCOPED_TRACE(resume ? "--resume" : "fresh");
+    options.resume = resume;
+    try {
+      CampaignRunner(spec).run(options);
+      ADD_FAILURE() << "the run did not fail";
+    } catch (const core::Error& error) {
+      EXPECT_NE(std::string(error.what()).find(dir.path().string()),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(snapshot(dir.path()), before);
+  }
+
+  ::close(held);
+  options.resume = false;
+  const campaign::CampaignReport report = CampaignRunner(spec).run(options);
+  EXPECT_EQ(report.completed_cells, 3);
+  std::istringstream rows(read_file(dir.path() / CampaignRunner::kJsonlFile));
+  std::int64_t count = 0;
+  for (std::string row; std::getline(rows, row);) {
+    EXPECT_NE(core::Json::parse(row).at("cell_id").as_string(), "earlier");
+    ++count;
+  }
+  EXPECT_EQ(count, 3);
 }
 
 TEST(CampaignRunnerTest, FailedOutputStopsTheGrid) {

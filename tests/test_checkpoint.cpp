@@ -7,6 +7,10 @@
 //    async and async-sharded engines across worker counts {1, 2, 5, 8};
 //  - sharded blobs are thread-count independent: save under one worker
 //    count, resume under another;
+//  - a resumed run's next blob equals, byte for byte, the blob an
+//    uninterrupted run writes at that boundary, so nothing a save
+//    writes is dropped on restore (hop counts included, which no
+//    result reads);
 //  - timed (skewed) async runs and stateful (bursty) traffic round-trip
 //    through the blob;
 //  - telemetry continues across the interruption: the interrupted and
@@ -17,8 +21,11 @@
 //  - a damaged blob (truncated, a flipped byte, a wrong version) never
 //    resumes with different numbers on any engine, and a blob whose
 //    checksum holds but whose queued destination or round-robin token
-//    is out of range, or whose latencies exceed its next slot or its
-//    deliveries, throws;
+//    is out of range, whose packet id, hop count or creation time lies
+//    outside what its narrowed record field holds, or whose latencies
+//    exceed its next slot or its deliveries, throws; a version-8 blob
+//    starts fresh, and a hop count restored at its maximum fails the
+//    run once the packet transmits;
 //  - path-less checkpoint configs are rejected at construction, and
 //    the event-queue reference refuses checkpointing.
 
@@ -257,6 +264,59 @@ TEST(Checkpoint, ShardedBlobsAreThreadCountIndependent) {
     const RunResult resumed = run_sk(engine, 5, resume);
     expect_identical(reference.metrics, resumed.metrics);
     EXPECT_EQ(reference.coupler_success, resumed.coupler_success);
+  }
+}
+
+TEST(Checkpoint, ResumedRunsNextBlobEqualsTheUninterruptedRuns) {
+  // Drill to a blob at boundary S, resume it up to S + every, and
+  // compare that blob with an uninterrupted drill's at S + every, byte
+  // for byte: a field that a save writes and a restore drops shows up
+  // even when no result reads it. The load is past SK(4,3,2)'s
+  // saturation knee (0.42), so packets queued at S still wait, relayed
+  // or not, at S + every; the skewed async cells also keep arrivals in
+  // flight across both boundaries.
+  ScratchDir scratch("fixpoint");
+  RunOptions saturated;
+  saturated.load = 0.6;
+  RunOptions skewed = saturated;
+  skewed.timing = constant_timing(300, 700);
+  const struct {
+    sim::Engine engine;
+    int threads;
+    RunOptions base;
+  } cells[] = {{sim::Engine::kPhased, 1, saturated},
+               {sim::Engine::kSharded, 1, saturated},
+               {sim::Engine::kSharded, 2, saturated},
+               {sim::Engine::kSharded, 3, saturated},
+               {sim::Engine::kAsync, 1, skewed},
+               {sim::Engine::kAsyncSharded, 2, skewed}};
+  for (const auto& cell : cells) {
+    SCOPED_TRACE(std::string(sim::engine_name(cell.engine)) + "/t" +
+                 std::to_string(cell.threads));
+    RunOptions drill = cell.base;
+    drill.every = kEvery;
+    drill.path = (scratch.path() / "resumed.ckpt").string();
+    drill.stop_at = kStopAt;
+    ASSERT_TRUE(run_sk(cell.engine, cell.threads, drill).metrics.interrupted);
+
+    RunOptions resume = drill;
+    resume.resume = true;
+    resume.stop_at = kStopAt + kEvery;
+    ASSERT_TRUE(
+        run_sk(cell.engine, cell.threads, resume).metrics.interrupted);
+
+    RunOptions straight = drill;
+    straight.path = (scratch.path() / "straight.ckpt").string();
+    straight.stop_at = kStopAt + kEvery;
+    ASSERT_TRUE(
+        run_sk(cell.engine, cell.threads, straight).metrics.interrupted);
+
+    const std::string resumed = read_bytes(resume.path);
+    const std::string uninterrupted = read_bytes(straight.path);
+    ASSERT_GT(uninterrupted.size(), 64u);
+    EXPECT_EQ(resumed.size(), uninterrupted.size());
+    EXPECT_TRUE(resumed == uninterrupted)
+        << "the resumed run's blob differs from the uninterrupted run's";
   }
 }
 
@@ -537,6 +597,57 @@ void overwrite_i64(std::string& blob, std::size_t at, std::int64_t value) {
   }
 }
 
+/// Where a drill blob of a serial run keeps its packets: the boundary
+/// it was saved at, its re-tune gate count, and the byte offsets of the
+/// first queued packet's entry and of the first in-flight arrival's
+/// entry (0 when none). An entry is four i64s: id, destination,
+/// created, hops.
+struct EntryOffsets {
+  std::int64_t boundary = 0;
+  std::size_t gates = 0;
+  std::size_t queued = 0;
+  std::size_t in_flight = 0;
+};
+constexpr std::size_t kIdField = 0;
+constexpr std::size_t kDestinationField = 8;
+constexpr std::size_t kCreatedField = 16;
+constexpr std::size_t kHopsField = 24;
+
+/// Walks `blob` (of a run-stream run; `timed` on the calendar path,
+/// whose queued entries add a ready tick) to its packets.
+EntryOffsets find_entries(const std::string& blob, bool timed) {
+  core::BlobReader in(reinterpret_cast<const std::uint8_t*>(blob.data()),
+                      blob.size() - 8);
+  EntryOffsets at;
+  at.boundary = skip_to_tokens(in);
+  (void)in.get_i64_vec();  // tokens
+  at.gates = in.get_i64_vec().size();
+  for (int i = 0; i < 5; ++i) {
+    (void)in.get_i64();  // offered, delivered, dropped, sent, collisions
+  }
+  sim::LatencyStats latency;
+  latency.deserialize(in);
+  (void)in.get_i64_vec();  // coupler successes
+  const std::uint64_t queues = in.get_u64();
+  for (std::uint64_t q = 0; q < queues; ++q) {
+    const std::uint64_t n = in.get_u64();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (at.queued == 0) {
+        at.queued = in.position();
+      }
+      for (int field = 0; field < (timed ? 5 : 4); ++field) {
+        (void)in.get_i64();
+      }
+    }
+  }
+  if (in.get_u64() > 0) {  // pending arrivals
+    (void)in.get_i64();    // time
+    (void)in.get_u64();    // seq
+    at.in_flight = in.position();
+  }
+  return at;
+}
+
 TEST(Checkpoint, OutOfRangeQueuedDestinationThrows) {
   // A phased blob edited to queue a packet for a node outside the
   // network, with its checksum recomputed: restore must throw, not
@@ -549,31 +660,10 @@ TEST(Checkpoint, OutOfRangeQueuedDestinationThrows) {
   run_sk(sim::Engine::kPhased, 1, drill);
   std::string blob = read_bytes(drill.path);
 
-  // Walk the payload (a serial run holding the single run stream, and
-  // no re-tune gates on the slot path) to the first queued entry's
-  // destination field.
-  core::BlobReader in(reinterpret_cast<const std::uint8_t*>(blob.data()),
-                      blob.size() - 8);
-  (void)skip_to_tokens(in);
-  (void)in.get_i64_vec();  // tokens
-  ASSERT_TRUE(in.get_i64_vec().empty()) << "slot runs keep no gates";
-  for (int i = 0; i < 5; ++i) {
-    (void)in.get_i64();  // offered, delivered, dropped, sent, collisions
-  }
-  sim::LatencyStats latency;
-  latency.deserialize(in);
-  (void)in.get_i64_vec();  // coupler successes
-  const std::uint64_t queues = in.get_u64();
-  std::size_t at = 0;
-  for (std::uint64_t q = 0; q < queues && at == 0; ++q) {
-    const std::uint64_t n = in.get_u64();
-    if (n > 0) {
-      (void)in.get_i64();  // id
-      at = in.position();
-    }
-  }
-  ASSERT_NE(at, 0u) << "the drill must leave packets queued";
-  overwrite_i64(blob, at,
+  const EntryOffsets at = find_entries(blob, false);
+  ASSERT_EQ(at.gates, 0u) << "slot runs keep no gates";
+  ASSERT_NE(at.queued, 0u) << "the drill must leave packets queued";
+  overwrite_i64(blob, at.queued + kDestinationField,
                 hypergraph::StackKautz(4, 3, 2).processor_count() + 7);
   reseal(blob);
   write_bytes(drill.path, blob);
@@ -583,6 +673,114 @@ TEST(Checkpoint, OutOfRangeQueuedDestinationThrows) {
   resume.path = drill.path;
   resume.resume = true;
   EXPECT_THROW(run_sk(sim::Engine::kPhased, 1, resume), core::Error);
+}
+
+TEST(Checkpoint, FieldsTheRecordCannotHoldThrow) {
+  // Blobs keep every packet field as an i64, while a queued record
+  // narrows id and destination to int32, created to 48 bits and hops to
+  // 16. A phased and a skewed async blob, each edited in one field of a
+  // queued packet (and, async, of an in-flight one) with its checksum
+  // recomputed, must throw on restore when the value lies outside what
+  // a saving run could have written: an id outside [-nodes, -1] (blobs
+  // are open-loop only, so a workload id can only be crafted), a hop
+  // count below 0 or past VoqEntry::kMaxHops, a creation time below 0
+  // or at the boundary (slots, or ticks on the calendar path). The
+  // edge values inside those ranges resume; a queued packet restored at
+  // the maximum hop count fails the run when it transmits.
+  ScratchDir scratch("narrowed");
+  const std::int64_t nodes = hypergraph::StackKautz(4, 3, 2).processor_count();
+  RunOptions skewed;
+  skewed.timing = constant_timing(300, 700);
+  const struct {
+    sim::Engine engine;
+    RunOptions base;
+    sim::SimTime units;  ///< of `created`, per slot
+  } cells[] = {{sim::Engine::kPhased, {}, 1},
+               {sim::Engine::kAsync, skewed, sim::kTicksPerSlot}};
+  for (const auto& cell : cells) {
+    SCOPED_TRACE(sim::engine_name(cell.engine));
+    RunOptions drill = cell.base;
+    drill.every = kEvery;
+    drill.path = (scratch.path() / "drill.ckpt").string();
+    drill.stop_at = kStopAt;
+    run_sk(cell.engine, 1, drill);
+    const std::string blob = read_bytes(drill.path);
+    const EntryOffsets at =
+        find_entries(blob, cell.engine == sim::Engine::kAsync);
+    ASSERT_NE(at.queued, 0u) << "the drill must leave packets queued";
+    std::vector<std::pair<std::string, std::size_t>> entries = {
+        {"queued", at.queued}};
+    if (cell.engine == sim::Engine::kAsync) {
+      ASSERT_NE(at.in_flight, 0u) << "the skewed drill keeps arrivals";
+      entries.emplace_back("in flight", at.in_flight);
+    }
+
+    RunOptions resume = cell.base;
+    resume.every = kEvery;
+    resume.path = (scratch.path() / "edited.ckpt").string();
+    resume.resume = true;
+    // Resumes `blob` with the i64 at `offset` set to `value`; returns
+    // the error's message, or "" when the run finished.
+    const auto resume_edited = [&](std::size_t offset, std::int64_t value) {
+      std::string edited = blob;
+      overwrite_i64(edited, offset, value);
+      reseal(edited);
+      write_bytes(resume.path, edited);
+      try {
+        (void)run_sk(cell.engine, 1, resume);
+      } catch (const core::Error& e) {
+        return std::string(e.what());
+      }
+      return std::string();
+    };
+    const sim::SimTime boundary = at.boundary * cell.units;
+    for (const auto& [what, entry] : entries) {
+      SCOPED_TRACE(what);
+      const struct {
+        std::size_t field;
+        std::int64_t value;
+        const char* refusal;  ///< nullptr: the value must resume
+      } edits[] = {
+          {kIdField, 0, "packet id"},
+          {kIdField, -nodes - 1, "packet id"},
+          {kIdField, std::int64_t{1} << 40, "packet id"},
+          {kIdField, -nodes, nullptr},
+          {kHopsField, -1, "hop count"},
+          {kHopsField, sim::VoqEntry::kMaxHops + 1, "hop count"},
+          {kCreatedField, boundary, "created"},
+          {kCreatedField, -1, "created"},
+          {kCreatedField, boundary - 1, nullptr},
+      };
+      for (const auto& edit : edits) {
+        SCOPED_TRACE("field " + std::to_string(edit.field) + " = " +
+                     std::to_string(edit.value));
+        const std::string error =
+            resume_edited(entry + edit.field, edit.value);
+        if (edit.refusal == nullptr) {
+          EXPECT_EQ(error, "");
+        } else {
+          EXPECT_NE(error.find("checkpoint:"), std::string::npos) << error;
+          EXPECT_NE(error.find(edit.refusal), std::string::npos) << error;
+        }
+      }
+    }
+    // In range at restore, but the queued packet's next transmission
+    // would pass the field: the run fails instead of wrapping.
+    const std::string error =
+        resume_edited(at.queued + kHopsField, sim::VoqEntry::kMaxHops);
+    EXPECT_NE(error.find("hop count overflowed"), std::string::npos) << error;
+
+    // A version-8 blob (the 32-byte records' open-loop ids) starts
+    // fresh, like any other version.
+    const RunResult plain = run_sk(cell.engine, 1, cell.base);
+    std::string old_version = blob;
+    overwrite_i64(old_version, 8, 8);
+    reseal(old_version);
+    write_bytes(resume.path, old_version);
+    const RunResult resumed = run_sk(cell.engine, 1, resume);
+    expect_identical(plain.metrics, resumed.metrics);
+    EXPECT_EQ(plain.coupler_success, resumed.coupler_success);
+  }
 }
 
 TEST(Checkpoint, OutOfRangeTokenThrows) {

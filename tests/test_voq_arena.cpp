@@ -1,13 +1,16 @@
-// Unit tests for the packed-entry VOQ arena backing the slot engines:
+// Unit tests for the packed-entry VOQ arenas backing the engines:
 // FIFO order, ring wraparound, segment growth (double and recycle),
 // segment reuse across queues, queues larger than a chunk, per-shard
-// pools, and the timed arena's front_ready fast path -- each checked
-// against a std::deque<Entry> reference model.
+// pools, the timed arena's front_ready fast path, and every record
+// field at the ends of its range -- each checked against a
+// std::deque<Entry> reference model.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -17,8 +20,10 @@ namespace otis::sim {
 namespace {
 
 VoqEntry make_entry(std::int64_t id) {
-  return VoqEntry{id, id * 3 + 1, id * 7 + 2,
-                  static_cast<std::int32_t>(id % 5)};
+  return VoqEntry{.created = id * 7 + 2,
+                  .hops = static_cast<std::uint64_t>(id % 5),
+                  .id = static_cast<std::int32_t>(id),
+                  .destination = static_cast<std::int32_t>(id * 3 + 1)};
 }
 
 void expect_entry_eq(const VoqEntry& a, const VoqEntry& b) {
@@ -288,10 +293,11 @@ TEST(TimedVoqArena, FrontReadyThroughRecycledSegments) {
     const std::size_t q = static_cast<std::size_t>(round % 2);
     for (int i = 0; i < 10 + 7 * round; ++i) {
       TimedVoqEntry e;
-      e.id = next;
-      e.destination = (next * 7919) % (std::int64_t{1} << 31);
+      e.id = static_cast<std::int32_t>(next);
+      e.destination =
+          static_cast<std::int32_t>((next * 7919) % (std::int64_t{1} << 31));
       e.created = next * 3;
-      e.hops = static_cast<std::int32_t>(next % 4);
+      e.hops = static_cast<std::uint64_t>(next % 4);
       e.ready = next * 11 + 7;
       ++next;
       arena.push(q, e);
@@ -321,10 +327,10 @@ TEST(TimedVoqArena, FrontReadyMatchesFrontThroughWrapAndGrowth) {
   for (int op = 0; op < 5000; ++op) {
     if (model.empty() || rng.bernoulli(0.6)) {
       TimedVoqEntry e;
-      e.id = next;
-      e.destination = next * 2;
+      e.id = static_cast<std::int32_t>(next);
+      e.destination = static_cast<std::int32_t>(next * 2);
       e.created = next * 3;
-      e.hops = static_cast<std::int32_t>(next % 4);
+      e.hops = static_cast<std::uint64_t>(next % 4);
       e.ready = next * 11 + 7;
       ++next;
       arena.push(1, e);
@@ -341,6 +347,81 @@ TEST(TimedVoqArena, FrontReadyMatchesFrontThroughWrapAndGrowth) {
     }
     ASSERT_EQ(arena.size(1), model.size());
   }
+}
+
+/// Entries holding every field at the ends of its range, in turn and
+/// together, so one field bleeding into another shows: created 0 and
+/// 2^47 - 1, hops 0 and VoqEntry::kMaxHops, destination 0 and
+/// 2^31 - 1, id INT32_MIN, -1, 0 and INT32_MAX.
+std::vector<VoqEntry> extreme_entries() {
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t kCreated = VoqEntry::kMaxCreated;
+  constexpr auto kHops = static_cast<std::uint64_t>(VoqEntry::kMaxHops);
+  static_assert(kCreated == (std::int64_t{1} << 47) - 1);
+  static_assert(kHops == 65535);
+  return {
+      {.created = kCreated, .hops = 0, .id = kMin, .destination = 0},
+      {.created = 0, .hops = kHops, .id = kMax, .destination = kMax},
+      {.created = kCreated, .hops = kHops, .id = kMin, .destination = kMax},
+      {.created = 0, .hops = 0, .id = -1, .destination = 0},
+      {.created = kCreated - 1, .hops = kHops - 1, .id = 0,
+       .destination = kMax - 1},
+      {.created = 1, .hops = 1, .id = kMax, .destination = 1},
+  };
+}
+
+/// Pushes the extreme entries 40 times over (through three doublings,
+/// with a wrapped head) onto one queue of `arena`, popping as it goes,
+/// and checks every pop against a deque model field by field; `timed`
+/// turns each entry into the arena's record.
+template <class Arena, class Timed>
+void expect_extremes_round_trip(Arena& arena, Timed timed) {
+  using Entry = typename Arena::Entry;
+  const std::vector<VoqEntry> extremes = extreme_entries();
+  std::deque<Entry> model;
+  const auto pop_and_check = [&] {
+    const Entry got = arena.pop_front(0);
+    const Entry& want = model.front();
+    EXPECT_EQ(got.created, want.created);
+    EXPECT_EQ(got.hops, want.hops);
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.destination, want.destination);
+    if constexpr (!std::is_same_v<Entry, VoqEntry>) {
+      EXPECT_EQ(got.ready, want.ready);
+    }
+    model.pop_front();
+  };
+  arena.init(1);
+  for (std::size_t i = 0; i < 40 * extremes.size(); ++i) {
+    const Entry e = timed(extremes[i % extremes.size()], i);
+    arena.push(0, e);
+    model.push_back(e);
+    if (i % 3 == 0) {
+      pop_and_check();
+    }
+    ASSERT_EQ(arena.size(0), model.size());
+  }
+  while (!model.empty()) {
+    pop_and_check();
+  }
+  EXPECT_TRUE(arena.empty(0));
+}
+
+TEST(VoqArena, ExtremeFieldValuesRoundTripFifoExact) {
+  VoqArena arena;
+  expect_extremes_round_trip(
+      arena, [](const VoqEntry& e, std::size_t) { return e; });
+}
+
+TEST(TimedVoqArena, ExtremeFieldValuesRoundTripFifoExact) {
+  // ready runs up to INT64_MAX, beside every extreme of the base record.
+  TimedVoqArena arena;
+  expect_extremes_round_trip(arena, [](const VoqEntry& e, std::size_t i) {
+    return TimedVoqEntry{
+        e, std::numeric_limits<std::int64_t>::max() -
+               static_cast<std::int64_t>(i % 7)};
+  });
 }
 
 }  // namespace

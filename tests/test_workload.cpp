@@ -439,6 +439,56 @@ TEST(WorkloadConfigTest, RejectsUnsupportedConfigurations) {
   }
 }
 
+/// A workload that reports 2^31 packets, one more than VoqEntry's
+/// int32 id can number, and counts every call an engine makes past
+/// reset().
+class OversizedWorkload : public Workload {
+ public:
+  explicit OversizedWorkload(std::int64_t nodes) : nodes_(nodes) {}
+  [[nodiscard]] std::int64_t packet_count() const override {
+    return std::int64_t{1} << 31;
+  }
+  [[nodiscard]] std::int64_t node_count() const override { return nodes_; }
+  void reset() override {}
+  void poll(std::int64_t, std::vector<WorkloadPacket>&) override { ++calls; }
+  void delivered(std::int64_t) override { ++calls; }
+  [[nodiscard]] bool done() const override { return false; }
+
+  int calls = 0;
+
+ private:
+  std::int64_t nodes_;
+};
+
+TEST(WorkloadConfigTest, OversizedWorkloadIsRefusedBeforeSlotZero) {
+  hypergraph::Pops pops(4, 6);
+  auto routes = std::make_shared<const routing::CompiledRoutes>(
+      routing::compile_pops_routes(pops));
+  for (const sim::Engine engine :
+       {sim::Engine::kPhased, sim::Engine::kSharded, sim::Engine::kAsync,
+        sim::Engine::kAsyncSharded}) {
+    SCOPED_TRACE(sim::engine_name(engine));
+    auto load = std::make_shared<OversizedWorkload>(pops.processor_count());
+    sim::SimConfig config;
+    config.engine = engine;
+    config.threads = 2;
+    config.workload = load;
+    sim::OpsNetworkSim sim(
+        pops.stack(), routes,
+        std::make_unique<sim::UniformTraffic>(pops.processor_count(), 0.0),
+        config);
+    try {
+      (void)sim.run();
+      ADD_FAILURE() << "a 2^31-packet workload ran";
+    } catch (const core::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("2^31 - 1 packets"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(load->calls, 0) << "the engine polled before refusing";
+  }
+}
+
 TEST(WorkloadMetricsTest, MakespanFlowsIntoSweepPoint) {
   sim::RunMetrics metrics;
   metrics.slots = 10;
